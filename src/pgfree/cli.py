@@ -184,6 +184,8 @@ def _cmd_spectrum(args) -> int:
     coeffs = spec.coeffs
     print("gamma,coefficient")
     if args.top is not None:
+        if args.top < 0:
+            raise _UsageError(f"--top must be >= 0, got {args.top}")
         order = sorted(range(len(coeffs)), key=lambda g: (-abs(int(coeffs[g])), g))
         for g in order[: args.top]:
             print(f"{g},{int(coeffs[g])}")

@@ -49,16 +49,33 @@ class FreenessWitness:
         }
 
 
+# Below this many remaining candidates the last two generators are found by
+# the Python loop; above it by the blocked pair search.
+_PAIR_SEARCH_CUTOFF = 64
+# Elements of one a ^ K block in the pair search: bounds its memory at any rank.
+_PAIR_BLOCK_ELEMENTS = 1 << 14
+
+
 def is_pg_free(E: PointSet, n: int) -> FreenessWitness:
     """Search E for a rank-n subspace all of whose points lie in E.
 
     found=False iff no such subspace exists, i.e. E is PG(n-1,2)-free.
-    The DFS extends a partial independent generating set in ascending word
-    order and prunes as soon as one span point falls outside E, so the
-    first witness found is the canonically least generating tuple.
+    The witness is the canonically least generating tuple g_1 < ... < g_n
+    of points of E, each g_i outside the span S of the earlier ones with
+    g_i ^ s in E for every s in S.  A DFS in ascending word order fixes
+    the first n-2 generators; the last two are the least pair a < b found
+    by ``_least_pair`` (see there).  The answer is remembered on E, once
+    per n.
     """
     if n < 1:
         raise GeometryError("subgeometry rank must be >= 1")
+    memo = E.freeness_memo
+    if n not in memo:
+        memo[n] = _search_subgeometry(E, n)
+    return memo[n]
+
+
+def _search_subgeometry(E: PointSet, n: int) -> FreenessWitness:
     if n > E.rank or E.size < (1 << n) - 1:
         return FreenessWitness(False, None)
     bits = E.bits
@@ -67,6 +84,12 @@ def is_pg_free(E: PointSet, n: int) -> FreenessWitness:
 
     def dfs(span_pts: list[int], span_set: frozenset[int], start: int) -> bool:
         if len(gens) == n:
+            return True
+        if len(gens) == n - 2 and len(pts) - start > _PAIR_SEARCH_CUTOFF:
+            pair = _least_pair(E, span_pts, start)
+            if pair is None:
+                return False
+            gens.extend(pair)
             return True
         for i in range(start, len(pts)):
             p = pts[i]
@@ -86,6 +109,46 @@ def is_pg_free(E: PointSet, n: int) -> FreenessWitness:
     if dfs([], frozenset(), 0):
         return FreenessWitness(True, closure(E.rank, gens))
     return FreenessWitness(False, None)
+
+
+def _least_pair(E: PointSet, span_pts: list[int], start: int) -> Optional[tuple[int, int]]:
+    """Lexicographically least pair a < b completing the span S = span_pts.
+
+    Both lie in the iterated cone K = {y in E[start:] : y ^ s in E for all
+    s in S}, and a ^ b and every a ^ b ^ s lie in E.  Those are exactly the
+    DFS conditions for the last two generators, so the least such pair is
+    the pair the DFS finds first: that a and b lie outside the spans of S
+    and S + a needs no test, since a in S, b in S or b = a ^ s would put 0
+    in E.  For n = 3 this is the cone lemma: apex x has a witness iff the
+    cone of E at x, above x, holds a pair whose sum lies in the cone.
+
+    The table a ^ K is evaluated in row blocks, earliest rows first, that
+    double from one row up to _PAIR_BLOCK_ELEMENTS entries (one row wider
+    than that is split into column chunks), stopping at the first hit.
+    """
+    mem = E.membership
+    cands = E.points_array[start:]
+    for s in span_pts:
+        cands = cands[mem[cands ^ np.int64(s)]]
+    k = int(cands.size)
+    i0, rows = 0, 1
+    while i0 < k - 1:
+        i1 = min(i0 + rows, k - 1)
+        a = cands[i0:i1, None]
+        for j0 in range(i0 + 1, k, _PAIR_BLOCK_ELEMENTS):
+            j1 = min(j0 + _PAIR_BLOCK_ELEMENTS, k)
+            x = a ^ cands[None, j0:j1]
+            hit = mem[x]
+            for s in span_pts:
+                hit &= mem[x ^ np.int64(s)]
+            hit &= np.arange(j0, j1) > np.arange(i0, i1)[:, None]
+            first = int(hit.argmax())
+            if hit.flat[first]:
+                row, col = divmod(first, j1 - j0)
+                return int(cands[i0 + row]), int(cands[j0 + col])
+        i0 = i1
+        rows = max(1, min(2 * rows, _PAIR_BLOCK_ELEMENTS // max(1, k - 1 - i0)))
+    return None
 
 
 _NAIVE_PYTHON_CUTOFF = 96

@@ -120,6 +120,11 @@ class PointSet:
     def membership(self) -> np.ndarray:
         return self.indicator().astype(bool)
 
+    @cached_property
+    def freeness_memo(self) -> dict:
+        """Subgeometry rank n -> is_pg_free(self, n), filled by is_pg_free."""
+        return {}
+
     # -- set algebra (all return new sets in the same ambient) --------------
 
     def _same_rank(self, other: "PointSet") -> None:
@@ -173,7 +178,7 @@ class PointSet:
         if "points" not in obj:
             raise PointSetParseError('missing "points" field', where)
         rank = obj["rank"]
-        if not isinstance(rank, int) or not 1 <= rank <= RANK_CAP:
+        if isinstance(rank, bool) or not isinstance(rank, int) or not 1 <= rank <= RANK_CAP:
             raise PointSetParseError(f'"rank" must be an integer in 1..{RANK_CAP}', f"{where}.rank")
         pts = obj["points"]
         if not isinstance(pts, list):
@@ -182,7 +187,7 @@ class PointSet:
         top = 1 << rank
         for i, w in enumerate(pts):
             pos = f"{where}.points[{i}]"
-            if not isinstance(w, int):
+            if isinstance(w, bool) or not isinstance(w, int):
                 raise PointSetParseError(f"point {w!r} is not an integer", pos)
             if w == 0:
                 raise PointSetParseError("0 is not a point of the geometry", pos)

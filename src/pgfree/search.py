@@ -158,19 +158,6 @@ def check_lemma_hsize(E: PointSet, H: Flat, n: int) -> HyperplaneBoundReport:
     )
 
 
-def _members_have_triangle(members: np.ndarray, rank: int) -> bool:
-    """Early-exit probe for a triangle among the given words; equivalent to
-    is_pg_free(set, 2).found but without building the point set."""
-    if members.size < 3:
-        return False
-    mem = np.zeros(1 << rank, dtype=bool)
-    mem[members] = True
-    for x in members:
-        if mem[members ^ x].any():
-            return True
-    return False
-
-
 def _triangle_free_gammas(E: PointSet) -> Optional[np.ndarray]:
     """Normals of all hyperplanes with triangle-free intersection, ascending,
     or None when the int64 spectral route is unavailable."""
@@ -205,11 +192,7 @@ def find_pg_free_hyperplane(
     arr = E.points_array
     for gamma in range(1, 1 << E.rank):
         members = arr[_parity(arr, gamma) == 0]
-        if n == 3:
-            free = not _members_have_triangle(members, E.rank)
-        else:
-            free = not is_pg_free(_subset_from_words(E.rank, members), n - 1).found
-        if free:
+        if not is_pg_free(_subset_from_words(E.rank, members), n - 1).found:
             restriction = restrict_to_flat(E, hyperplane_of(E.rank, gamma))
             return gamma, restriction
     return None
@@ -306,7 +289,10 @@ def _exhaustive_flat_search(E: PointSet, n: int) -> StructureResult:
             arr = E.points_array
             for gamma in range(1, 1 << E.rank):
                 members = arr[_parity(arr, gamma) == 0]
-                if members.size > best_size and not _members_have_triangle(members, E.rank):
+                if (
+                    members.size > best_size
+                    and not is_pg_free(_subset_from_words(E.rank, members), 2).found
+                ):
                     best_gamma = gamma
                     best_size = int(members.size)
         if best_gamma is not None:

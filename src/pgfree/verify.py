@@ -69,6 +69,8 @@ class SweepConfig:
             raise ConfigError(f"mode must be exhaustive or random, got {self.mode!r}")
         if self.mode == "exhaustive" and self.rank > 4:
             raise ConfigError("exhaustive mode is limited to rank <= 4")
+        if not 0 <= self.rng_seed < 1 << 128:
+            raise ConfigError(f"rng_seed must be an integer in 0..2^128-1, got {self.rng_seed}")
         if self.mode == "random" and self.sample_count < 1:
             raise ConfigError("random mode needs sample_count >= 1")
         if not 2 <= self.level <= self.rank:
@@ -465,7 +467,11 @@ def _merge_stats(parts: list[dict[str, _CheckStats]], checks) -> dict[str, _Chec
 
 
 def worker_count() -> int:
-    return max(1, int(os.environ.get("PGFREE_WORKERS", "1")))
+    text = os.environ.get("PGFREE_WORKERS", "1")
+    try:
+        return max(1, int(text))
+    except ValueError:
+        raise ConfigError(f"PGFREE_WORKERS must be an integer, got {text!r}") from None
 
 
 def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> SweepOutcome:

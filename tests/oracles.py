@@ -133,3 +133,35 @@ def random_subset_words(rng, r: int, density=0.5) -> list[int]:
 
 def complete_graph_edges(k: int) -> list[tuple[int, int]]:
     return list(combinations(range(k), 2))
+
+
+def dfs_least_generators(point_words, n: int):
+    """Canonically least generating tuple of a rank-n flat inside the set,
+    or None: the plain depth-first search over ascending words."""
+    pts = sorted(point_words)
+    bits = 0
+    for w in pts:
+        bits |= 1 << w
+    gens: list[int] = []
+
+    def dfs(span_pts: list[int], span_set: frozenset[int], start: int) -> bool:
+        if len(gens) == n:
+            return True
+        for i in range(start, len(pts)):
+            p = pts[i]
+            if p in span_set:
+                continue
+            for s in span_pts:
+                if not (bits >> (s ^ p)) & 1:
+                    break
+            else:
+                gens.append(p)
+                layer = [p] + [s ^ p for s in span_pts]
+                if dfs(span_pts + layer, span_set | frozenset(layer), i + 1):
+                    return True
+                gens.pop()
+        return False
+
+    if dfs([], frozenset(), 0):
+        return tuple(gens)
+    return None

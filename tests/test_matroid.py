@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from pgfree.constructions import bose_burton
 from pgfree.errors import GeometryError, HypothesisError
 from pgfree.geometry import closure, flat_points, hyperplane_of
 from pgfree.matroid import (
+    FreenessWitness,
     check_corollary_1_3,
     critical_number,
     is_pg_free,
@@ -16,7 +18,13 @@ from pgfree.matroid import (
 )
 from pgfree.pointset import PointSet
 
-from oracles import brute_chi, brute_is_pg_free, brute_triangle_count, span_points
+from oracles import (
+    brute_chi,
+    brute_is_pg_free,
+    brute_triangle_count,
+    dfs_least_generators,
+    span_points,
+)
 
 
 def bose_burton_words(r, n):
@@ -70,6 +78,91 @@ def test_is_pg_free_witness_is_valid_and_deterministic():
          and flat_points(closure(4, [x, y])).issubset(e)),
     )
     assert tuple(sorted(flat_points(w1.subspace))) == best
+
+
+def dfs_witness(e, n):
+    """The witness the plain DFS oracle finds, as is_pg_free reports it."""
+    gens = dfs_least_generators(e.points, n)
+    return FreenessWitness(gens is not None, closure(e.rank, gens) if gens else None)
+
+
+def assert_matches_dfs(e, n):
+    got = is_pg_free(e, n)
+    want = dfs_witness(e, n)
+    assert got.found == want.found, (e.to_compact(), n)
+    assert got.to_json_obj() == want.to_json_obj(), (e.to_compact(), n)
+
+
+@pytest.mark.parametrize("r", [5, 6, 7, 8, 9])
+def test_is_pg_free_matches_dfs_oracle_random(r):
+    rng = random.Random(100 + r)
+    for density in (0.3, 0.5, 0.7, 0.85, 0.95):
+        e = PointSet.from_points(r, [w for w in range(1, 1 << r) if rng.random() < density])
+        for n in (2, 3, 4):
+            assert_matches_dfs(e, n)
+
+
+@pytest.mark.parametrize("r", [5, 6, 7, 8, 9])
+def test_is_pg_free_matches_dfs_oracle_bose_burton(r):
+    # Minus 0-5 points: the candidate pools of the last two generators fall
+    # on both sides of the 64-point cutoff from r = 7 on.  The no-witness
+    # level-4 search on bose_burton(r, 4) is left to r <= 7, where the
+    # oracle stays fast.
+    rng = random.Random(200 + r)
+    for level in (3, 4):
+        bb = bose_burton(r, level)
+        for k in (r - 5, (r + 2) % 6):
+            e = bb
+            for w in rng.sample(bb.points, k):
+                e = e.without_point(w)
+            for n in (2, 3, 4):
+                if level == n == 4 and r > 7:
+                    continue
+                assert_matches_dfs(e, n)
+
+
+def test_is_pg_free_small_blocks_split_rows_and_columns(monkeypatch):
+    # A tiny block cap makes every row span several column chunks and
+    # exercises the row-block mask between them.
+    import pgfree.matroid as matroid
+
+    rng = random.Random(31)
+    for cap in (3, 40):
+        monkeypatch.setattr(matroid, "_PAIR_BLOCK_ELEMENTS", cap)
+        for r in (7, 8):
+            sets = [bose_burton(r, 3), bose_burton(r, 4).without_point(rng.randrange(1, 1 << r))]
+            sets += [
+                PointSet.from_points(r, [w for w in range(1, 1 << r) if rng.random() < d])
+                for d in (0.35, 0.8)
+            ]
+            for e in sets:
+                for n in (2, 3):
+                    assert_matches_dfs(e, n)
+
+
+def test_is_pg_free_matches_brute_oracle_rank_5():
+    rng = random.Random(23)
+    for _ in range(12):
+        pts = [w for w in range(1, 32) if rng.random() < rng.choice((0.4, 0.6, 0.8))]
+        e = PointSet.from_points(5, pts)
+        for n in (2, 3, 4):
+            assert is_pg_free(e, n).found == (not brute_is_pg_free(pts, 5, n))
+    for level in (3, 4):
+        bb = bose_burton(5, level)
+        for n in (2, 3, 4):
+            assert is_pg_free(bb, n).found == (not brute_is_pg_free(bb.points, 5, n))
+
+
+def test_is_pg_free_memo_is_per_instance():
+    e1 = bose_burton(8, 3).without_point(200)
+    e2 = PointSet(e1.rank, e1.bits)
+    assert e1 == e2
+    w1 = is_pg_free(e1, 3)
+    assert is_pg_free(e1, 3) is w1
+    assert 3 not in e2.freeness_memo
+    w2 = is_pg_free(e2, 3)
+    assert w2 == w1 and w2 is not w1
+    assert is_pg_free(e1, 2) == is_pg_free(e2, 2) and is_pg_free(e1, 2).found
 
 
 def test_is_pg_free_rejects_bad_n():

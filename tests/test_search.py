@@ -147,6 +147,34 @@ def test_find_pg_free_hyperplane_validates():
         find_pg_free_hyperplane(PointSet.full(3), 4)
 
 
+@pytest.mark.parametrize("r", [6, 7, 8])
+def test_fallback_beyond_int64_guard_matches_spectral_route(r, monkeypatch):
+    import pgfree.spectral as spectral
+
+    rng = random.Random(60 + r)
+    bb = bose_burton(r, 3)
+    sets = [
+        bb,
+        bb.without_point(rng.choice(bb.points)),
+        PointSet.from_points(r, [w for w in range(1, 1 << r) if rng.random() < 0.5]),
+        PointSet.from_points(r, [w for w in range(1, 1 << r) if w & 1 or rng.random() < 0.1]),
+    ]
+
+    def outcomes(e):
+        step = find_pg_free_hyperplane(e, 3)
+        if step is not None:
+            gamma, (sub, cmap) = step
+            step = (gamma, sub, cmap.flat)
+        result, _ = find_triangle_free_flat(e, 3, "exhaustive")
+        return step, result
+
+    spectral_route = [outcomes(e) for e in sets]
+    monkeypatch.setattr(spectral, "hyperplane_counts_fit_int64", lambda e: False)
+    assert [outcomes(e) for e in sets] == spectral_route
+    assert any(step is not None for step, _ in spectral_route)
+    assert any(step is None for step, _ in spectral_route)
+
+
 def test_find_flat_level_two():
     free = PointSet.from_points(4, [1, 2, 4, 8])
     for strategy in ("descent", "exhaustive"):

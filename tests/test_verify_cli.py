@@ -340,3 +340,24 @@ def test_cli_verify_violation_exit_2(monkeypatch, capsys, tmp_path):
 def test_cli_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "args, stdin_text, env",
+    [
+        (["verify", "--rank", "3", "--level", "2", "--mode", "exhaustive",
+          "--checks", "bose-burton"], None, {"PGFREE_WORKERS": "abc"}),
+        (["verify", "--rank", "4", "--level", "3", "--mode", "random",
+          "--samples", "2", "--seed", "-1", "--checks", "thm-3.1"], None, {}),
+        (["spectrum", "--top", "-1"], "3:AA", {}),
+        (["analyze"], '{"rank": true, "points": []}', {}),
+        (["analyze"], '{"rank": 3, "points": [true]}', {}),
+    ],
+    ids=["workers-not-int", "negative-seed", "negative-top", "bool-rank", "bool-point"],
+)
+def test_cli_malformed_input_exit_1_one_line(args, stdin_text, env, monkeypatch, capsys):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run_cli(args, stdin_text=stdin_text, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith(("error:", "usage error:"))
