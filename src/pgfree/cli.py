@@ -35,9 +35,9 @@ from .constructions import (
 )
 from .pointset import PointSet
 from .search import cone, find_triangle_free_flat
-from .spectral import triangle_count_spectral, walsh_hadamard
-from .matroid import triangle_count_naive
+from .spectral import walsh_hadamard
 from .verify import ALL_CHECKS, SweepConfig, analyze, extremal_records_csv, run_sweep
+from .verify import _checked_triangle_count
 
 
 class _UsageError(Exception):
@@ -67,6 +67,13 @@ def _parse_int(text: str) -> int:
     return int(text, 0)
 
 
+def _graph_int(text: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise PointSetParseError(f"{text!r} is not an integer", where) from None
+
+
 def _read_graph(path: str) -> GraphSpec:
     vertex_count = None
     edges = []
@@ -76,16 +83,15 @@ def _read_graph(path: str) -> GraphSpec:
             if not line:
                 continue
             fields = line.split()
+            where = f"{path}:{lineno}"
             if vertex_count is None:
                 if fields[0] != "vertices" or len(fields) != 2:
-                    raise PointSetParseError(
-                        'first line must be "vertices N"', f"{path}:{lineno}"
-                    )
-                vertex_count = int(fields[1])
+                    raise PointSetParseError('first line must be "vertices N"', where)
+                vertex_count = _graph_int(fields[1], where)
                 continue
             if len(fields) != 2:
-                raise PointSetParseError('edge lines must be "u v"', f"{path}:{lineno}")
-            edges.append((int(fields[0]), int(fields[1])))
+                raise PointSetParseError('edge lines must be "u v"', where)
+            edges.append((_graph_int(fields[0], where), _graph_int(fields[1], where)))
     if vertex_count is None:
         raise PointSetParseError("empty graph file", path)
     return GraphSpec.from_edges(vertex_count, edges)
@@ -197,13 +203,8 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_count_triangles(args) -> int:
     e = _read_pointset(args.input)
-    naive = triangle_count_naive(e)
-    spectral = triangle_count_spectral(e)
-    if naive != spectral:
-        raise InternalInconsistencyError(
-            f"triangle counts disagree: naive {naive}, spectral {spectral}"
-        )
-    print(json.dumps({"ordered_triples": naive, "triangles": naive // 6}))
+    t = _checked_triangle_count(e)
+    print(json.dumps({"ordered_triples": t, "triangles": t // 6}))
     return 0
 
 

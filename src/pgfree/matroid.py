@@ -17,22 +17,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import GeometryError, HypothesisError
-from .geometry import Flat, closure, echelon_basis, kernel_basis
-from .pointset import PointSet, pointset_from_mask
+from .geometry import Flat, closure, echelon_basis, kernel_basis, rank_of
+from .pointset import PointSet, memoized, pointset_from_words
 
 
 def matroid_rank(E: PointSet) -> int:
     """Rank of the represented matroid: GF(2) rank of the points of E."""
-    from .geometry import _reduce_insert
-
-    rows: dict[int, int] = {}
-    n = 0
-    for v in E:
-        if _reduce_insert(rows, v):
-            n += 1
-            if n == E.rank:
-                break
-    return n
+    return rank_of(E)
 
 
 @dataclass(frozen=True)
@@ -64,12 +55,12 @@ def is_pg_free(E: PointSet, n: int) -> FreenessWitness:
     of points of E, each g_i outside the span S of the earlier ones with
     g_i ^ s in E for every s in S.  A DFS in ascending word order fixes
     the first n-2 generators; the last two are the least pair a < b found
-    by ``_least_pair`` (see there).  The answer is remembered on E, once
-    per n.
+    by ``_least_pair`` (see there).  The answer is remembered in E.memo,
+    once per n.
     """
     if n < 1:
         raise GeometryError("subgeometry rank must be >= 1")
-    memo = E.freeness_memo
+    memo = E.memo
     if n not in memo:
         memo[n] = _search_subgeometry(E, n)
     return memo[n]
@@ -151,9 +142,20 @@ def _least_pair(E: PointSet, span_pts: list[int], start: int) -> Optional[tuple[
     return None
 
 
+def _dense(E: PointSet, n: int) -> bool:
+    """The density hypothesis of Theorem 1.1 at level n: |E| > (1 - 3/2^n) 2^r."""
+    return E.denser_than((1 << n) - 3, 1 << n)
+
+
+def _dense_free(E: PointSet, n: int) -> bool:
+    """Theorem 1.1's hypotheses at level n: E is dense and PG(n-1,2)-free."""
+    return _dense(E, n) and not is_pg_free(E, n).found
+
+
 _NAIVE_PYTHON_CUTOFF = 96
 
 
+@memoized
 def triangle_count_naive(E: PointSet) -> int:
     """Ordered triples (x, y, z) in E^3 with x ^ y ^ z = 0, by the pair loop.
 
@@ -183,7 +185,8 @@ def triangle_count_naive(E: PointSet) -> int:
 
 
 def _parity(words: np.ndarray, gamma: int) -> np.ndarray:
-    return (np.bitwise_count(words & np.int64(gamma)) & 1).astype(np.int64)
+    """Dot product of each word with gamma, as a uint8 array of 0s and 1s."""
+    return np.bitwise_count(words & np.int64(gamma)) & 1
 
 
 def _quotient_by_support(E: PointSet, support_basis: tuple[int, ...]) -> PointSet:
@@ -194,14 +197,15 @@ def _quotient_by_support(E: PointSet, support_basis: tuple[int, ...]) -> PointSe
     subspace; the image of E under the functionals is a rank-d set with
     the same critical number.
     """
-    d = len(support_basis)
-    arr = E.points_array
-    new = np.zeros(arr.shape, dtype=np.int64)
-    for i, g in enumerate(support_basis):
-        new |= _parity(arr, g) << i
-    mask = np.zeros(1 << d, dtype=np.uint8)
-    mask[new] = 1
-    return pointset_from_mask(d, mask)
+    return _image(E.points_array, support_basis)
+
+
+def _image(words: np.ndarray, functionals) -> PointSet:
+    """The rank-d set of the words' coordinates under d independent functionals."""
+    new = np.zeros(words.shape, dtype=np.int64)
+    for i, g in enumerate(functionals):
+        new |= _parity(words, g).astype(np.int64) << i
+    return pointset_from_words(len(functionals), new)
 
 
 def max_flat_rank_inside(C: PointSet) -> int:
@@ -239,6 +243,7 @@ def max_flat_rank_inside(C: PointSet) -> int:
     return best
 
 
+@memoized
 def critical_number(E: PointSet) -> int:
     """Least corank of a flat of the ambient geometry disjoint from E.
 
@@ -268,8 +273,8 @@ def check_corollary_1_3(E: PointSet, n: int) -> bool:
     witness = is_pg_free(E, n)
     if witness.found:
         raise HypothesisError(f"E is not PG({n - 1},2)-free", witness=witness.subspace)
-    threshold = (1 - Fraction(3, 1 << n)) * (1 << E.rank)
-    if Fraction(E.size) <= threshold:
+    if not _dense(E, n):
+        threshold = ((1 << n) - 3) << (E.rank - n)
         raise HypothesisError(f"|E| = {E.size} is not above the density threshold {threshold}")
     return critical_number(E) in (n - 1, n)
 
@@ -326,13 +331,8 @@ def restrict_to_flat(E: PointSet, f: Flat) -> tuple[PointSet, CoordinateMap]:
     keep = np.ones(arr.shape, dtype=bool)
     for g in kernel_basis(f.ambient_rank, f.basis):
         keep &= _parity(arr, g) == 0
-    members = arr[keep]
-    sub = np.zeros(members.shape, dtype=np.int64)
-    for i, p in enumerate(f.pivots):
-        sub |= ((members >> np.int64(p)) & 1) << i
-    mask = np.zeros(1 << f.rank, dtype=np.uint8)
-    mask[sub] = 1
-    return pointset_from_mask(f.rank, mask), CoordinateMap(f)
+    # coordinate i of a member is its bit at the i-th pivot (see CoordinateMap)
+    return _image(arr[keep], [1 << p for p in f.pivots]), CoordinateMap(f)
 
 
 @dataclass(frozen=True)

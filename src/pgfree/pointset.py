@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -92,6 +92,10 @@ class PointSet:
     def density(self) -> Fraction:
         return Fraction(self.size, 1 << self.rank)
 
+    def denser_than(self, num: int, den: int) -> bool:
+        """|E| > (num/den) 2^r, decided on integers by cross-multiplying (den > 0)."""
+        return self.size * den > num << self.rank
+
     def __len__(self) -> int:
         return self.size
 
@@ -121,9 +125,17 @@ class PointSet:
         return self.indicator().astype(bool)
 
     @cached_property
-    def freeness_memo(self) -> dict:
-        """Subgeometry rank n -> is_pg_free(self, n), filled by is_pg_free."""
+    def memo(self) -> dict:
+        """What this instance has computed about itself, each once: subgeometry
+        rank n -> is_pg_free(self, n), and the name of each function decorated
+        with ``memoized`` (the spectrum, the naive triangle count and the
+        critical number) -> its value."""
         return {}
+
+    @property
+    def freeness_memo(self) -> dict:
+        """The same dict as ``memo``; its integer keys are the freeness answers."""
+        return self.memo
 
     # -- set algebra (all return new sets in the same ambient) --------------
 
@@ -241,3 +253,27 @@ def pointset_from_mask(rank: int, mask: np.ndarray) -> PointSet:
     """Build a set from a length-2^r boolean/0-1 numpy mask."""
     packed = np.packbits(mask.astype(np.uint8), bitorder="little").tobytes()
     return PointSet(rank, int.from_bytes(packed, "little"))
+
+
+def pointset_from_words(rank: int, words: np.ndarray) -> PointSet:
+    """Build a set from an integer array of its member words; repeats are allowed."""
+    mask = np.zeros(1 << rank, dtype=np.uint8)
+    mask[words] = 1
+    return pointset_from_mask(rank, mask)
+
+
+def memoized(fn):
+    """Remember fn(E) in E.memo, so that each PointSet instance computes it once.
+
+    Remembered values are shared between callers, so they must be immutable.
+    """
+    key = fn.__name__
+
+    @wraps(fn)
+    def remembered(E: PointSet):
+        memo = E.memo
+        if key not in memo:
+            memo[key] = fn(E)
+        return memo[key]
+
+    return remembered

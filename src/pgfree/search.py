@@ -18,22 +18,15 @@ from .errors import GeometryError, HypothesisError, InternalInconsistencyError
 from .geometry import Flat, closure, enumerate_flats, flat_points, hyperplane_of
 from .matroid import (
     CoordinateMap,
+    _dense,
+    _dense_free,
+    _parity,
     is_pg_free,
     matroid_rank,
     restrict_to_flat,
     triangle_count_naive,
 )
-from .pointset import PointSet, pointset_from_mask
-
-
-def _parity(words: np.ndarray, gamma: int) -> np.ndarray:
-    return np.bitwise_count(words & np.int64(gamma)) & 1
-
-
-def _subset_from_words(rank: int, words: np.ndarray) -> PointSet:
-    mask = np.zeros(1 << rank, dtype=np.uint8)
-    mask[words] = 1
-    return pointset_from_mask(rank, mask)
+from .pointset import PointSet, pointset_from_words
 
 
 def cone(E: PointSet, p: int) -> PointSet:
@@ -46,7 +39,7 @@ def cone(E: PointSet, p: int) -> PointSet:
             E.rank, [x for x in E.points if x != p and (bits >> (x ^ p)) & 1]
         )
     arr = E.points_array
-    return _subset_from_words(E.rank, arr[E.membership[arr ^ np.int64(p)]])
+    return pointset_from_words(E.rank, arr[E.membership[arr ^ np.int64(p)]])
 
 
 def hyperplane_intersection(E: PointSet, gamma: int) -> PointSet:
@@ -54,7 +47,7 @@ def hyperplane_intersection(E: PointSet, gamma: int) -> PointSet:
     if gamma == 0:
         raise GeometryError("gamma = 0 does not define a hyperplane")
     arr = E.points_array
-    return _subset_from_words(E.rank, arr[_parity(arr, gamma) == 0])
+    return pointset_from_words(E.rank, arr[_parity(arr, gamma) == 0])
 
 
 @dataclass(frozen=True)
@@ -82,23 +75,34 @@ def check_cone_lemma(E: PointSet, p: int, n: int) -> ConeLemmaReport:
     witness = is_pg_free(E, n)
     if witness.found:
         raise HypothesisError(f"E is not PG({n - 1},2)-free", witness=witness.subspace)
+    size, bound = _cone_lemma_at(E, p, n, free=True)
+    return ConeLemmaReport(
+        point=p,
+        cone_size=size,
+        size_bound=bound,
+        size_slack=size - bound,
+        freeness_level=n - 1,
+    )
+
+
+def _cone_lemma_at(E: PointSet, p: int, n: int, free: bool) -> tuple[int, int]:
+    """The cone lemma's conclusions at the apex p of E: (|E_p|, 2|E| - 2^r).
+
+    The cone has at least 2|E| - 2^r points for every E, and it is
+    PG(n-2,2)-free when E is PG(n-1,2)-free (``free``).  A failure raises
+    an internal inconsistency.
+    """
     ep = cone(E, p)
     bound = 2 * E.size - (1 << E.rank)
     if ep.size < bound:
         raise InternalInconsistencyError(
             f"cone at {p} has {ep.size} points, below the bound {bound}"
         )
-    if is_pg_free(ep, n - 1).found:
+    if free and is_pg_free(ep, n - 1).found:
         raise InternalInconsistencyError(
             f"cone at {p} contains a PG({n - 2},2) despite the freeness hypothesis"
         )
-    return ConeLemmaReport(
-        point=p,
-        cone_size=ep.size,
-        size_bound=bound,
-        size_slack=ep.size - bound,
-        freeness_level=n - 1,
-    )
+    return ep.size, bound
 
 
 @dataclass(frozen=True)
@@ -131,31 +135,42 @@ def check_lemma_hsize(E: PointSet, H: Flat, n: int) -> HyperplaneBoundReport:
     inside = E.intersection(flat_points(H))
     if not is_pg_free(inside, n - 1).found:
         raise HypothesisError(f"E ∩ H is PG({n - 2},2)-free: the lemma does not apply")
+    outside_bound, inside_bound, dense = _hyperplane_bounds(E, inside, n)
     outside = E.size - inside.size
-    half = 1 << (E.rank - 1)
-    outside_bound = (1 - Fraction(1, 1 << (n - 1))) * half
-    if Fraction(outside) > outside_bound:
+    return HyperplaneBoundReport(
+        outside_size=outside,
+        outside_bound=Fraction(outside_bound),
+        outside_slack=Fraction(outside_bound - outside),
+        dense_hypothesis=dense,
+        inside_size=inside.size,
+        inside_bound=Fraction(inside_bound),
+        inside_slack=Fraction(inside.size - inside_bound) if dense else None,
+    )
+
+
+def _hyperplane_bounds(E: PointSet, inside: PointSet, n: int) -> tuple[int, int, bool]:
+    """Lemma 2.4's conclusions, given inside = E ∩ H for a hyperplane H.
+
+    For r >= n, a PG(n-1,2)-free E and an E ∩ H that holds a PG(n-2,2):
+    |E \\ H| <= (1 - 1/2^(n-1)) 2^(r-1) and, when |E| > (1 - 3/2^n) 2^r,
+    |E ∩ H| > (1 - 2/2^(n-1)) 2^(r-1).  Both bounds are integers since
+    r >= n.  Returns (outside bound, inside bound, whether E is dense); a
+    failed bound raises an internal inconsistency.
+    """
+    unit = 1 << (E.rank - n)
+    outside = E.size - inside.size
+    outside_bound = ((1 << (n - 1)) - 1) * unit
+    if outside > outside_bound:
         raise InternalInconsistencyError(
             f"|E \\ H| = {outside} exceeds the proven bound {outside_bound}"
         )
-    dense = Fraction(E.size) > (1 - Fraction(3, 1 << n)) * (1 << E.rank)
-    inside_bound = (1 - Fraction(2, 1 << (n - 1))) * half
-    inside_slack = None
-    if dense:
-        if Fraction(inside.size) <= inside_bound:
-            raise InternalInconsistencyError(
-                f"|E ∩ H| = {inside.size} is not above the proven bound {inside_bound}"
-            )
-        inside_slack = Fraction(inside.size) - inside_bound
-    return HyperplaneBoundReport(
-        outside_size=outside,
-        outside_bound=outside_bound,
-        outside_slack=outside_bound - outside,
-        dense_hypothesis=dense,
-        inside_size=inside.size,
-        inside_bound=inside_bound,
-        inside_slack=inside_slack,
-    )
+    inside_bound = ((1 << (n - 1)) - 2) * unit
+    dense = _dense(E, n)
+    if dense and inside.size <= inside_bound:
+        raise InternalInconsistencyError(
+            f"|E ∩ H| = {inside.size} is not above the proven bound {inside_bound}"
+        )
+    return outside_bound, inside_bound, dense
 
 
 def _triangle_free_gammas(E: PointSet) -> Optional[np.ndarray]:
@@ -189,12 +204,9 @@ def find_pg_free_hyperplane(
                 return None
             gamma = int(gammas[0])
             return gamma, restrict_to_flat(E, hyperplane_of(E.rank, gamma))
-    arr = E.points_array
     for gamma in range(1, 1 << E.rank):
-        members = arr[_parity(arr, gamma) == 0]
-        if not is_pg_free(_subset_from_words(E.rank, members), n - 1).found:
-            restriction = restrict_to_flat(E, hyperplane_of(E.rank, gamma))
-            return gamma, restriction
+        if not is_pg_free(hyperplane_intersection(E, gamma), n - 1).found:
+            return gamma, restrict_to_flat(E, hyperplane_of(E.rank, gamma))
     return None
 
 
@@ -286,15 +298,11 @@ def _exhaustive_flat_search(E: PointSet, n: int) -> StructureResult:
                 best_gamma = int(gammas[at])
                 best_size = int(sizes[at])
         else:
-            arr = E.points_array
             for gamma in range(1, 1 << E.rank):
-                members = arr[_parity(arr, gamma) == 0]
-                if (
-                    members.size > best_size
-                    and not is_pg_free(_subset_from_words(E.rank, members), 2).found
-                ):
+                inter = hyperplane_intersection(E, gamma)
+                if inter.size > best_size and not is_pg_free(inter, 2).found:
                     best_gamma = gamma
-                    best_size = int(members.size)
+                    best_size = inter.size
         if best_gamma is not None:
             best_flat = hyperplane_of(E.rank, best_gamma)
     else:
@@ -306,11 +314,6 @@ def _exhaustive_flat_search(E: PointSet, n: int) -> StructureResult:
     if best_flat is None:
         return _result_for(E, None, 0)
     return _result_for(E, best_flat, best_size)
-
-
-def _level_hypotheses_hold(E: PointSet, level: int) -> bool:
-    dense = Fraction(E.size) > (1 - Fraction(3, 1 << level)) * (1 << E.rank)
-    return dense and not is_pg_free(E, level).found
 
 
 def find_triangle_free_flat(
@@ -352,7 +355,7 @@ def find_triangle_free_flat(
         return f
 
     for level in range(n, 2, -1):
-        hyp_ok = _level_hypotheses_hold(current, level)
+        hyp_ok = _dense_free(current, level)
         step = find_pg_free_hyperplane(current, level)
         if step is None:
             # The guaranteed step failed here; fall back to scanning the
@@ -425,16 +428,9 @@ def reconcile_hyperplane(E: PointSet, H: Flat, n: int) -> ReconcileReport:
     if H.ambient_rank != E.rank or H.corank != 1:
         raise GeometryError("H must be a hyperplane of the same ambient")
     r = E.rank
-    size_cond = 4 * E.size >= 3 * (1 << r)
-    free_dense_cond = (
-        n >= 3
-        and r >= n
-        and Fraction(E.size) > (1 - Fraction(3, 1 << n)) * (1 << r)
-        and not is_pg_free(E, n).found
-    )
+    condition = _reconcile_condition(E, n)
     rank_full = matroid_rank(E)
     rank_inter = matroid_rank(E.intersection(flat_points(H)))
-    condition = "size" if size_cond else ("free-dense" if free_dense_cond else None)
     asserted = condition is not None
     if asserted and not (rank_full == r and rank_inter == r - 1):
         raise InternalInconsistencyError(
@@ -449,7 +445,22 @@ def reconcile_hyperplane(E: PointSet, H: Flat, n: int) -> ReconcileReport:
     )
 
 
+def _reconcile_condition(E: PointSet, n: int) -> Optional[str]:
+    """Which condition asserts the rank reconciliation: "size" when
+    |E| >= (3/4) 2^r, else "free-dense" when n >= 3 and E meets Theorem
+    1.1's hypotheses at level n, else None."""
+    size_cond = 4 * E.size >= 3 * (1 << E.rank)
+    free_dense_cond = n >= 3 and E.rank >= n and _dense_free(E, n)
+    return "size" if size_cond else ("free-dense" if free_dense_cond else None)
+
+
 def cone_identity_holds(E: PointSet) -> bool:
     """Sum of all cone sizes equals the ordered triangle count."""
-    total = sum(cone(E, p).size for p in E)
-    return total == triangle_count_naive(E)
+    return _cone_identity_holds(E, sum(cone(E, p).size for p in E))
+
+
+def _cone_identity_holds(E: PointSet, cone_size_total: int) -> bool:
+    """The cone identity: the cone sizes |E_p| over all p in E sum to T, the
+    ordered triangle count, since each ordered triangle (p, x, p ^ x) puts x
+    in the cone at p."""
+    return cone_size_total == triangle_count_naive(E)

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import HypothesisError, InternalInconsistencyError
-from .pointset import PointSet
+from .pointset import PointSet, memoized
 
 
 def fwht_inplace(a: np.ndarray) -> np.ndarray:
@@ -63,6 +63,7 @@ class Spectrum:
         return int(self.coeffs[gamma])
 
 
+@memoized
 def walsh_hadamard(E: PointSet) -> Spectrum:
     """Exact transform of the indicator of E over all 2^r characters."""
     a = E.indicator().astype(np.int64)
@@ -95,18 +96,16 @@ def triangle_counts_per_hyperplane(E: PointSet) -> np.ndarray:
     The restricted indicator's coefficient at delta is the average of the
     parent coefficients at delta and delta^gamma, so the restricted cube
     sum expands into the full cube sum plus an XOR-correlation of the
-    squared spectrum with the spectrum; the correlation is three more
-    butterflies.  Entry 0 is T of E itself.  Only valid when the int64
-    bound 4^r |E|^2 < 2^63 holds; callers guard with
+    squared spectrum with the spectrum; past the spectrum of E, the
+    correlation is two more butterflies.  Entry 0 is T of E itself.  Only
+    valid when the int64 bound 4^r |E|^2 < 2^63 holds; callers guard with
     hyperplane_counts_fit_int64.
     """
     r = E.rank
-    ind = E.indicator().astype(np.int64)
-    c = ind.copy()
-    fwht_inplace(c)
+    c = walsh_hadamard(E).coeffs
     csq = c * c
     fwht_inplace(csq)  # bounded by sum(c^2) = 2^r |E|
-    p = (csq * ind) << r  # spectrum of the correlation: WHT(c)=2^r * indicator
+    p = (csq * E.indicator()) << r  # spectrum of the correlation: WHT(c)=2^r * indicator
     fwht_inplace(p)
     if (p & ((1 << r) - 1)).any():
         raise InternalInconsistencyError("hyperplane correlation is not divisible by 2^r")
@@ -189,16 +188,13 @@ class ClaimQuantities:
 def claim_quantities(E: PointSet) -> ClaimQuantities:
     """T, all per-point cone sizes, and the two density thresholds.
 
-    Verifies the exact identity sum_p |E_p| = T: each unordered triangle
-    contributes a pair of points to exactly three cones.
+    Verifies the cone identity (see ``search._cone_identity_holds``).
     """
+    from .search import _cone_identity_holds, cone
+
     t = triangle_count_spectral(E)
-    mem = E.membership
-    pts = E.points_array
-    sizes: dict[int, int] = {}
-    for p in pts:
-        sizes[int(p)] = int(np.count_nonzero(mem[pts ^ p]))
-    if sum(sizes.values()) != t:
+    sizes = {p: cone(E, p).size for p in E}
+    if not _cone_identity_holds(E, sum(sizes.values())):
         raise InternalInconsistencyError("cone sizes do not sum to the triangle count")
     lower = Fraction(55, 256) * (1 << (2 * E.rank))
     upper = Fraction(5, 16) * (1 << E.rank)

@@ -21,8 +21,11 @@ import numpy as np
 
 from . import FORMAT_VERSION, __version__
 from .errors import ConfigError, InternalInconsistencyError, ResourceCapError
+from .geometry import hyperplane_of
 from .matroid import (
     AnalysisReport,
+    _dense_free,
+    check_corollary_1_3,
     critical_number,
     is_pg_free,
     matroid_rank,
@@ -30,13 +33,16 @@ from .matroid import (
 )
 from .pointset import PointSet
 from .search import (
-    cone,
+    _cone_identity_holds,
+    _cone_lemma_at,
+    _hyperplane_bounds,
+    _reconcile_condition,
     find_pg_free_hyperplane,
     find_triangle_free_flat,
     hyperplane_intersection,
     reconcile_hyperplane,
 )
-from .spectral import triangle_count_spectral, uniformity, walsh_hadamard
+from .spectral import counting_bound_check, triangle_count_spectral, uniformity
 
 ALL_CHECKS = (
     "bose-burton",
@@ -80,6 +86,8 @@ class SweepConfig:
             raise ConfigError(f"unknown checks: {unknown}")
         if not self.checks:
             raise ConfigError("at least one check is required")
+        if len(set(self.checks)) != len(self.checks):
+            raise ConfigError(f"each check may be named once, got {list(self.checks)}")
         for c in ("lemma-2.4", "lemma-2.5") :
             if c in self.checks and self.level < 3:
                 raise ConfigError(f"{c} needs level >= 3")
@@ -193,42 +201,14 @@ def _extremal_beats(cand: tuple, cur: tuple) -> bool:
     return witness < cur_witness
 
 
-class _SetContext:
-    """Lazy per-set quantities shared by the checks."""
-
-    def __init__(self, e: PointSet, level: int):
-        self.e = e
-        self.level = level
-        self._free: dict[int, bool] = {}
-        self._t_naive: Optional[int] = None
-        self._chi: Optional[int] = None
-
-    def free(self, n: int) -> bool:
-        if n not in self._free:
-            self._free[n] = not is_pg_free(self.e, n).found
-        return self._free[n]
-
-    @property
-    def t_naive(self) -> int:
-        if self._t_naive is None:
-            self._t_naive = triangle_count_naive(self.e)
-        return self._t_naive
-
-    @property
-    def chi(self) -> int:
-        if self._chi is None:
-            self._chi = critical_number(self.e)
-        return self._chi
-
-    def dense_above(self, num: int, den: int) -> bool:
-        # |E| > (num/den) 2^r, exactly
-        return self.e.size * den > num * (1 << self.e.rank)
+# Each check below has three jobs: gate the set on the statement's
+# hypotheses, call the library's single definition of its conclusion (an
+# InternalInconsistencyError from it is a violation), and keep the
+# extremal records.
 
 
-def _check_bose_burton(ctx: _SetContext, stats: _CheckStats) -> None:
-    n = ctx.level
-    e = ctx.e
-    if not ctx.free(n):
+def _check_bose_burton(e: PointSet, n: int, stats: _CheckStats) -> None:
+    if is_pg_free(e, n).found:
         stats.hypothesis_skipped += 1
         return
     stats.evaluated += 1
@@ -238,94 +218,73 @@ def _check_bose_burton(ctx: _SetContext, stats: _CheckStats) -> None:
         stats.violation(e, f"size {e.size} exceeds the extremal bound {bound}")
         return
     stats.record("max_free_size", "max", e.size, e.to_compact())
-    if e.size == bound and ctx.chi > n:
+    if e.size == bound and critical_number(e) > n:
         stats.violation(e, f"extremal set is not inside the complement of a corank-{n} flat")
 
 
-def _check_gs(ctx: _SetContext, stats: _CheckStats) -> None:
-    n = ctx.level
-    e = ctx.e
+def _check_gs(e: PointSet, n: int, stats: _CheckStats) -> None:
     # threshold (1 - 2/2^n - 3/2^(n+2)) 2^r, as a single fraction
     num = (1 << (n + 2)) - (1 << 3) - 3
-    if not (ctx.free(n) and ctx.dense_above(num, 1 << (n + 2))):
+    if not e.denser_than(num, 1 << (n + 2)) or is_pg_free(e, n).found:
         stats.hypothesis_skipped += 1
         return
     stats.evaluated += 1
-    if ctx.chi > n:
-        stats.violation(e, f"no corank-{n} flat is disjoint (chi = {ctx.chi})")
+    if critical_number(e) > n:
+        stats.violation(e, f"no corank-{n} flat is disjoint (chi = {critical_number(e)})")
     else:
         stats.record("max_evaluated_size", "max", e.size, e.to_compact())
 
 
-def _check_lemma_24(ctx: _SetContext, stats: _CheckStats) -> None:
-    n = ctx.level
-    e = ctx.e
-    if not ctx.free(n):
+def _check_lemma_24(e: PointSet, n: int, stats: _CheckStats) -> None:
+    if is_pg_free(e, n).found:
         stats.hypothesis_skipped += 1
         return
-    half = 1 << (e.rank - 1)
-    outside_bound = Fraction((1 << (n - 1)) - 1, 1 << (n - 1)) * half
-    inside_bound = Fraction((1 << (n - 1)) - 2, 1 << (n - 1)) * half
-    dense = ctx.dense_above((1 << n) - 3, 1 << n)
     for gamma in range(1, 1 << e.rank):
         inter = hyperplane_intersection(e, gamma)
         if not is_pg_free(inter, n - 1).found:
             continue  # E ∩ H is PG(n-2,2)-free: the lemma does not apply
         stats.evaluated += 1
-        outside = e.size - inter.size
-        if Fraction(outside) > outside_bound:
-            stats.violation(e, f"|E\\H| = {outside} > {outside_bound} at gamma={gamma}")
+        try:
+            outside_bound, _, _ = _hyperplane_bounds(e, inter, n)
+        except InternalInconsistencyError as exc:
+            stats.violation(e, f"gamma={gamma}: {exc}")
             continue
-        stats.record("min_outside_slack", "min", outside_bound - outside, e.to_compact())
-        if dense and Fraction(inter.size) <= inside_bound:
-            stats.violation(e, f"|E∩H| = {inter.size} <= {inside_bound} at gamma={gamma}")
+        slack = Fraction(outside_bound - (e.size - inter.size))
+        stats.record("min_outside_slack", "min", slack, e.to_compact())
 
 
-def _check_lemma_25(ctx: _SetContext, stats: _CheckStats) -> None:
-    n = ctx.level
-    e = ctx.e
+def _check_lemma_25(e: PointSet, n: int, stats: _CheckStats) -> None:
     if e.size == 0:
         stats.hypothesis_skipped += 1
         return
     stats.evaluated += 1
-    bound = 2 * e.size - (1 << e.rank)
-    free = ctx.free(n)
+    free = not is_pg_free(e, n).found
     total = 0
     for p in e:
-        ep = cone(e, p)
-        total += ep.size
-        if ep.size < bound:
-            stats.violation(e, f"cone at {p} has {ep.size} < {bound} points")
+        try:
+            size, bound = _cone_lemma_at(e, p, n, free)
+        except InternalInconsistencyError as exc:
+            stats.violation(e, str(exc))
             return
-        if free and is_pg_free(ep, n - 1).found:
-            stats.violation(e, f"cone at {p} contains PG({n - 2},2)")
-            return
-        stats.record("min_cone_slack", "min", ep.size - bound, e.to_compact())
-    if total != ctx.t_naive:
-        stats.violation(e, f"sum of cone sizes {total} != T {ctx.t_naive}")
+        total += size
+        stats.record("min_cone_slack", "min", size - bound, e.to_compact())
+    if not _cone_identity_holds(e, total):
+        stats.violation(e, f"sum of cone sizes {total} != T {triangle_count_naive(e)}")
 
 
-def _check_thm_31(ctx: _SetContext, stats: _CheckStats) -> None:
-    e = ctx.e
+def _check_thm_31(e: PointSet, n: int, stats: _CheckStats) -> None:
     stats.evaluated += 1
-    rep = uniformity(e)
-    t = triangle_count_spectral(e)
-    if t != ctx.t_naive:
-        stats.violation(e, f"spectral T {t} != naive T {ctx.t_naive}")
-        return
-    two_2r = 1 << (2 * e.rank)
-    alpha = e.density
-    lhs = abs(Fraction(t) - alpha**3 * two_2r)
-    rhs = rep.epsilon_min * (alpha - alpha**2) * two_2r
-    if lhs > rhs:
-        stats.violation(e, f"counting bound fails: {lhs} > {rhs}")
+    try:
+        _checked_triangle_count(e)
+        _, lhs, rhs = counting_bound_check(e, uniformity(e).epsilon_min)
+    except InternalInconsistencyError as exc:
+        stats.violation(e, str(exc))
         return
     stats.record("min_bound_slack", "min", rhs - lhs, e.to_compact())
 
 
-def _check_thm_41(ctx: _SetContext, stats: _CheckStats) -> None:
-    e = ctx.e
-    if not (ctx.free(3) and ctx.dense_above(5, 8)):
+def _check_thm_41(e: PointSet, n: int, stats: _CheckStats) -> None:
+    if not _dense_free(e, 3):
         stats.hypothesis_skipped += 1
         return
     stats.evaluated += 1
@@ -340,10 +299,8 @@ def _check_thm_41(ctx: _SetContext, stats: _CheckStats) -> None:
     stats.record("min_intersection", "min", sub.size, e.to_compact())
 
 
-def _check_thm_11(ctx: _SetContext, stats: _CheckStats) -> None:
-    n = ctx.level
-    e = ctx.e
-    if not (ctx.free(n) and ctx.dense_above((1 << n) - 3, 1 << n)):
+def _check_thm_11(e: PointSet, n: int, stats: _CheckStats) -> None:
+    if not _dense_free(e, n):
         stats.hypothesis_skipped += 1
         return
     stats.evaluated += 1
@@ -361,38 +318,27 @@ def _check_thm_11(ctx: _SetContext, stats: _CheckStats) -> None:
     stats.record("min_intersection", "min", exh.intersection_size, e.to_compact())
 
 
-def _check_cor_13(ctx: _SetContext, stats: _CheckStats) -> None:
-    n = ctx.level
-    e = ctx.e
-    if not (ctx.free(n) and ctx.dense_above((1 << n) - 3, 1 << n)):
+def _check_cor_13(e: PointSet, n: int, stats: _CheckStats) -> None:
+    if not _dense_free(e, n):
         stats.hypothesis_skipped += 1
         return
     stats.evaluated += 1
-    if ctx.chi not in (n - 1, n):
-        stats.violation(e, f"critical number {ctx.chi} is outside {{{n - 1}, {n}}}")
+    if not check_corollary_1_3(e, n):
+        stats.violation(e, f"critical number {critical_number(e)} is outside {{{n - 1}, {n}}}")
     else:
-        stats.record("max_chi", "max", ctx.chi, e.to_compact())
+        stats.record("max_chi", "max", critical_number(e), e.to_compact())
 
 
-def _check_reconcile(ctx: _SetContext, stats: _CheckStats) -> None:
-    from .geometry import hyperplane_of
-
-    n = ctx.level
-    e = ctx.e
-    size_cond = 4 * e.size >= 3 * (1 << e.rank)
-    free_dense = n >= 3 and ctx.free(n) and ctx.dense_above((1 << n) - 3, 1 << n)
-    if not (size_cond or free_dense):
+def _check_reconcile(e: PointSet, n: int, stats: _CheckStats) -> None:
+    if _reconcile_condition(e, n) is None:
         stats.hypothesis_skipped += 1
         return
     for gamma in range(1, 1 << e.rank):
         stats.evaluated += 1
         try:
-            rep = reconcile_hyperplane(e, hyperplane_of(e.rank, gamma), n)
+            reconcile_hyperplane(e, hyperplane_of(e.rank, gamma), n)
         except InternalInconsistencyError as exc:
             stats.violation(e, f"gamma={gamma}: {exc}")
-            return
-        if not rep.asserted:
-            stats.violation(e, f"gamma={gamma}: conditions not recognized")
             return
 
 
@@ -442,11 +388,11 @@ class SweepOutcome:
 
 def _sweep_range(cfg: SweepConfig, start: int, stop: int) -> dict[str, _CheckStats]:
     stats = {name: _CheckStats() for name in cfg.checks}
+    checks = [(_CHECK_FNS[name], stats[name]) for name in cfg.checks]
     for index in range(start, stop):
         e = _universe_set(cfg, index)
-        ctx = _SetContext(e, cfg.level)
-        for name in cfg.checks:
-            _CHECK_FNS[name](ctx, stats[name])
+        for check, st in checks:
+            check(e, cfg.level, st)
     return stats
 
 
@@ -460,9 +406,7 @@ def _merge_stats(parts: list[dict[str, _CheckStats]], checks) -> dict[str, _Chec
             m.violations += st.violations
             m.witnesses = sorted(set(m.witnesses) | set(st.witnesses))[:5]
             for rec_name, cand in st.extremal.items():
-                cur = m.extremal.get(rec_name)
-                if cur is None or _extremal_beats(cand, cur):
-                    m.extremal[rec_name] = cand
+                m.record(rec_name, *cand)
     return merged
 
 
@@ -534,19 +478,24 @@ def extremal_records_csv(outcome: SweepOutcome) -> str:
 # ---------------------------------------------------------------------------
 
 
-def analyze(E: PointSet, levels: list[int], find_flat: bool = True) -> AnalysisReport:
-    """Fill every report field with exact arithmetic.
-
-    The spectral and naive triangle counts are cross-checked internally;
-    a mismatch is an implementation bug and raises.
-    """
+def _checked_triangle_count(E: PointSet) -> int:
+    """T(E) by the pair loop, after checking it against the spectral count."""
     t_naive = triangle_count_naive(E)
     t_spectral = triangle_count_spectral(E)
     if t_naive != t_spectral:
         raise InternalInconsistencyError(
             f"triangle counts disagree: naive {t_naive}, spectral {t_spectral}"
         )
-    walsh_hadamard(E)  # Parseval and coefficient invariants run at construction
+    return t_naive
+
+
+def analyze(E: PointSet, levels: list[int], find_flat: bool = True) -> AnalysisReport:
+    """Fill every report field with exact arithmetic.
+
+    The spectral and naive triangle counts are cross-checked internally;
+    a mismatch is an implementation bug and raises.
+    """
+    t_naive = _checked_triangle_count(E)
     freeness = {n: is_pg_free(E, n) for n in levels}
     flat_search = None
     if find_flat and levels:

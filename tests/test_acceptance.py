@@ -5,6 +5,7 @@ is asserted exactly (integer or rational arithmetic); runtime budgets are
 asserted where the criterion states one.
 """
 
+import hashlib
 import random
 import time
 from contextlib import contextmanager
@@ -41,6 +42,11 @@ def criterion(num: int, title: str):
     print(f"\nACCEPTANCE {num:2d}: PASS — {title} ({time.perf_counter() - t0:.1f}s)")
 
 
+def digest(outcome) -> str:
+    """sha256 of a sweep's canonical JSON: pins its bytes across refactors."""
+    return hashlib.sha256(outcome.to_canonical_json().encode()).hexdigest()
+
+
 def test_criterion_01_bose_burton_exhaustive():
     with criterion(1, "extremal bound, exhaustive r=4: max sizes 8 and 12"):
         t0 = time.perf_counter()
@@ -54,6 +60,8 @@ def test_criterion_01_bose_burton_exhaustive():
         # bound was verified disjoint from a flat of the matching corank
         assert out2.checks["bose-burton"]["extremal"]["max_free_size"]["value"] == "8"
         assert out3.checks["bose-burton"]["extremal"]["max_free_size"]["value"] == "12"
+        assert digest(out2) == "bf56a39eccd8388f22e3d37a6dde0d9bf34a61fe99a76bcef6304800c47345d4"
+        assert digest(out3) == "cd12ef1ca1152db40572277ef3a9c48586a069ad0179023357ee42cb08d4a042"
         assert elapsed < 60.0
 
 
@@ -65,6 +73,7 @@ def test_criterion_02_main_theorem_exhaustive():
         assert st3["violations"] == 0
         assert st3["evaluated"] == 455  # fano-free sets with >= 11 points
         assert int(st3["extremal"]["min_intersection"]["value"]) >= 3
+        assert digest(out3) == "9d4d7d47ffc9d6593c2a0e6b5557dbe34d5cf4300c20bd05f77f470ddf95276d"
         assert time.perf_counter() - t0 < 300.0
 
         out4 = run_sweep(SweepConfig(rank=4, level=4, mode="exhaustive", checks=("thm-1.1",)))
@@ -72,6 +81,7 @@ def test_criterion_02_main_theorem_exhaustive():
         assert st4["violations"] == 0
         assert st4["evaluated"] == 15  # proper subsets with >= 14 points
         assert int(st4["extremal"]["min_intersection"]["value"]) >= 2
+        assert digest(out4) == "114debfe1338ac87c5b96b3eb40246eec682f13cfbeafd447baf8b7d3a7e416d"
 
 
 def test_criterion_03_tightness_witness():
@@ -141,6 +151,7 @@ def test_criterion_07_cone_suite():
         st = out.checks["lemma-2.5"]
         assert st["violations"] == 0
         assert st["evaluated"] == (1 << 15) - 1  # every nonempty subset
+        assert digest(out) == "a05f0f5ca2b752083753db6f7c9ff54df97708f8b842e5df414c41b3ed2f8705"
         for r in range(5, 11):
             for i in range(40):
                 e = sample_pointset(r, seed=3_000 + r, index=i)
@@ -169,6 +180,7 @@ def test_criterion_08_hyperplane_bounds_exhaustive():
         assert st["violations"] == 0
         assert st["evaluated"] == 202_545  # qualifying pairs, frozen
         assert st["extremal"]["min_outside_slack"]["value"] == "0/1"  # equality occurs
+        assert digest(out) == "71e6fb605062fcdda01abb1b5590813c3e1a6389ec6507c8222d36e26adfb98f"
 
 
 def test_criterion_09_goevaerts_storme_spot_check():
@@ -177,6 +189,7 @@ def test_criterion_09_goevaerts_storme_spot_check():
         st = out.checks["gs"]
         assert st["violations"] == 0
         assert st["evaluated"] == 555  # triangle-free sets above the GS threshold
+        assert digest(out) == "fe0e0823c504160f70c2d3c7dde67b2b9ff3e5ab9e8602dce715b03bcc9493fa"
 
 
 def test_criterion_10_critical_number_range():
@@ -186,6 +199,7 @@ def test_criterion_10_critical_number_range():
         assert st["violations"] == 0
         assert st["evaluated"] == 455
         assert st["extremal"]["max_chi"]["value"] == "2"
+        assert digest(out) == "c315bc14bf5762cf3f52d51896c0f56d2df011805840c7f36e21f46f0e2f5b08"
 
 
 def _half_density_random_set(rank: int, seed: int) -> PointSet:

@@ -1,3 +1,5 @@
+import hashlib
+import importlib
 import io
 import json
 from fractions import Fraction
@@ -5,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from pgfree import cli
-from pgfree.constructions import affine_set, m_k5
+from pgfree.constructions import affine_set, bose_burton, m_k5
 from pgfree.errors import ConfigError, ResourceCapError
+from pgfree.matroid import FreenessWitness
 from pgfree.pointset import PointSet
 from pgfree.verify import (
     SweepConfig,
@@ -34,6 +37,8 @@ def test_sweep_config_validation():
         SweepConfig(rank=4, level=3, mode="exhaustive", checks=("gs",))
     with pytest.raises(ConfigError):
         SweepConfig(rank=4, level=3, mode="bogus")
+    with pytest.raises(ConfigError):
+        SweepConfig(rank=3, level=2, mode="exhaustive", checks=("bose-burton", "bose-burton"))
 
 
 def test_exhaustive_sweep_r3_is_clean():
@@ -50,6 +55,74 @@ def test_exhaustive_sweep_r3_is_clean():
     assert out.checks["bose-burton"]["extremal"]["max_free_size"]["value"] == "6"
     gated = out.checks["thm-1.1"]
     assert gated["evaluated"] + gated["hypothesis_skipped"] == 128
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "level, checks, digest",
+    [
+        (2, ("bose-burton", "thm-3.1", "thm-1.1", "cor-1.3", "reconcile"),
+         "521bc921f54729c9501e47091cd811cf72e2c39c2e43a8ee28a103a24e1f96f7"),
+        (3, ("bose-burton", "lemma-2.4", "lemma-2.5", "thm-3.1", "thm-4.1", "thm-1.1",
+             "cor-1.3", "reconcile"),
+         "7a499899d2d37ba8856a07054fce182925b088cd2de2773963af794e6117e019"),
+    ],
+)
+def test_exhaustive_sweep_r3_json_is_pinned(level, checks, digest):
+    # every check the level admits at rank 3 (gs needs rank >= level + 2)
+    out = run_sweep(SweepConfig(rank=3, level=level, mode="exhaustive", checks=checks))
+    assert _sha256(out.to_canonical_json()) == digest
+
+
+def _bose_burton_6_3_minus_a_point():
+    bb = bose_burton(6, 3)
+    return bb.without_point(bb.points[0])
+
+
+@pytest.mark.parametrize(
+    "make, digest",
+    [
+        (m_k5, "caf97b8872a26812c7bd18881554deaea760c9ebe413bbe61c745d4b4512b701"),
+        (_bose_burton_6_3_minus_a_point,
+         "b01ae3062a768c2edc64b804c1c8290797ecc582699c4a4daabe007214edf350"),
+    ],
+)
+def test_analyze_json_is_pinned(make, digest):
+    assert _sha256(json.dumps(analyze(make(), [2, 3]).to_json_obj())) == digest
+
+
+_PLANE = PointSet.full(3)
+_PLANE_MINUS_7 = _PLANE.without_point(7)  # six points: fano-free and dense at level 3
+
+
+@pytest.mark.parametrize(
+    "check, target, patched, wrong",
+    [
+        # the counting bound reads the spectral triangle count
+        ("thm-3.1", _PLANE_MINUS_7, "pgfree.spectral.triangle_count_spectral", 10**6),
+        # Corollary 1.3 reads the critical number
+        ("cor-1.3", _PLANE_MINUS_7, "pgfree.matroid.critical_number", 0),
+        # Lemma 2.4 reads E once the freeness gate passes: the plane itself
+        ("lemma-2.4", _PLANE, "pgfree.verify.is_pg_free", FreenessWitness(False, None)),
+        # the cone lemma reads each cone
+        ("lemma-2.5", _PLANE_MINUS_7, "pgfree.search.cone", PointSet.empty(3)),
+        # rank reconciliation reads the matroid rank
+        ("reconcile", _PLANE_MINUS_7, "pgfree.search.matroid_rank", 0),
+    ],
+    ids=["thm-3.1", "cor-1.3", "lemma-2.4", "lemma-2.5", "reconcile"],
+)
+def test_failed_conclusion_is_counted_as_a_violation(check, target, patched, wrong, monkeypatch):
+    module, name = patched.rsplit(".", 1)
+    real = getattr(importlib.import_module(module), name)
+    monkeypatch.setattr(patched, lambda e, *args: wrong if e == target else real(e, *args))
+    out = run_sweep(SweepConfig(rank=3, level=3, mode="exhaustive", checks=(check,)))
+    st = out.checks[check]
+    assert st["violations"] >= 1
+    assert st["witnesses"]
+    assert all(w.split()[0] == target.to_compact() for w in st["witnesses"])
 
 
 def test_sweep_hypothesis_gating_counts_separately():
@@ -342,22 +415,33 @@ def test_cli_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+_GRAPHIC = ["construct", "--kind", "graphic", "--edges-file", "graph.txt"]
+
+
 @pytest.mark.parametrize(
-    "args, stdin_text, env",
+    "args, stdin_text, env, files",
     [
         (["verify", "--rank", "3", "--level", "2", "--mode", "exhaustive",
-          "--checks", "bose-burton"], None, {"PGFREE_WORKERS": "abc"}),
+          "--checks", "bose-burton"], None, {"PGFREE_WORKERS": "abc"}, {}),
         (["verify", "--rank", "4", "--level", "3", "--mode", "random",
-          "--samples", "2", "--seed", "-1", "--checks", "thm-3.1"], None, {}),
-        (["spectrum", "--top", "-1"], "3:AA", {}),
-        (["analyze"], '{"rank": true, "points": []}', {}),
-        (["analyze"], '{"rank": 3, "points": [true]}', {}),
+          "--samples", "2", "--seed", "-1", "--checks", "thm-3.1"], None, {}, {}),
+        (["spectrum", "--top", "-1"], "3:AA", {}, {}),
+        (["analyze"], '{"rank": true, "points": []}', {}, {}),
+        (["analyze"], '{"rank": 3, "points": [true]}', {}, {}),
+        (_GRAPHIC, None, {}, {"graph.txt": "vertices x\n0 1\n"}),
+        (_GRAPHIC, None, {}, {"graph.txt": "vertices 3\n0 1\n0 y\n"}),
     ],
-    ids=["workers-not-int", "negative-seed", "negative-top", "bool-rank", "bool-point"],
+    ids=["workers-not-int", "negative-seed", "negative-top", "bool-rank", "bool-point",
+         "graph-vertex-count-not-int", "graph-edge-field-not-int"],
 )
-def test_cli_malformed_input_exit_1_one_line(args, stdin_text, env, monkeypatch, capsys):
+def test_cli_malformed_input_exit_1_one_line(
+    args, stdin_text, env, files, tmp_path, monkeypatch, capsys
+):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
     code, out, err = run_cli(args, stdin_text=stdin_text, monkeypatch=monkeypatch, capsys=capsys)
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith(("error:", "usage error:"))
