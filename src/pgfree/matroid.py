@@ -3,9 +3,9 @@
 A set E inside the rank-r geometry represents the simple binary matroid
 obtained by restricting the geometry to E.  This module measures that
 matroid: its rank, whether it contains a projective subgeometry of a given
-rank (with a witness), its triangle count by direct pair enumeration, and
-its critical number (the least corank of a flat of the ambient geometry
-disjoint from E).
+rank (with a witness), its triangle count by summing |E ∩ (E + x)| over the
+points x (independently of the Fourier transform), and its critical number
+(the least corank of a flat of the ambient geometry disjoint from E).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .geometry import Flat, closure, echelon_basis, kernel_basis, rank_of
 from .pointset import PointSet, memoized, pointset_from_words
 
 
+@memoized
 def matroid_rank(E: PointSet) -> int:
     """Rank of the represented matroid: GF(2) rank of the points of E."""
     return rank_of(E)
@@ -43,7 +44,8 @@ class FreenessWitness:
 # Below this many remaining candidates the last two generators are found by
 # the Python loop; above it by the blocked pair search.
 _PAIR_SEARCH_CUTOFF = 64
-# Elements of one a ^ K block in the pair search: bounds its memory at any rank.
+# Elements of one a ^ K block in the pair search, and words of one gather block
+# in the triangle count: bounds their memory at any rank.
 _PAIR_BLOCK_ELEMENTS = 1 << 14
 
 
@@ -152,22 +154,45 @@ def _dense_free(E: PointSet, n: int) -> bool:
     return _dense(E, n) and not is_pg_free(E, n).found
 
 
-_NAIVE_PYTHON_CUTOFF = 96
+# Below this many points the triangle count's Python pair loop is cheaper
+# than the translation kernel's fixed cost; near 28 points the two are equal.
+_NAIVE_PYTHON_CUTOFF = 28
+# Butterfly stage s of ``_xor_permutations`` swaps adjacent 2^s-bit blocks.
+_SWAP_MASKS = tuple(
+    np.uint64(m)
+    for m in (
+        0x5555555555555555,
+        0x3333333333333333,
+        0x0F0F0F0F0F0F0F0F,
+        0x00FF00FF00FF00FF,
+        0x0000FFFF0000FFFF,
+        0x00000000FFFFFFFF,
+    )
+)
 
 
 @memoized
 def triangle_count_naive(E: PointSet) -> int:
-    """Ordered triples (x, y, z) in E^3 with x ^ y ^ z = 0, by the pair loop.
+    """Ordered triples (x, y, z) in E^3 with x ^ y ^ z = 0, by translation.
 
     For every ordered pair of points the third point is forced, so the
-    count is the number of ordered pairs (x, y) with x ^ y in E; the x = y
-    diagonal contributes nothing since 0 is never a point.
+    count is T = sum over x in E of |E ∩ (E + x)|; the x = y diagonal
+    contributes nothing since 0 is never a point.  No Fourier transform is
+    involved, so this count cross-checks ``triangle_count_spectral``.
+
+    Small sets count the pairs in a Python loop.  Larger sets work on the
+    bitset as little-endian 64-bit words W: bit b of word j of E + x is bit
+    b ^ (x & 63) of word j ^ (x >> 6) of W, so each translate is a gather
+    from the 64 in-word XOR permutations of W, ANDed with W and summed by
+    popcount.  The permutation table takes 8 * 2^r bytes, as much as one
+    int64 transform table; the gather runs in blocks of at most
+    _PAIR_BLOCK_ELEMENTS words, so its memory is bounded at any rank.
     """
-    pts = E.points
-    m = len(pts)
+    m = E.size
     if m < 3:
         return 0
-    if m <= _NAIVE_PYTHON_CUTOFF:
+    if m < _NAIVE_PYTHON_CUTOFF:
+        pts = E.points
         bits = E.bits
         t = 0
         for i in range(m):
@@ -176,12 +201,43 @@ def triangle_count_naive(E: PointSet) -> int:
                 if (bits >> (x ^ pts[j])) & 1:
                     t += 1
         return 2 * t
+    nw = max(1, (1 << E.rank) >> 6)
+    words = np.frombuffer(E.bits.to_bytes(8 * nw, "little"), dtype="<u8")
+    perms = _xor_permutations(words).ravel()
     arr = E.points_array
-    mem = E.membership
+    # word j of E + x is perms[key(x) ^ j], since nw is a power of two
+    key = (arr & 63) * nw | (arr >> 6)
+    rows = max(1, _PAIR_BLOCK_ELEMENTS // nw)
+    cols = min(nw, _PAIR_BLOCK_ELEMENTS)
     total = 0
-    for x in arr:
-        total += int(np.count_nonzero(mem[arr ^ x]))
+    for j0 in range(0, nw, cols):
+        j = np.arange(j0, min(j0 + cols, nw))
+        w = words[j0:j0 + cols]
+        for i0 in range(0, m, rows):
+            block = perms[key[i0:i0 + rows, None] ^ j]
+            block &= w
+            total += int(np.bitwise_count(block).sum())
     return total
+
+
+def _xor_permutations(words: np.ndarray) -> np.ndarray:
+    """Row l holds the words with bit b of each moved to bit b ^ l (l < 64).
+
+    Built in 6 butterfly stages: stage s fills rows 2^s .. 2^(s+1) - 1 by
+    swapping the adjacent 2^s-bit blocks of rows 0 .. 2^s - 1.
+    """
+    perms = np.empty((64, words.size), dtype=np.uint64)
+    perms[0] = words
+    for s, mask in enumerate(_SWAP_MASKS):
+        h = 1 << s
+        shift = np.uint64(h)
+        lo, hi = perms[:h], perms[h:2 * h]
+        np.right_shift(lo, shift, out=hi)
+        hi &= mask
+        moved = lo & mask
+        moved <<= shift
+        hi |= moved
+    return perms
 
 
 def _parity(words: np.ndarray, gamma: int) -> np.ndarray:

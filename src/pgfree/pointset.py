@@ -109,7 +109,7 @@ class PointSet:
 
     @cached_property
     def points(self) -> tuple[int, ...]:
-        return tuple(int(w) for w in self.points_array)
+        return tuple(self.points_array.tolist())
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.points)
@@ -128,8 +128,8 @@ class PointSet:
     def memo(self) -> dict:
         """What this instance has computed about itself, each once: subgeometry
         rank n -> is_pg_free(self, n), and the name of each function decorated
-        with ``memoized`` (the spectrum, the naive triangle count and the
-        critical number) -> its value."""
+        with ``memoized`` (the spectrum, the naive triangle count, the matroid
+        rank and the critical number) -> its value."""
         return {}
 
     @property

@@ -479,7 +479,7 @@ def extremal_records_csv(outcome: SweepOutcome) -> str:
 
 
 def _checked_triangle_count(E: PointSet) -> int:
-    """T(E) by the pair loop, after checking it against the spectral count."""
+    """T(E) by the translation count, after checking it against the spectral count."""
     t_naive = triangle_count_naive(E)
     t_spectral = triangle_count_spectral(E)
     if t_naive != t_spectral:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
+
 
 def popcount_parity(x: int) -> int:
     return x.bit_count() & 1
@@ -74,6 +76,18 @@ def brute_triangle_count(point_words) -> int:
                 if x ^ y ^ z == 0:
                     count += 1
     return count
+
+
+def loop_triangle_count(point_words, r: int) -> int:
+    """Ordered triples (x, y, z) with x ^ y ^ z == 0, by the per-point loop
+    of numpy gathers: for each point x, the points y with x ^ y in the set."""
+    arr = np.array(sorted(point_words), dtype=np.int64)
+    mem = np.zeros(1 << r, dtype=bool)
+    mem[arr] = True
+    total = 0
+    for x in arr:
+        total += int(np.count_nonzero(mem[arr ^ x]))
+    return total
 
 
 def brute_cone(point_words, p: int, r: int) -> set[int]:

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from pgfree.constructions import bose_burton
+from pgfree.constructions import affine_set, bose_burton
 from pgfree.errors import GeometryError, HypothesisError
 from pgfree.geometry import closure, flat_points, hyperplane_of
 from pgfree.matroid import (
+    _NAIVE_PYTHON_CUTOFF,
     FreenessWitness,
     check_corollary_1_3,
     critical_number,
@@ -23,6 +24,7 @@ from oracles import (
     brute_is_pg_free,
     brute_triangle_count,
     dfs_least_generators,
+    loop_triangle_count,
     span_points,
 )
 
@@ -212,6 +214,47 @@ def test_triangle_count_python_and_numpy_paths_agree():
     assert triangle_count_naive(e) == 2 * sum(
         1 for i, x in enumerate(pts) for y in pts[i + 1:] if (x ^ y) in e
     )
+
+
+def _triangle_count_cases(r, rng):
+    """Sets at rank r for the translation count: random densities, sizes on
+    both sides of the Python-loop cutoff, tiny sets, the full set, an affine
+    set (T = 0) and bose_burton sets."""
+    top = (1 << r) - 1
+    cut = _NAIVE_PYTHON_CUTOFF
+    sizes = (0, 1, 2, cut - 1, cut, cut + 1, top)
+    sets = [PointSet.from_points(r, rng.sample(range(1, 1 << r), m)) for m in sizes if m <= top]
+    for d in (0.1, 0.5, 0.9)[: 3 if r <= 12 else 1]:
+        sets.append(PointSet.from_points(r, [w for w in range(1, 1 << r) if rng.random() < d]))
+    sets.append(affine_set(r, top))
+    sets += [bose_burton(r, n) for n in (2, 3) if r >= n]
+    return sets
+
+
+@pytest.mark.parametrize("r", range(1, 15))
+def test_triangle_count_translation_kernel_matches_loop_oracle(r):
+    rng = random.Random(700 + r)
+    for e in _triangle_count_cases(r, rng):
+        t = triangle_count_naive(e)
+        assert t == loop_triangle_count(e.points, r)
+        if e.size <= 64:
+            assert t == brute_triangle_count(e.points)
+        if e.size == (1 << r) - 1:
+            assert t == ((1 << r) - 1) * ((1 << r) - 2)
+    assert triangle_count_naive(affine_set(r, 1)) == 0
+
+
+def test_triangle_count_small_blocks_split_translates(monkeypatch):
+    # A block cap below the word count splits one translate E + x into
+    # several gathers; a cap of one or two words also gives one-point blocks.
+    import pgfree.matroid as matroid
+
+    rng = random.Random(47)
+    for cap in (1, 2, 3, 5):
+        monkeypatch.setattr(matroid, "_PAIR_BLOCK_ELEMENTS", cap)
+        for r in (6, 7, 8, 10):
+            for e in _triangle_count_cases(r, rng):
+                assert triangle_count_naive(e) == loop_triangle_count(e.points, r)
 
 
 def test_critical_number_examples():

@@ -301,3 +301,16 @@ def test_reconcile_hyperplane():
     rep = reconcile_hyperplane(basis_only, hyperplane_of(4, 8), 3)
     assert rep.condition is None and not rep.asserted
     assert rep.matroid_rank_intersection == 3  # measured, not asserted
+
+
+def test_reconcile_ranks_the_whole_set_once(monkeypatch):
+    import pgfree.matroid as matroid
+
+    ranked = []
+    real = matroid.rank_of
+    monkeypatch.setattr(matroid, "rank_of", lambda e: ranked.append(e) or real(e))
+    e = PointSet.full(4).without_point(5)
+    for gamma in range(1, 16):
+        reconcile_hyperplane(e, hyperplane_of(4, gamma), 3)
+    assert ranked.count(e) == 1
+    assert len(ranked) == 16  # and one rank per intersection
