@@ -128,8 +128,9 @@ class PointSet:
     def memo(self) -> dict:
         """What this instance has computed about itself, each once: subgeometry
         rank n -> is_pg_free(self, n), and the name of each function decorated
-        with ``memoized`` (the spectrum, the naive triangle count, the matroid
-        rank and the critical number) -> its value."""
+        with ``memoized`` (the spectrum, the uniformity report, the naive and
+        the spectral triangle counts, the matroid rank and the critical
+        number) -> its value."""
         return {}
 
     @property

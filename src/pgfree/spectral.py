@@ -3,9 +3,12 @@
 The transform of the indicator of a point set E is
 coeff(gamma) = sum over words y in E of (-1)^(y . gamma), computed for all
 2^r characters at once by the in-place size-doubling butterfly.  All
-arithmetic is integer-exact: coefficients fit comfortably in int64 (they
-are bounded by |E| <= 2^24) and cube sums are accumulated in Python
-integers whenever int64 could overflow.
+arithmetic is integer-exact.  The butterfly runs in int32, because every
+partial sum it forms is bounded by |E| < 2^24, and the spectrum is kept
+as int64.  A cube sum can reach 2^72 at the rank cap, so it is taken
+twice: as its residue mod 2^64 from wrapping int64 arithmetic, and as a
+float64 estimate within 2^44 of the truth; together they fix the exact
+integer (see ``_exact_cube_sum``).
 """
 
 from __future__ import annotations
@@ -20,18 +23,22 @@ from .pointset import PointSet, memoized
 
 
 def fwht_inplace(a: np.ndarray) -> np.ndarray:
-    """Size-doubling butterfly; a.size must be a power of two.
+    """Size-doubling butterfly, in place; a.size must be a power of two.
 
-    Applying it twice multiplies the input by a.size.
+    Applying it twice multiplies the input by a.size.  After the stage of
+    width h, each entry is a signed sum of 2h input entries, so on a 0/1
+    indicator of a set E every intermediate value is bounded by |E| in
+    magnitude, and int32 is exact for |E| < 2^31.
     """
     n = a.size
     h = 1
     while h < n:
         b = a.reshape(-1, 2, h)
-        x = b[:, 0, :].copy()
+        x = b[:, 0, :]
         y = b[:, 1, :]
-        b[:, 0, :] = x + y
-        b[:, 1, :] = x - y
+        t = x - y
+        x += y
+        y[...] = t
         h *= 2
     return a
 
@@ -51,7 +58,7 @@ class Spectrum:
             raise InternalInconsistencyError("coefficient table has the wrong length")
         if int(c[0]) != self.set_size:
             raise InternalInconsistencyError("coeff at 0 must equal the set size")
-        if int(np.abs(c).max()) > self.set_size:
+        if c.min() < -self.set_size or c.max() > self.set_size:
             raise InternalInconsistencyError("coefficient exceeds the set size in magnitude")
         # Parseval, exactly: sum of squares == 2^r * |E|.  Squares fit int64
         # since the true total is at most 2^48 at the rank cap.
@@ -65,26 +72,48 @@ class Spectrum:
 
 @memoized
 def walsh_hadamard(E: PointSet) -> Spectrum:
-    """Exact transform of the indicator of E over all 2^r characters."""
-    a = E.indicator().astype(np.int64)
+    """Exact transform of the indicator of E over all 2^r characters.
+
+    The butterfly runs in int32, exact since |E| < 2^24 bounds every
+    partial sum (see ``fwht_inplace``); the table is then widened to int64,
+    in which squares are exact and cubes wrap (see ``_exact_cube_sum``).
+    """
+    a = E.indicator().astype(np.int32)
     fwht_inplace(a)
-    return Spectrum(E.rank, a, E.size)
+    return Spectrum(E.rank, a.astype(np.int64), E.size)
 
 
+def _exact_cube_sum(c: np.ndarray) -> int:
+    """sum(c^3) over an int64 array, exactly, as a Python integer.
+
+    int64 arithmetic wraps, so ``np.dot(c*c, c)`` is the sum mod 2^64 (c*c
+    itself is exact).  A float64 evaluation of the same sum estimates it:
+    each c and c^2 is exact in float64, each product is rounded once and
+    summing n terms adds at most (n-1) more roundings, so the estimate is
+    within n * 2^-53 * sum(|c|^3) of the truth.  For a spectrum of E,
+    sum(|c|^3) <= max|c| * sum(c^2) = |E|^2 2^r <= 2^72 and n = 2^r <= 2^24,
+    so the error is below 2^44, far below 2^63: the unique integer that is
+    congruent to the residue mod 2^64 and within 2^63 of the estimate is
+    the sum.  The same argument covers any n-element int64 array with
+    |c| < 2^26 (so that c^2 is exact in both types) and
+    n * sum(|c|^3) < 2^115.
+    """
+    residue = int(np.dot(c * c, c))
+    f = c.astype(np.float64)
+    f *= f
+    f *= c
+    estimate = int(f.sum())
+    return estimate + ((residue - estimate + (1 << 63)) % (1 << 64) - (1 << 63))
+
+
+@memoized
 def triangle_count_spectral(E: PointSet) -> int:
     """Number of ordered triples in E^3 summing to zero, via the spectrum.
 
     The triple-convolution identity gives 2^r * T = sum of cubed
-    coefficients.
+    coefficients, summed exactly by ``_exact_cube_sum`` at every rank.
     """
-    spec = walsh_hadamard(E)
-    c = spec.coeffs
-    if E.rank <= 20:
-        # |coeff| < 2^20 so cubes stay below 2^60 and the running sum is
-        # bounded by max|c| * sum(c^2) <= 2^(3r) <= 2^60: int64-safe.
-        total = int(np.sum(c * c * c))
-    else:
-        total = sum(v * v * v for v in c.tolist())
+    total = _exact_cube_sum(walsh_hadamard(E).coeffs)
     if total % (1 << E.rank):
         raise InternalInconsistencyError("cube sum is not divisible by 2^r")
     return total >> E.rank
@@ -131,6 +160,7 @@ class UniformityReport:
     worst_gamma: int
 
 
+@memoized
 def uniformity(E: PointSet) -> UniformityReport:
     """epsilon_min = (max nontrivial |coeff|) / 2^r, with its witness.
 

@@ -116,6 +116,26 @@ def direct_walsh(point_words, r: int) -> list[int]:
     return out
 
 
+def copying_fwht(a: np.ndarray) -> np.ndarray:
+    """The size-doubling butterfly with a copied left half at every stage,
+    in place on a; a.size must be a power of two."""
+    n = a.size
+    h = 1
+    while h < n:
+        b = a.reshape(-1, 2, h)
+        x = b[:, 0, :].copy()
+        y = b[:, 1, :]
+        b[:, 0, :] = x + y
+        b[:, 1, :] = x - y
+        h *= 2
+    return a
+
+
+def python_cube_sum(coeffs: np.ndarray) -> int:
+    """Sum of cubed coefficients accumulated in Python integers."""
+    return sum(v * v * v for v in coeffs.tolist())
+
+
 def brute_epsilon_min_num(point_words, r: int) -> int:
     """Numerator (over 2^r) of the least uniformity bound, via hyperplanes."""
     pts = list(point_words)

@@ -119,7 +119,7 @@ def test_criterion_04_counting_bound_random():
 
 
 def test_criterion_05_spectral_naive_equivalence():
-    with criterion(5, "spectral count equals the pair-loop count everywhere"):
+    with criterion(5, "spectral count equals the translation count everywhere"):
         for r in (1, 2, 3):
             for mask in range(1 << ((1 << r) - 1)):
                 e = PointSet(r, mask << 1)

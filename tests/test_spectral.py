@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pgfree.constructions import affine_set, bose_burton
 from pgfree.errors import HypothesisError, InternalInconsistencyError
 from pgfree.pointset import PointSet
 from pgfree.spectral import (
     Spectrum,
+    _exact_cube_sum,
     claim_quantities,
     counting_bound_check,
     fwht_inplace,
@@ -17,8 +19,16 @@ from pgfree.spectral import (
     uniformity,
     walsh_hadamard,
 )
+from pgfree.verify import sample_pointset
 
-from oracles import brute_cone, brute_epsilon_min_num, brute_triangle_count, direct_walsh
+from oracles import (
+    brute_cone,
+    brute_epsilon_min_num,
+    brute_triangle_count,
+    copying_fwht,
+    direct_walsh,
+    python_cube_sum,
+)
 
 
 def random_set(rng, r, density=0.5):
@@ -53,6 +63,11 @@ def test_parseval_is_enforced_at_construction():
     bad[3] += 2
     with pytest.raises(InternalInconsistencyError):
         Spectrum(3, bad, e.size)
+    for gamma, value in ((5, e.size + 1), (5, -e.size - 1)):
+        bad = spec.coeffs.copy()
+        bad[gamma] = value
+        with pytest.raises(InternalInconsistencyError, match="exceeds the set size"):
+            Spectrum(3, bad, e.size)
 
 
 def test_involution_recovers_indicator():
@@ -63,6 +78,22 @@ def test_involution_recovers_indicator():
         fwht_inplace(a)
         fwht_inplace(a)
         assert np.array_equal(a, e.indicator().astype(np.int64) << r)
+
+
+@pytest.mark.parametrize("r", range(1, 17))
+def test_int32_transform_matches_copying_int64_butterfly(r):
+    rng = np.random.default_rng(r)
+    for density in (0.1, 0.5, 1.0):
+        mask = rng.random(1 << r) < density
+        mask[0] = False
+        e = PointSet.from_points(r, np.nonzero(mask)[0].tolist())
+        coeffs = walsh_hadamard(e).coeffs
+        assert coeffs.dtype == np.int64
+        assert np.array_equal(coeffs, copying_fwht(e.indicator().astype(np.int64)))
+    # the in-place butterfly on arbitrary int64 input, as the per-hyperplane
+    # counts use it
+    a = rng.integers(-(1 << 20), 1 << 20, 1 << r)
+    assert np.array_equal(fwht_inplace(a.copy()), copying_fwht(a.copy()))
 
 
 def test_uniformity_affine_and_empty():
@@ -173,3 +204,83 @@ def test_claim_quantities_examples():
     assert q.triangle_count == 0
     assert set(q.cone_sizes.values()) == {0}
     assert not q.lower_holds and q.upper_holds
+
+
+def _bose_burton_by_mask(r, n):
+    """bose_burton(r, n) built from its bitset: the words at or above 2^(r-n+1)."""
+    low = 1 << (r - n + 1)
+    return PointSet(r, PointSet.full(r).bits >> low << low)
+
+
+def test_bose_burton_by_mask_is_bose_burton():
+    for r, n in ((4, 2), (6, 2), (6, 3), (8, 3)):
+        assert _bose_burton_by_mask(r, n) == bose_burton(r, n)
+
+
+@pytest.mark.parametrize("r", [21, 22])
+def test_cube_sum_matches_python_integers_above_rank_20(r):
+    # sample sets have |E| near 2^(r-1), so c[0]^3 sits near 2^63 at r=22;
+    # bose_burton(r, 3) has three coefficients of -2^(r-2) and a cube sum of
+    # 3 * 2^(3r-3), past 2^63 at both ranks
+    sets = (
+        sample_pointset(r, 7, 0),
+        affine_set(r, 1),
+        _bose_burton_by_mask(r, 2),
+        _bose_burton_by_mask(r, 3),
+    )
+    for e in sets:
+        c = walsh_hadamard(e).coeffs
+        total = python_cube_sum(c)
+        assert _exact_cube_sum(c) == total
+        assert triangle_count_spectral(e) == total >> r
+
+
+def test_spectral_closed_forms_at_the_rank_cap():
+    r, top = 24, 1 << 24
+    full = PointSet.full(r)
+    c = walsh_hadamard(full).coeffs
+    # |c[0]| = 2^24 - 1 is the largest value the int32 butterfly forms
+    assert int(c[0]) == top - 1
+    assert int(c[1:].min()) == int(c[1:].max()) == -1
+    assert int(np.dot(c, c)) == (top - 1) << r
+    # c[0]^3 is near 2^72, so a plain int64 sum of cubes wraps
+    cube_sum = (top - 1) ** 3 - (top - 1)
+    assert int(np.dot(c * c, c)) != cube_sum
+    assert _exact_cube_sum(c) == cube_sum
+    assert triangle_count_spectral(full) == (top - 1) * (top - 2)
+    assert triangle_count_spectral(affine_set(r, 1)) == 0
+
+
+_CUBE_SUM_BASES = [
+    [1 << 21],  # 2^63
+    [-(1 << 21)],  # -2^63
+    [1 << 21, 1 << 21],  # 2^64
+    [-(1 << 21), -(1 << 21)],  # -2^64
+    [1 << 22, 1 << 21, -(1 << 21)],  # 4 * 2^64
+    [1 << 24, -(1 << 22), 1 << 21],  # 2^72 - 2^66 + 2^63
+    [(1 << 24) - 1, -(1 << 24) + 3],
+]
+
+
+@pytest.mark.parametrize("base", _CUBE_SUM_BASES)
+@pytest.mark.parametrize("tail", [[], [1], [-1], [2], [-2], [1, 1], [-1, -1]])
+def test_exact_cube_sum_across_int64_boundaries(base, tail):
+    c = np.array(base + tail, dtype=np.int64)
+    assert _exact_cube_sum(c) == sum(v**3 for v in base + tail)
+
+
+def test_exact_cube_sum_on_long_wide_arrays():
+    rng = np.random.default_rng(12)
+    for n in (1 << 10, 1 << 16):
+        c = rng.integers(-(1 << 24), 1 << 24, n, endpoint=True)
+        assert _exact_cube_sum(c) == python_cube_sum(c)
+        c[: n // 2] = np.abs(c[: n // 2])
+        assert _exact_cube_sum(c) == python_cube_sum(c)
+
+
+def test_spectral_results_are_remembered_per_instance():
+    e = sample_pointset(8, 3, 0)
+    assert triangle_count_spectral(e) is triangle_count_spectral(e)
+    assert uniformity(e) is uniformity(e)
+    assert {"triangle_count_spectral", "uniformity"} <= e.memo.keys()
+    assert "uniformity" not in PointSet(8, e.bits).memo
