@@ -13,8 +13,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import GeometryError
-from .pointset import PointSet, check_rank
+from .pointset import PointSet, check_rank, pointset_from_words
 
 
 def dot(a: int, b: int) -> int:
@@ -120,15 +122,25 @@ def closure(ambient_rank: int, points: Iterable[int]) -> Flat:
     return Flat(ambient_rank, echelon_basis(pts))
 
 
+# Flats of at most this rank OR their words into the bitset in Python; larger
+# ones build it in one numpy pass, since each OR copies the whole 2^r-bit int.
+_PYTHON_FLAT_MAX_RANK = 6
+
+
 def flat_points(f: Flat) -> PointSet:
     """All 2^k - 1 nonzero words in the span of the flat's basis."""
-    words = [0]
+    if len(f.basis) <= _PYTHON_FLAT_MAX_RANK:
+        words = [0]
+        for b in f.basis:
+            words += [w ^ b for w in words]
+        bits = 0
+        for w in words[1:]:
+            bits |= 1 << w
+        return PointSet(f.ambient_rank, bits)
+    span = np.zeros(1, dtype=np.int64)
     for b in f.basis:
-        words += [w ^ b for w in words]
-    bits = 0
-    for w in words[1:]:
-        bits |= 1 << w
-    return PointSet(f.ambient_rank, bits)
+        span = np.concatenate((span, span ^ b))
+    return pointset_from_words(f.ambient_rank, span[1:])
 
 
 def hyperplane_of(ambient_rank: int, gamma: int) -> Flat:

@@ -6,6 +6,13 @@ matroid: its rank, whether it contains a projective subgeometry of a given
 rank (with a witness), its triangle count by summing |E ∩ (E + x)| over the
 points x (independently of the Fourier transform), and its critical number
 (the least corank of a flat of the ambient geometry disjoint from E).
+
+Both the subgeometry search and the triangle count work on E as a bitset of
+64-bit words and translate it by gathers from its 64 in-word XOR
+permutations.  The search fixes its first generators by a DFS, and decides
+the last three by the cone lemma: an apex x completes the span S iff the
+cone of E_S at x holds a pair, which a batched kernel tests for a block of
+apexes at once; the least apex with a hit is the one the DFS fixes.
 """
 
 from __future__ import annotations
@@ -41,11 +48,12 @@ class FreenessWitness:
         }
 
 
-# Below this many remaining candidates the last two generators are found by
-# the Python loop; above it by the blocked pair search.
+# Below this many remaining candidates the last three generators are found by
+# the Python loop; above it by the batched apex and pair searches.
 _PAIR_SEARCH_CUTOFF = 64
-# Elements of one a ^ K block in the pair search, and words of one gather block
-# in the triangle count: bounds their memory at any rank.
+# Elements of one a ^ K block in the pair search, of one apex or pair block in
+# the apex search, and of one gather block in the triangle count: bounds their
+# memory at any rank.
 _PAIR_BLOCK_ELEMENTS = 1 << 14
 
 
@@ -56,9 +64,10 @@ def is_pg_free(E: PointSet, n: int) -> FreenessWitness:
     The witness is the canonically least generating tuple g_1 < ... < g_n
     of points of E, each g_i outside the span S of the earlier ones with
     g_i ^ s in E for every s in S.  A DFS in ascending word order fixes
-    the first n-2 generators; the last two are the least pair a < b found
-    by ``_least_pair`` (see there).  The answer is remembered in E.memo,
-    once per n.
+    the first n-3 generators; g_{n-2} is the least apex that the batched
+    cone kernel ``_least_triple`` finds a completion for, and the last two
+    are the least pair a < b found by ``_least_pair`` (see both).  The
+    answer is remembered in E.memo, once per n.
     """
     if n < 1:
         raise GeometryError("subgeometry rank must be >= 1")
@@ -69,6 +78,15 @@ def is_pg_free(E: PointSet, n: int) -> FreenessWitness:
 
 
 def _search_subgeometry(E: PointSet, n: int) -> FreenessWitness:
+    """The least generating tuple of a rank-n flat inside E, as a witness.
+
+    A node of the DFS holds the span S of the generators fixed so far.  At
+    the node of g_{n-2} (the root when n = 3) and at the node of g_{n-1},
+    a pool of more than _PAIR_SEARCH_CUTOFF remaining points goes to the
+    vectorised searches, which return the generators the loop below would
+    find first; smaller pools stay in the loop, whose per-call cost is
+    lower.
+    """
     if n > E.rank or E.size < (1 << n) - 1:
         return FreenessWitness(False, None)
     bits = E.bits
@@ -78,11 +96,12 @@ def _search_subgeometry(E: PointSet, n: int) -> FreenessWitness:
     def dfs(span_pts: list[int], span_set: frozenset[int], start: int) -> bool:
         if len(gens) == n:
             return True
-        if len(gens) == n - 2 and len(pts) - start > _PAIR_SEARCH_CUTOFF:
-            pair = _least_pair(E, span_pts, start)
-            if pair is None:
+        if len(pts) - start > _PAIR_SEARCH_CUTOFF and n - 3 <= len(gens) <= n - 2:
+            search = _least_pair if len(gens) == n - 2 else _least_triple
+            found = search(E, span_pts, start)
+            if found is None:
                 return False
-            gens.extend(pair)
+            gens.extend(found)
             return True
         for i in range(start, len(pts)):
             p = pts[i]
@@ -102,6 +121,96 @@ def _search_subgeometry(E: PointSet, n: int) -> FreenessWitness:
     if dfs([], frozenset(), 0):
         return FreenessWitness(True, closure(E.rank, gens))
     return FreenessWitness(False, None)
+
+
+def _least_triple(E: PointSet, span_pts: list[int], start: int) -> Optional[tuple[int, int, int]]:
+    """Least apex x with its least pair a < b completing the span S = span_pts.
+
+    The apexes are the iterated cone E_S = {y in E : y ^ s in E for all s
+    in S} from E.points[start] on, in ascending order.  By the cone lemma
+    (Lemma 2.5), x has a completion iff the cone of E_S at x above x,
+    C_x = E_S ∩ (E_S + x) ∩ {b > x}, holds a pair a, b with a ^ b in
+    E_S ∩ (E_S + x): a nonzero word of C_x ∩ (E_S + a) ∩ (E_S + a ^ x) for
+    some a in C_x.  That is the DFS condition for the last two generators
+    (see ``_least_pair``), so the least apex with a hit is the DFS's
+    g_{n-2}, and ``_least_pair`` above it returns the DFS's last two.
+
+    The least apex goes to ``_least_pair`` at once, so a set that holds a
+    witness there pays nothing more.  The others are tested in ascending
+    blocks that double from two apexes, on the bitset words of E_S: every
+    translate is a gather from their 64 in-word XOR permutations, as in
+    ``triangle_count_naive``.  Apex blocks and the pair rows of their
+    gathers hold at most _PAIR_BLOCK_ELEMENTS words (a single row may hold
+    more above rank 20).
+    """
+    mem = E.membership
+    apexes = E.points_array[start:]
+    for s in span_pts:
+        apexes = apexes[mem[apexes ^ np.int64(s)]]
+    if apexes.size == 0:
+        return None
+
+    def completion(x: int) -> Optional[tuple[int, int, int]]:
+        span = span_pts + [x] + [s ^ x for s in span_pts]
+        pair = _least_pair(E, span, int(np.searchsorted(E.points_array, x)) + 1)
+        return None if pair is None else (x, *pair)
+
+    found = completion(int(apexes[0]))
+    if found is not None or apexes.size == 1:
+        return found
+    cone = mem
+    if span_pts:
+        universe = np.arange(mem.size)
+        for s in span_pts:
+            cone = cone & mem[universe ^ s]
+    packed = np.packbits(cone, bitorder="little").tobytes()
+    words = np.frombuffer(packed.ljust(8, b"\0"), dtype="<u8")
+    perms = _xor_permutations(words).ravel()
+    nw = words.size
+    cap = max(1, _PAIR_BLOCK_ELEMENTS // nw)
+    i0, size = 1, min(2, cap)
+    while i0 < apexes.size:
+        block = apexes[i0:i0 + size]
+        hit = _first_apex_with_pair(words, perms, block)
+        if hit is not None:
+            return completion(int(block[hit]))
+        i0 += size
+        size = min(2 * size, cap)
+    return None
+
+
+def _first_apex_with_pair(words: np.ndarray, perms: np.ndarray, xs: np.ndarray) -> Optional[int]:
+    """Index of the least apex of the ascending block xs with a completion.
+
+    words are the bitset of E_S and perms their ravelled XOR permutations.
+    Only words from that of xs[0] on can hold a point above an apex.
+    """
+    nw = words.size
+    j = np.arange(int(xs[0]) >> 6, nw)
+    xw = (xs >> 6)[:, None]
+    above = np.uint64(0xFFFFFFFFFFFFFFFF) << (xs & 63).astype(np.uint64) << np.uint64(1)
+    # C_x: E_S ∩ (E_S + x), then only its points b > x
+    cones = perms[_translation_keys(xs, nw)[:, None] ^ j]
+    cones &= words[j]
+    cones[j < xw] = 0
+    cones[j == xw] &= above
+    bits = cones.astype("<u8", copy=False).view(np.uint8)
+    rows, a = np.nonzero(np.unpackbits(bits, axis=1, bitorder="little"))
+    a = a.astype(np.int64) + 64 * int(j[0])
+    ax = a ^ xs[rows]
+    # a and a ^ x complete x with the same points b, so test the lesser
+    keep = a < ax
+    rows, a, ax = rows[keep], a[keep], ax[keep]
+    step = max(1, _PAIR_BLOCK_ELEMENTS // j.size)
+    for p0 in range(0, rows.size, step):
+        p = slice(p0, p0 + step)
+        pair = perms[_translation_keys(a[p], nw)[:, None] ^ j]
+        pair &= perms[_translation_keys(ax[p], nw)[:, None] ^ j]
+        pair &= cones[rows[p]]
+        hit = pair.any(axis=1)
+        if hit.any():
+            return int(rows[p][hit.argmax()])
+    return None
 
 
 def _least_pair(E: PointSet, span_pts: list[int], start: int) -> Optional[tuple[int, int]]:
@@ -204,9 +313,7 @@ def triangle_count_naive(E: PointSet) -> int:
     nw = max(1, (1 << E.rank) >> 6)
     words = np.frombuffer(E.bits.to_bytes(8 * nw, "little"), dtype="<u8")
     perms = _xor_permutations(words).ravel()
-    arr = E.points_array
-    # word j of E + x is perms[key(x) ^ j], since nw is a power of two
-    key = (arr & 63) * nw | (arr >> 6)
+    key = _translation_keys(E.points_array, nw)
     rows = max(1, _PAIR_BLOCK_ELEMENTS // nw)
     cols = min(nw, _PAIR_BLOCK_ELEMENTS)
     total = 0
@@ -218,6 +325,12 @@ def triangle_count_naive(E: PointSet) -> int:
             block &= w
             total += int(np.bitwise_count(block).sum())
     return total
+
+
+def _translation_keys(ys: np.ndarray, nw: int) -> np.ndarray:
+    """Word j of the translate W + y of a bitset W of nw words is perms[key(y) ^ j],
+    where perms are W's ravelled ``_xor_permutations``: nw is a power of two."""
+    return (ys & 63) * nw | (ys >> 6)
 
 
 def _xor_permutations(words: np.ndarray) -> np.ndarray:

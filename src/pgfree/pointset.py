@@ -133,11 +133,6 @@ class PointSet:
         number) -> its value."""
         return {}
 
-    @property
-    def freeness_memo(self) -> dict:
-        """The same dict as ``memo``; its integer keys are the freeness answers."""
-        return self.memo
-
     # -- set algebra (all return new sets in the same ambient) --------------
 
     def _same_rank(self, other: "PointSet") -> None:

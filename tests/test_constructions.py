@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pgfree.errors import GeometryError, RankCapError
@@ -16,7 +17,7 @@ from pgfree.constructions import (
     tightness_explorer,
 )
 from pgfree.matroid import critical_number, is_pg_free, matroid_rank, triangle_count_naive
-from pgfree.pointset import PointSet
+from pgfree.pointset import PointSet, pointset_from_mask
 from pgfree.search import find_triangle_free_flat
 from pgfree.spectral import uniformity
 
@@ -32,6 +33,17 @@ def test_bose_burton_meets_bound_with_equality():
             assert Fraction(e.size) == (1 - Fraction(2, 1 << n)) * (1 << r)
             assert not is_pg_free(e, n).found
             assert e.bits & 1 == 0
+
+
+@pytest.mark.parametrize("r", range(2, 19))
+def test_bose_burton_matches_mask_construction(r):
+    # Up to rank 6 the removed flat is built by the Python loop, above it by
+    # the numpy pass; both must give the words outside the first r-n+1 bits.
+    words = np.arange(1 << r)
+    for n in (2, 3):
+        if n <= r:
+            mask = (words >> (r - n + 1)) != 0
+            assert bose_burton(r, n) == pointset_from_mask(r, mask)
 
 
 def test_bose_burton_examples():

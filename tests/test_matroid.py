@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -100,16 +101,16 @@ def test_is_pg_free_matches_dfs_oracle_random(r):
     rng = random.Random(100 + r)
     for density in (0.3, 0.5, 0.7, 0.85, 0.95):
         e = PointSet.from_points(r, [w for w in range(1, 1 << r) if rng.random() < density])
-        for n in (2, 3, 4):
+        for n in (1, 2, 3, 4):
             assert_matches_dfs(e, n)
 
 
 @pytest.mark.parametrize("r", [5, 6, 7, 8, 9])
 def test_is_pg_free_matches_dfs_oracle_bose_burton(r):
-    # Minus 0-5 points: the candidate pools of the last two generators fall
-    # on both sides of the 64-point cutoff from r = 7 on.  The no-witness
-    # level-4 search on bose_burton(r, 4) is left to r <= 7, where the
-    # oracle stays fast.
+    # Minus 0-5 points: the candidate pools of the last three generators
+    # fall on both sides of the 64-point cutoff from r = 7 on.  The oracle's
+    # no-witness level-4 search on bose_burton(r, 4) is left to r <= 7,
+    # where it stays fast; above, the answer is known.
     rng = random.Random(200 + r)
     for level in (3, 4):
         bb = bose_burton(r, level)
@@ -119,27 +120,121 @@ def test_is_pg_free_matches_dfs_oracle_bose_burton(r):
                 e = e.without_point(w)
             for n in (2, 3, 4):
                 if level == n == 4 and r > 7:
+                    # a subset of the PG(3,2)-free bose_burton(r, 4) is free
+                    assert is_pg_free(e, 4) == FreenessWitness(False, None)
                     continue
                 assert_matches_dfs(e, n)
 
 
+def fano_free_below(r, low, mid, rng, keep=0.9):
+    """A set of rank r whose fanos all have their least point in mid or above.
+
+    Below 2^(r-2) it holds low, whose points flip exactly one of bits 0 and
+    1, and mid, at most two points that keep them equal.  Above, it keeps a
+    random part of the words with equal bits 0 and 1.  So no fano meets
+    low.  A fano through l in low meets the flat below 2^(r-2) in l, in a
+    line through l, or lies in it.  In the first two cases its points above
+    come in pairs y, y ^ l, which differ in bit 0 or bit 1.  In the last it
+    meets the hyperplane of equal bits 0 and 1 in a line, a third point of
+    mid.
+    """
+    high = [w for w in range(1 << (r - 2), 1 << r) if w & 1 == (w >> 1) & 1 and rng.random() < keep]
+    return PointSet.from_points(r, sorted(low) + sorted(mid) + high)
+
+
+def test_apex_kernel_decides_later_apexes(monkeypatch):
+    # The kernel must find completions in some blocks and none in others,
+    # and agree with the plain DFS: at n = 3 on sets whose first fano apex
+    # lies past the least apex, at n = 4 on random sets, where the least
+    # apex below the first generator often has no completion.  A flat has
+    # many generating tuples, so at n = 3 the tuples are compared too.
+    import pgfree.matroid as matroid
+
+    outcomes = []
+    kernel = matroid._first_apex_with_pair
+
+    def spy(*args):
+        outcomes.append(kernel(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(matroid, "_first_apex_with_pair", spy)
+    for r in (8, 9):
+        rng = random.Random(300 + r)
+        flipped = [w for w in range(1, 1 << (r - 2)) if w & 3 in (1, 2)]
+        kept = [w for w in range(4, 1 << (r - 2)) if w & 3 in (0, 3)]
+        for _ in range(6):
+            low = [w for w in flipped if rng.random() < rng.random()]
+            e = fano_free_below(r, low, rng.sample(kept, 2), rng)
+            assert matroid._least_triple(e, [], 0) == dfs_least_generators(e.points, 3)
+            assert_matches_dfs(e, 3)
+        for density in (0.45, 0.55):
+            for _ in range(4):
+                e = PointSet.from_points(r, [w for w in range(1, 1 << r) if rng.random() < density])
+                assert_matches_dfs(e, 4)
+    assert any(o is None for o in outcomes)
+    assert any(o is not None for o in outcomes)
+
+
 def test_is_pg_free_small_blocks_split_rows_and_columns(monkeypatch):
-    # A tiny block cap makes every row span several column chunks and
-    # exercises the row-block mask between them.
+    # A tiny block cap makes every row span several column chunks, splits
+    # the apex blocks down to single apexes and the pair rows of the apex
+    # kernel down to single rows, and exercises the row-block mask between
+    # them.
     import pgfree.matroid as matroid
 
     rng = random.Random(31)
-    for cap in (3, 40):
+    cases = [(bose_burton(7, 4).without_point(rng.randrange(1, 128)), 4)]
+    for r in (7, 8):
+        sets = [bose_burton(r, 3), bose_burton(r, 4).without_point(rng.randrange(1, 1 << r))]
+        sets += [
+            PointSet.from_points(r, [w for w in range(1, 1 << r) if rng.random() < d])
+            for d in (0.35, 0.55, 0.8)
+        ]
+        cases += [(e, n) for e in sets for n in (2, 3)]
+    expected = [dfs_witness(e, n) for e, n in cases]
+    for cap in (1, 3, 40):
         monkeypatch.setattr(matroid, "_PAIR_BLOCK_ELEMENTS", cap)
-        for r in (7, 8):
-            sets = [bose_burton(r, 3), bose_burton(r, 4).without_point(rng.randrange(1, 1 << r))]
-            sets += [
-                PointSet.from_points(r, [w for w in range(1, 1 << r) if rng.random() < d])
-                for d in (0.35, 0.8)
-            ]
-            for e in sets:
-                for n in (2, 3):
-                    assert_matches_dfs(e, n)
+        for (e, n), want in zip(cases, expected):
+            got = is_pg_free(PointSet(e.rank, e.bits), n)
+            assert got.to_json_obj() == want.to_json_obj(), (e.to_compact(), n, cap)
+
+
+def test_apex_kernel_first_hit_at_word_boundary():
+    # The least point of a fano is 63, which ends a 64-bit word, so all of
+    # its completions lie in later words.  With one point below it, it is
+    # the first apex of the kernel's first block.
+    import pgfree.matroid as matroid
+
+    rng = random.Random(41)
+    flipped = [w for w in range(1, 63) if w & 3 in (1, 2)]
+    for low in (flipped, flipped[:1]):
+        e = fano_free_below(8, low, [63], rng)
+        assert dfs_least_generators(e.points, 3)[0] == 63
+        assert matroid._least_triple(e, [], 0) == dfs_least_generators(e.points, 3)
+        assert_matches_dfs(e, 3)
+
+
+def lift(a, rank, seed):
+    """The preimage of a under a seeded surjection GF(2)^rank -> GF(2)^a.rank."""
+    rng = random.Random(seed)
+    words = np.arange(1 << rank)
+    while True:
+        image = np.zeros(1 << rank, dtype=np.int64)
+        for i in range(a.rank):
+            row = rng.randrange(1, 1 << rank)
+            image |= (np.bitwise_count(words & row) & 1).astype(np.int64) << i
+        if np.unique(image).size == 1 << a.rank:
+            return PointSet.from_points(rank, words[a.membership[image]].tolist())
+
+
+def test_is_pg_free_on_lifted_dense_free_set():
+    # Lifting preserves PG(2,2)-freeness: the preimage of a fano-free set
+    # under a surjection holds a fano iff the set does.
+    a = bose_burton(5, 3).without_point(8)
+    e = lift(a, 12, seed=4)
+    assert e.size == a.size << 7
+    assert is_pg_free(e, 3) == FreenessWitness(False, None)
+    assert_matches_dfs(e, 2)
 
 
 def test_is_pg_free_matches_brute_oracle_rank_5():
@@ -161,7 +256,7 @@ def test_is_pg_free_memo_is_per_instance():
     assert e1 == e2
     w1 = is_pg_free(e1, 3)
     assert is_pg_free(e1, 3) is w1
-    assert 3 not in e2.freeness_memo
+    assert 3 not in e2.memo
     w2 = is_pg_free(e2, 3)
     assert w2 == w1 and w2 is not w1
     assert is_pg_free(e1, 2) == is_pg_free(e2, 2) and is_pg_free(e1, 2).found
