@@ -28,7 +28,7 @@ from .geometry import (
     hyperplane_of,
     rank_of,
 )
-from .pointset import RANK_CAP, AmbientGeometry, PointSet
+from .pointset import RANK_CAP, PointSet
 from .matroid import (
     AnalysisReport,
     CoordinateMap,

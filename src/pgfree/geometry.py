@@ -10,13 +10,12 @@ lowest set bit of a row, rows mutually reduced, sorted by pivot).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import GeometryError
-from .pointset import PointSet, check_rank, pointset_from_words
+from .pointset import PointSet, cached, check_rank, pointset_from_words
 
 
 def dot(a: int, b: int) -> int:
@@ -62,15 +61,6 @@ def rank_of(vectors: Iterable[int]) -> int:
     return n
 
 
-def in_span(basis: Sequence[int], v: int) -> bool:
-    """Whether v lies in the span of a reduced-echelon basis."""
-    for row in basis:
-        p = (row & -row).bit_length() - 1
-        if (v >> p) & 1:
-            v ^= row
-    return v == 0
-
-
 @dataclass(frozen=True)
 class Flat:
     """A flat of the rank-r geometry: the nonzero part of a subspace."""
@@ -95,13 +85,9 @@ class Flat:
     def corank(self) -> int:
         return self.ambient_rank - self.rank
 
-    @cached_property
+    @cached
     def pivots(self) -> tuple[int, ...]:
         return tuple((v & -v).bit_length() - 1 for v in self.basis)
-
-    def contains(self, word: int) -> bool:
-        """Membership of a nonzero word in the flat."""
-        return word != 0 and in_span(self.basis, word)
 
     def to_json_obj(self) -> dict:
         return {"ambient_rank": self.ambient_rank, "basis": list(self.basis)}
@@ -122,8 +108,8 @@ def closure(ambient_rank: int, points: Iterable[int]) -> Flat:
     return Flat(ambient_rank, echelon_basis(pts))
 
 
-# Flats of at most this rank OR their words into the bitset in Python; larger
-# ones build it in one numpy pass, since each OR copies the whole 2^r-bit int.
+# Flats of at most this rank add up their words' bits in Python; larger ones
+# build the bitset in one numpy pass, since each addition copies the whole int.
 _PYTHON_FLAT_MAX_RANK = 6
 
 
@@ -133,10 +119,7 @@ def flat_points(f: Flat) -> PointSet:
         words = [0]
         for b in f.basis:
             words += [w ^ b for w in words]
-        bits = 0
-        for w in words[1:]:
-            bits |= 1 << w
-        return PointSet(f.ambient_rank, bits)
+        return PointSet(f.ambient_rank, sum(1 << w for w in words[1:]))
     span = np.zeros(1, dtype=np.int64)
     for b in f.basis:
         span = np.concatenate((span, span ^ b))

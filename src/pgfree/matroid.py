@@ -12,7 +12,8 @@ Both the subgeometry search and the triangle count work on E as a bitset of
 permutations.  The search fixes its first generators by a DFS, and decides
 the last three by the cone lemma: an apex x completes the span S iff the
 cone of E_S at x holds a pair, which a batched kernel tests for a block of
-apexes at once; the least apex with a hit is the one the DFS fixes.
+apexes at once; the least apex with a hit is the one the DFS fixes.  The
+witness keeps those generators and spans its flat only when it is read.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import GeometryError, HypothesisError
 from .geometry import Flat, closure, echelon_basis, kernel_basis, rank_of
-from .pointset import PointSet, memoized, pointset_from_words
+from .pointset import SMALL_SET_POINTS, PointSet, memoized, pointset_from_words
 
 
 @memoized
@@ -36,10 +37,31 @@ def matroid_rank(E: PointSet) -> int:
 
 @dataclass(frozen=True)
 class FreenessWitness:
-    """Outcome of a subgeometry search: found=True means E contains a copy."""
+    """Outcome of a subgeometry search: found=True means E contains a copy.
+
+    ``subspace`` is the witness flat, or None.  A search keeps only the
+    witness's generators and spans them with ``closure`` when ``subspace``
+    is first read, since most callers only read ``found``.
+    """
 
     found: bool
     subspace: Optional[Flat]
+
+    @classmethod
+    def _spanned_by(cls, rank: int, generators: list[int]) -> "FreenessWitness":
+        witness = object.__new__(cls)
+        object.__setattr__(witness, "found", True)
+        object.__setattr__(witness, "_span", (rank, generators))
+        return witness
+
+    def __getattr__(self, name: str):
+        # reached only for attributes missing from __dict__, as the
+        # subspace of a witness from _spanned_by is until it is read
+        if name != "subspace":
+            raise AttributeError(name)
+        flat = closure(*self._span)
+        object.__setattr__(self, "subspace", flat)
+        return flat
 
     def to_json_obj(self) -> dict:
         return {
@@ -48,9 +70,6 @@ class FreenessWitness:
         }
 
 
-# Below this many remaining candidates the last three generators are found by
-# the Python loop; above it by the batched apex and pair searches.
-_PAIR_SEARCH_CUTOFF = 64
 # Elements of one a ^ K block in the pair search, of one apex or pair block in
 # the apex search, and of one gather block in the triangle count: bounds their
 # memory at any rank.
@@ -67,7 +86,8 @@ def is_pg_free(E: PointSet, n: int) -> FreenessWitness:
     the first n-3 generators; g_{n-2} is the least apex that the batched
     cone kernel ``_least_triple`` finds a completion for, and the last two
     are the least pair a < b found by ``_least_pair`` (see both).  The
-    answer is remembered in E.memo, once per n.
+    answer is remembered in E.memo, once per n.  Its flat is spanned from
+    the generators when ``subspace`` is first read, not by the search.
     """
     if n < 1:
         raise GeometryError("subgeometry rank must be >= 1")
@@ -82,7 +102,7 @@ def _search_subgeometry(E: PointSet, n: int) -> FreenessWitness:
 
     A node of the DFS holds the span S of the generators fixed so far.  At
     the node of g_{n-2} (the root when n = 3) and at the node of g_{n-1},
-    a pool of more than _PAIR_SEARCH_CUTOFF remaining points goes to the
+    a pool of more than SMALL_SET_POINTS remaining points goes to the
     vectorised searches, which return the generators the loop below would
     find first; smaller pools stay in the loop, whose per-call cost is
     lower.
@@ -93,33 +113,30 @@ def _search_subgeometry(E: PointSet, n: int) -> FreenessWitness:
     pts = E.points
     gens: list[int] = []
 
-    def dfs(span_pts: list[int], span_set: frozenset[int], start: int) -> bool:
-        if len(gens) == n:
-            return True
-        if len(pts) - start > _PAIR_SEARCH_CUTOFF and n - 3 <= len(gens) <= n - 2:
+    def dfs(span_pts: list[int], start: int) -> bool:
+        if len(pts) - start > SMALL_SET_POINTS and n - 3 <= len(gens) <= n - 2:
             search = _least_pair if len(gens) == n - 2 else _least_triple
             found = search(E, span_pts, start)
             if found is None:
                 return False
             gens.extend(found)
             return True
+        last = len(gens) == n - 1
         for i in range(start, len(pts)):
             p = pts[i]
-            if p in span_set:
-                continue
+            # a point p of the span fails at s = p: bit 0 is never set
             for s in span_pts:
                 if not (bits >> (s ^ p)) & 1:
                     break
             else:
                 gens.append(p)
-                layer = [p] + [s ^ p for s in span_pts]
-                if dfs(span_pts + layer, span_set | frozenset(layer), i + 1):
+                if last or dfs(span_pts + [p] + [s ^ p for s in span_pts], i + 1):
                     return True
                 gens.pop()
         return False
 
-    if dfs([], frozenset(), 0):
-        return FreenessWitness(True, closure(E.rank, gens))
+    if dfs([], 0):
+        return FreenessWitness._spanned_by(E.rank, gens)
     return FreenessWitness(False, None)
 
 
@@ -358,17 +375,6 @@ def _parity(words: np.ndarray, gamma: int) -> np.ndarray:
     return np.bitwise_count(words & np.int64(gamma)) & 1
 
 
-def _quotient_by_support(E: PointSet, support_basis: tuple[int, ...]) -> PointSet:
-    """Re-coordinatize E along independent dual functionals.
-
-    When the Fourier support of the indicator spans only d < r dimensions,
-    E is a union of cosets of the orthogonal (r-d)-dimensional stabilizer
-    subspace; the image of E under the functionals is a rank-d set with
-    the same critical number.
-    """
-    return _image(E.points_array, support_basis)
-
-
 def _image(words: np.ndarray, functionals) -> PointSet:
     """The rank-d set of the words' coordinates under d independent functionals."""
     new = np.zeros(words.shape, dtype=np.int64)
@@ -428,7 +434,9 @@ def critical_number(E: PointSet) -> int:
     support = (np.nonzero(spec.coeffs[1:])[0] + 1).tolist()
     support_basis = echelon_basis(int(g) for g in support)
     if len(support_basis) < E.rank:
-        E = _quotient_by_support(E, support_basis)
+        # E is a union of cosets of the (r-d)-dimensional subspace orthogonal
+        # to its d-dimensional support: its rank-d image has the same chi
+        E = _image(E.points_array, support_basis)
     return E.rank - max_flat_rank_inside(E.complement())
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, wraps
+from functools import wraps
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -26,24 +26,25 @@ def check_rank(rank: int) -> None:
         raise RankCapError(f"ambient rank must be an integer in 1..{RANK_CAP}, got {rank!r}")
 
 
-@dataclass(frozen=True)
-class AmbientGeometry:
-    """The rank-r binary projective geometry: all nonzero words below 2^r."""
+# Sets and search pools of at most this many points are walked by Python
+# loops, larger ones by numpy.
+SMALL_SET_POINTS = 64
 
-    rank: int
 
-    def __post_init__(self):
-        check_rank(self.rank)
+class cached:
+    """``functools.cached_property`` without its lock: the first read stores
+    the value in the instance ``__dict__``, which later reads find before
+    this non-data descriptor.  Threads racing on a first read may each
+    compute the value; the later store wins."""
 
-    @property
-    def point_count(self) -> int:
-        return (1 << self.rank) - 1
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
 
-    def contains(self, word: int) -> bool:
-        return 0 < word < (1 << self.rank)
-
-    def points(self) -> Iterator[int]:
-        return iter(range(1, 1 << self.rank))
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -80,15 +81,11 @@ class PointSet:
         check_rank(rank)
         return cls(rank, ((1 << (1 << rank)) - 1) & ~1)
 
-    @property
-    def ambient(self) -> AmbientGeometry:
-        return AmbientGeometry(self.rank)
-
-    @cached_property
+    @cached
     def size(self) -> int:
         return self.bits.bit_count()
 
-    @cached_property
+    @cached
     def density(self) -> Fraction:
         return Fraction(self.size, 1 << self.rank)
 
@@ -102,14 +99,21 @@ class PointSet:
     def __contains__(self, word: int) -> bool:
         return 0 <= word < (1 << self.rank) and (self.bits >> word) & 1 == 1
 
-    @cached_property
+    @cached
     def points_array(self) -> np.ndarray:
         """All member words, ascending, as an int64 array."""
         return np.nonzero(self.indicator())[0].astype(np.int64)
 
-    @cached_property
+    @cached
     def points(self) -> tuple[int, ...]:
-        return tuple(self.points_array.tolist())
+        """All member words, ascending."""
+        if self.size > SMALL_SET_POINTS:
+            return tuple(self.points_array.tolist())
+        bits, out = self.bits, []
+        while bits:
+            out.append((bits & -bits).bit_length() - 1)
+            bits &= bits - 1
+        return tuple(out)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.points)
@@ -120,11 +124,11 @@ class PointSet:
         raw = self.bits.to_bytes((n + 7) // 8, "little")
         return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little", count=n)
 
-    @cached_property
+    @cached
     def membership(self) -> np.ndarray:
         return self.indicator().astype(bool)
 
-    @cached_property
+    @cached
     def memo(self) -> dict:
         """What this instance has computed about itself, each once: subgeometry
         rank n -> is_pg_free(self, n), and the name of each function decorated

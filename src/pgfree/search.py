@@ -20,34 +20,42 @@ from .matroid import (
     CoordinateMap,
     _dense,
     _dense_free,
-    _parity,
     is_pg_free,
     matroid_rank,
     restrict_to_flat,
     triangle_count_naive,
 )
-from .pointset import PointSet, pointset_from_words
+from .pointset import SMALL_SET_POINTS, PointSet, pointset_from_words
 
 
 def cone(E: PointSet, p: int) -> PointSet:
     """Points of E - {p} lying on a line of E through p: x with x^p in E."""
     if p not in E:
         raise GeometryError(f"{p} is not a point of the set")
-    if E.size <= 64:
-        bits = E.bits
-        return PointSet.from_points(
-            E.rank, [x for x in E.points if x != p and (bits >> (x ^ p)) & 1]
-        )
+    if E.size <= SMALL_SET_POINTS:
+        bits, inside = E.bits, 0
+        for x in E.points:  # x = p fails: bit 0 is never set
+            if (bits >> (x ^ p)) & 1:
+                inside |= 1 << x
+        return PointSet(E.rank, inside)
     arr = E.points_array
     return pointset_from_words(E.rank, arr[E.membership[arr ^ np.int64(p)]])
 
 
 def hyperplane_intersection(E: PointSet, gamma: int) -> PointSet:
-    """E ∩ W_gamma in the parent coordinates."""
+    """E ∩ W_gamma in the parent coordinates.
+
+    The bitset of W_gamma = {w : w·gamma = 0} doubles once per coordinate:
+    words 2^i + w (w < 2^i) have the parity of w, flipped when bit i of
+    gamma is set, so their block is the lower block, complemented then.
+    """
     if gamma == 0:
         raise GeometryError("gamma = 0 does not define a hyperplane")
-    arr = E.points_array
-    return pointset_from_words(E.rank, arr[_parity(arr, gamma) == 0])
+    mask = 1
+    for i in range(E.rank):
+        width = 1 << i
+        mask |= (mask ^ ((1 << width) - 1) if (gamma >> i) & 1 else mask) << width
+    return PointSet(E.rank, E.bits & mask)
 
 
 @dataclass(frozen=True)
@@ -452,11 +460,6 @@ def _reconcile_condition(E: PointSet, n: int) -> Optional[str]:
     size_cond = 4 * E.size >= 3 * (1 << E.rank)
     free_dense_cond = n >= 3 and E.rank >= n and _dense_free(E, n)
     return "size" if size_cond else ("free-dense" if free_dense_cond else None)
-
-
-def cone_identity_holds(E: PointSet) -> bool:
-    """Sum of all cone sizes equals the ordered triangle count."""
-    return _cone_identity_holds(E, sum(cone(E, p).size for p in E))
 
 
 def _cone_identity_holds(E: PointSet, cone_size_total: int) -> bool:

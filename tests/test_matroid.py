@@ -262,6 +262,75 @@ def test_is_pg_free_memo_is_per_instance():
     assert is_pg_free(e1, 2) == is_pg_free(e2, 2) and is_pg_free(e1, 2).found
 
 
+def test_lazy_witness_spans_the_dfs_generators():
+    rng = random.Random(41)
+    for r in (4, 5, 6, 7):
+        for density in (0.3, 0.6, 0.9):
+            e = PointSet.from_points(r, [w for w in range(1, 1 << r) if rng.random() < density])
+            for n in (1, 2, 3, 4):
+                gens = dfs_least_generators(e.points, n)
+                w = is_pg_free(e, n)
+                assert w.found == (gens is not None)
+                assert w.subspace == (closure(r, gens) if gens else None)
+
+
+def test_freeness_witness_constructs_compares_and_serialises():
+    plane = closure(3, [1, 2, 4])
+    assert FreenessWitness(False, None) == FreenessWitness(False, None)
+    assert FreenessWitness(True, plane) == FreenessWitness(True, closure(3, [7, 1, 2]))
+    assert FreenessWitness(True, plane) != FreenessWitness(False, None)
+    assert FreenessWitness(False, None).to_json_obj() == {"found": False, "witness_basis": None}
+    assert FreenessWitness(True, plane).to_json_obj() == {"found": True, "witness_basis": [1, 2, 4]}
+    searched = is_pg_free(PointSet.full(3), 3)
+    assert searched == FreenessWitness(True, plane)
+    assert hash(searched) == hash(FreenessWitness(True, plane))
+    assert searched.to_json_obj() == FreenessWitness(True, plane).to_json_obj()
+    assert repr(searched) == f"FreenessWitness(found=True, subspace={plane!r})"
+
+
+def test_sweep_spans_no_witness_flat(monkeypatch):
+    import pgfree.matroid as matroid
+    from pgfree.verify import SweepConfig, run_sweep
+
+    spans = []
+    real = matroid.closure
+    monkeypatch.setattr(matroid, "closure", lambda r, pts: spans.append(pts) or real(r, pts))
+    cfg = SweepConfig(rank=3, level=3, mode="exhaustive", checks=("lemma-2.4", "lemma-2.5"))
+    out = run_sweep(cfg, workers=1)
+    assert out.checks["lemma-2.5"]["evaluated"] == 127
+    assert spans == []
+    # the spy sees the flat of a witness that is read
+    assert is_pg_free(PointSet.full(3), 2).subspace.rank == 2
+    assert spans == [[1, 2]]
+
+
+def _span_point_after_g2_sets(r, rng):
+    """Sets with 1, 2 and 3 = 1 ^ 2: the DFS takes g_1 = 1 and g_2 = 2, and
+    then meets the span point 3 first among the candidates for g_3."""
+    for density in (0.2, 0.5, 0.8):
+        words = {1, 2, 3} | {w for w in range(4, 1 << r) if rng.random() < density}
+        yield PointSet.from_points(r, words)
+
+
+def test_dfs_without_span_set_matches_dfs_oracle():
+    for bits in range(0, 1 << 8, 2):
+        e = PointSet(3, bits)
+        for n in (1, 2, 3):
+            assert_matches_dfs(e, n)
+    for n in (3, 4):
+        # {1, 2, 3} is a line: 3 must not be taken as g_3
+        assert not is_pg_free(PointSet.from_points(5, [1, 2, 3]), n).found
+    rng = random.Random(43)
+    for r in (5, 6):
+        cases = list(_span_point_after_g2_sets(r, rng))
+        cases += [PointSet.from_points(r, rng.sample(range(1, 1 << r), rng.randint(5, (1 << r) - 1)))
+                  for _ in range(12)]
+        for e in cases:
+            assert e.size <= 64
+            for n in (1, 2, 3, 4):
+                assert_matches_dfs(e, n)
+
+
 def test_is_pg_free_rejects_bad_n():
     with pytest.raises(GeometryError):
         is_pg_free(PointSet.full(3), 0)

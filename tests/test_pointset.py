@@ -1,20 +1,10 @@
 import json
+import random
 
 import pytest
 
 from pgfree.errors import GeometryError, PointSetParseError, RankCapError
-from pgfree.pointset import AmbientGeometry, PointSet, pointset_from_mask
-
-
-def test_ambient_geometry():
-    g = AmbientGeometry(4)
-    assert g.point_count == 15
-    assert list(g.points()) == list(range(1, 16))
-    assert g.contains(15) and not g.contains(16) and not g.contains(0)
-    with pytest.raises(RankCapError):
-        AmbientGeometry(0)
-    with pytest.raises(RankCapError):
-        AmbientGeometry(25)
+from pgfree.pointset import PointSet, pointset_from_mask
 
 
 def test_pointset_basics():
@@ -26,6 +16,20 @@ def test_pointset_basics():
     assert PointSet.full(3).size == 7
     assert PointSet.empty(3).size == 0
     assert e.complement().size == 4
+    with pytest.raises(RankCapError):
+        PointSet(0, 0)
+    with pytest.raises(RankCapError):
+        PointSet.full(25)
+
+
+def test_points_on_both_sides_of_the_small_set_rule():
+    rng = random.Random(31)
+    for r, k in ((6, 63), (7, 64), (7, 65), (12, 64), (12, 200)):
+        words = sorted(rng.sample(range(1, 1 << r), k))
+        e = PointSet.from_points(r, words)
+        assert e.points == tuple(words) == tuple(e.points_array.tolist())
+        assert e.points is e.points and e.__dict__["points"] is e.points
+    assert PointSet.empty(5).points == ()
 
 
 def test_zero_point_rejected():

@@ -9,17 +9,17 @@ from pgfree.geometry import closure, flat_points, hyperplane_of
 from pgfree.matroid import is_pg_free, triangle_count_naive
 from pgfree.pointset import PointSet
 from pgfree.search import (
+    _cone_identity_holds,
     check_cone_lemma,
     check_lemma_hsize,
     cone,
-    cone_identity_holds,
     find_pg_free_hyperplane,
     find_triangle_free_flat,
     hyperplane_intersection,
     reconcile_hyperplane,
 )
 
-from oracles import brute_cone
+from oracles import brute_cone, popcount_parity
 
 
 def test_cone_examples():
@@ -59,7 +59,31 @@ def test_cone_identity():
     rng = random.Random(52)
     for r in (3, 4, 6):
         e = PointSet.from_points(r, [w for w in range(1, 1 << r) if rng.random() < 0.5])
-        assert cone_identity_holds(e)
+        assert _cone_identity_holds(e, sum(cone(e, p).size for p in e))
+
+
+def hyperplane_normals(r, rng):
+    if r <= 6:
+        return range(1, 1 << r)
+    return (1, 1 << (r - 1), (1 << r) - 1, rng.randrange(1, 1 << r))
+
+
+@pytest.mark.parametrize("r", range(1, 25))
+def test_hyperplane_intersection_matches_parity_filter(r):
+    rng = random.Random(900 + r)
+    if r < 20:
+        sample = PointSet(r, rng.getrandbits(1 << r) & ~1)
+    else:
+        sample = PointSet.from_points(r, rng.sample(range(1, 1 << r), 300))
+    full = PointSet.full(r)
+    sets = [PointSet.empty(r), sample] + ([full] if r <= 12 else [])
+    for gamma in hyperplane_normals(r, rng):
+        for e in sets:
+            got = hyperplane_intersection(e, gamma)
+            assert got.rank == r
+            assert set(got) == {w for w in e if popcount_parity(w & gamma) == 0}, gamma
+        # every hyperplane holds 2^(r-1) - 1 points
+        assert hyperplane_intersection(full, gamma).size == (1 << (r - 1)) - 1
 
 
 def test_check_cone_lemma_on_extremal_set():
