@@ -71,10 +71,8 @@ from .constructions import (
     bose_burton,
     complete_graph,
     direct_sum,
-    extend_rank,
     graphic_representation,
     m_k5,
-    tightness_explorer,
 )
 from .verify import (
     ALL_CHECKS,

@@ -2,21 +2,18 @@
 
 Includes the flat-complement geometries meeting the extremal bound, affine
 sets, graphic matroid representations (edges of a graph as sums of two
-standard basis vectors), direct sums, and a seeded local-search explorer
-for sets sitting exactly at the density threshold without the structural
-conclusion.
+standard basis vectors), and direct sums.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .errors import GeometryError, RankCapError
 from .geometry import closure, flat_points
-from .matroid import is_pg_free, restrict_to_flat
+from .matroid import restrict_to_flat
 from .pointset import RANK_CAP, PointSet, check_rank
-from .search import _exhaustive_flat_search, hyperplane_intersection
+from .search import hyperplane_intersection
 
 
 def bose_burton(r: int, n: int) -> PointSet:
@@ -99,104 +96,3 @@ def direct_sum(a: PointSet, b: PointSet) -> PointSet:
         raise RankCapError(f"combined rank {r} exceeds the rank cap {RANK_CAP}")
     words = list(a.points) + [w << a.rank for w in b.points]
     return PointSet.from_points(r, words)
-
-
-def extend_rank(E: PointSet, r: int) -> PointSet:
-    """The same words viewed in a larger ambient."""
-    if r < E.rank:
-        raise GeometryError("cannot shrink the ambient")
-    check_rank(r)
-    return PointSet(r, E.bits)
-
-
-def _threshold_size(r: int, n: int) -> int:
-    return (1 << r) - 3 * (1 << (r - n))
-
-
-def _explorer_score(E: PointSet, n: int) -> int:
-    """0 iff E is PG(n-1,2)-free and admits no triangle-free corank-(n-2)
-    flat; larger scores are further from qualifying."""
-    from .geometry import enumerate_flats
-
-    score = 0
-    if is_pg_free(E, n).found:
-        score += 100
-    for f in enumerate_flats(E.rank, n - 2):
-        inter = E.intersection(flat_points(f))
-        if not is_pg_free(inter, 2).found:
-            score += 1
-    return score
-
-
-def tightness_explorer(r: int, n: int, budget: int, seed: int = 0) -> list[PointSet]:
-    """Search for PG(n-1,2)-free sets of size exactly (1 - 3/2^n) 2^r
-    admitting no triangle-free corank-(n-2) flat.
-
-    Seeded local search over single-point swaps, restarting from direct
-    sums and coordinate-extensions of the K_5 cycle-space set; every
-    candidate that qualifies is re-certified by the exhaustive flat scan
-    before being returned.  An empty list is a legitimate outcome.
-    """
-    if not (r >= 4 and n >= 3 and r >= n):
-        raise GeometryError(f"requires r >= 4, n >= 3, r >= n; got r={r}, n={n}")
-    target = _threshold_size(r, n)
-    k5 = m_k5()
-
-    starts = [extend_rank(k5, r)]
-    combo = k5
-    while combo.rank + k5.rank <= r:
-        combo = direct_sum(combo, k5)
-        starts.append(extend_rank(combo, r))
-
-    witnesses: dict[int, PointSet] = {}
-    evaluations = 0
-    restart = 0
-    while evaluations < budget:
-        rng = random.Random((seed << 20) ^ restart)
-        current = _resize_to(starts[restart % len(starts)], target, rng)
-        score = _explorer_score(current, n)
-        evaluations += 1
-        if score == 0:
-            _certify_and_record(current, n, witnesses)
-        stall = 0
-        while evaluations < budget and stall < 64:
-            candidate = _swap_one(current, rng)
-            cand_score = _explorer_score(candidate, n)
-            evaluations += 1
-            if cand_score == 0:
-                _certify_and_record(candidate, n, witnesses)
-            if cand_score <= score:
-                stall = 0 if cand_score < score else stall + 1
-                current, score = candidate, cand_score
-            else:
-                stall += 1
-        restart += 1
-    return [witnesses[k] for k in sorted(witnesses)]
-
-
-def _resize_to(E: PointSet, target: int, rng: random.Random) -> PointSet:
-    out = E
-    outside = [w for w in range(1, 1 << E.rank) if w not in E]
-    rng.shuffle(outside)
-    while out.size < target and outside:
-        out = out.with_point(outside.pop())
-    while out.size > target:
-        out = out.without_point(rng.choice(out.points))
-    return out
-
-
-def _swap_one(E: PointSet, rng: random.Random) -> PointSet:
-    outside = [w for w in range(1, 1 << E.rank) if w not in E]
-    if not outside or E.size == 0:
-        return E
-    return E.without_point(rng.choice(E.points)).with_point(rng.choice(outside))
-
-
-def _certify_and_record(E: PointSet, n: int, witnesses: dict[int, PointSet]) -> None:
-    if E.bits in witnesses:
-        return
-    if is_pg_free(E, n).found:
-        return
-    if _exhaustive_flat_search(E, n).found:
-        return
-    witnesses[E.bits] = E

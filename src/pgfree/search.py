@@ -435,22 +435,31 @@ def reconcile_hyperplane(E: PointSet, H: Flat, n: int) -> ReconcileReport:
     """
     if H.ambient_rank != E.rank or H.corank != 1:
         raise GeometryError("H must be a hyperplane of the same ambient")
-    r = E.rank
     condition = _reconcile_condition(E, n)
-    rank_full = matroid_rank(E)
-    rank_inter = matroid_rank(E.intersection(flat_points(H)))
     asserted = condition is not None
-    if asserted and not (rank_full == r and rank_inter == r - 1):
-        raise InternalInconsistencyError(
-            f"rank reconciliation failed on {E.to_compact()}: "
-            f"r(M)={rank_full}, r(E∩H)={rank_inter}"
-        )
+    rank_full, rank_inter = _reconciled_ranks(E, E.intersection(flat_points(H)), asserted)
     return ReconcileReport(
         condition=condition,
         matroid_rank_full=rank_full,
         matroid_rank_intersection=rank_inter,
         asserted=asserted,
     )
+
+
+def _reconciled_ranks(E: PointSet, inside: PointSet, asserted: bool) -> tuple[int, int]:
+    """(r(E), r(E ∩ H)), given inside = E ∩ H for a hyperplane H.
+
+    When ``asserted``, E must span the ambient and E ∩ H must have rank
+    r - 1; a failure raises an internal inconsistency.
+    """
+    rank_full = matroid_rank(E)
+    rank_inter = matroid_rank(inside)
+    if asserted and not (rank_full == E.rank and rank_inter == E.rank - 1):
+        raise InternalInconsistencyError(
+            f"rank reconciliation failed on {E.to_compact()}: "
+            f"r(M)={rank_full}, r(E∩H)={rank_inter}"
+        )
+    return rank_full, rank_inter
 
 
 def _reconcile_condition(E: PointSet, n: int) -> Optional[str]:

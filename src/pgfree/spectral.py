@@ -192,10 +192,10 @@ def counting_bound_check(E: PointSet, epsilon: Fraction):
             witness=rep.worst_gamma,
         )
     t = triangle_count_spectral(E)
-    two_2r = 1 << (2 * E.rank)
-    alpha = E.density
-    lhs = abs(Fraction(t) - alpha**3 * two_2r)
-    rhs = epsilon * (alpha - alpha**2) * two_2r
+    # with m = |E| and R = 2^r: a^3 4^r = m^3/R and (a - a^2) 4^r = m(R - m)
+    m, R = E.size, 1 << E.rank
+    lhs = Fraction(abs(t * R - m**3), R)
+    rhs = epsilon * (m * (R - m))
     if lhs > rhs:
         raise InternalInconsistencyError(
             f"counting bound failed on {E.to_compact()}: {lhs} > {rhs}"

@@ -15,13 +15,12 @@ import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import FORMAT_VERSION, __version__
 from .errors import ConfigError, InternalInconsistencyError, ResourceCapError
-from .geometry import hyperplane_of
 from .matroid import (
     AnalysisReport,
     _dense_free,
@@ -37,24 +36,147 @@ from .search import (
     _cone_lemma_at,
     _hyperplane_bounds,
     _reconcile_condition,
+    _reconciled_ranks,
     find_pg_free_hyperplane,
     find_triangle_free_flat,
     hyperplane_intersection,
-    reconcile_hyperplane,
 )
 from .spectral import counting_bound_check, triangle_count_spectral, uniformity
 
-ALL_CHECKS = (
-    "bose-burton",
-    "gs",
-    "lemma-2.4",
-    "lemma-2.5",
-    "thm-3.1",
-    "thm-4.1",
-    "thm-1.1",
-    "cor-1.3",
-    "reconcile",
-)
+# ---------------------------------------------------------------------------
+# the check table
+# ---------------------------------------------------------------------------
+#
+# Each statement's conclusion calls the library's single definition of it.
+# A conclusion returns (instances evaluated, the set's extremal value or
+# None) and raises InternalInconsistencyError when it fails.
+
+
+def _free(e: PointSet, n: int) -> bool:
+    return not is_pg_free(e, n).found
+
+
+def _bose_burton(e: PointSet, n: int) -> tuple[int, int]:
+    bound = ((1 << n) - 2) << (e.rank - n)  # (1 - 2/2^n) 2^r
+    if e.size > bound:
+        raise InternalInconsistencyError(f"size {e.size} exceeds the extremal bound {bound}")
+    if e.size == bound and critical_number(e) > n:
+        raise InternalInconsistencyError(
+            f"extremal set is not inside the complement of a corank-{n} flat"
+        )
+    return 1, e.size
+
+
+def _gs_dense_free(e: PointSet, n: int) -> bool:
+    # |E| > (1 - 2/2^n - 3/2^(n+2)) 2^r, as a single fraction
+    return e.denser_than((1 << (n + 2)) - (1 << 3) - 3, 1 << (n + 2)) and _free(e, n)
+
+
+def _gs(e: PointSet, n: int) -> tuple[int, int]:
+    if critical_number(e) > n:
+        raise InternalInconsistencyError(
+            f"no corank-{n} flat is disjoint (chi = {critical_number(e)})"
+        )
+    return 1, e.size
+
+
+def _lemma_24(e: PointSet, n: int) -> tuple[int, Optional[Fraction]]:
+    count, slack = 0, None
+    for gamma in range(1, 1 << e.rank):
+        inside = hyperplane_intersection(e, gamma)
+        if not is_pg_free(inside, n - 1).found:
+            continue  # E ∩ H is PG(n-2,2)-free: the lemma does not apply
+        try:
+            outside_bound, _, _ = _hyperplane_bounds(e, inside, n)
+        except InternalInconsistencyError as exc:
+            raise InternalInconsistencyError(f"gamma={gamma}: {exc}") from None
+        count += 1
+        s = outside_bound - (e.size - inside.size)
+        if slack is None or s < slack:
+            slack = s
+    return count, None if slack is None else Fraction(slack)
+
+
+def _lemma_25(e: PointSet, n: int) -> tuple[int, int]:
+    free = _free(e, n)
+    cones = [_cone_lemma_at(e, p, n, free) for p in e]
+    total = sum(size for size, _ in cones)
+    if not _cone_identity_holds(e, total):
+        raise InternalInconsistencyError(
+            f"sum of cone sizes {total} != T {triangle_count_naive(e)}"
+        )
+    return 1, min(size - bound for size, bound in cones)
+
+
+def _thm_31(e: PointSet, n: int) -> tuple[int, Fraction]:
+    _checked_triangle_count(e)
+    _, lhs, rhs = counting_bound_check(e, uniformity(e).epsilon_min)
+    return 1, rhs - lhs
+
+
+def _thm_41(e: PointSet, n: int) -> tuple[int, int]:
+    out = find_pg_free_hyperplane(e, 3)
+    if out is None:
+        raise InternalInconsistencyError("no hyperplane has a triangle-free intersection")
+    _, (sub, _) = out
+    if 4 * sub.size <= (1 << (e.rank - 1)):
+        raise InternalInconsistencyError(
+            f"triangle-free intersection of size {sub.size} is too small"
+        )
+    return 1, sub.size
+
+
+def _thm_11(e: PointSet, n: int) -> tuple[int, int]:
+    exh, _ = find_triangle_free_flat(e, n, "exhaustive")
+    if not exh.found:
+        raise InternalInconsistencyError(f"no triangle-free corank-{n - 2} flat exists")
+    if not exh.density_claim_holds:
+        raise InternalInconsistencyError(
+            f"flat found but |E∩K| = {exh.intersection_size} is too sparse"
+        )
+    desc, _ = find_triangle_free_flat(e, n, "descent")
+    if not desc.found:
+        raise InternalInconsistencyError("descent missed a flat the exhaustive scan found")
+    return 1, exh.intersection_size
+
+
+def _cor_13(e: PointSet, n: int) -> tuple[int, int]:
+    if not check_corollary_1_3(e, n):
+        raise InternalInconsistencyError(
+            f"critical number {critical_number(e)} is outside {{{n - 1}, {n}}}"
+        )
+    return 1, critical_number(e)
+
+
+def _reconcile(e: PointSet, n: int) -> tuple[int, None]:
+    for gamma in range(1, 1 << e.rank):
+        try:
+            _reconciled_ranks(e, hyperplane_intersection(e, gamma), True)
+        except InternalInconsistencyError as exc:
+            raise InternalInconsistencyError(f"gamma={gamma}: {exc}") from None
+    return (1 << e.rank) - 1, None
+
+
+class _Check(NamedTuple):
+    gate: Callable[[PointSet, int], bool]  # the statement's hypotheses hold
+    conclude: Callable[[PointSet, int], tuple[int, Any]]
+    record: Optional[str] = None  # the name of the extremal record, if any
+    kind: str = "min"  # whether the record keeps the "min" or the "max" value
+
+
+# One row per statement, in the order the sweeps report them.
+_CHECKS = {
+    "bose-burton": _Check(_free, _bose_burton, "max_free_size", "max"),
+    "gs": _Check(_gs_dense_free, _gs, "max_evaluated_size", "max"),
+    "lemma-2.4": _Check(_free, _lemma_24, "min_outside_slack", "min"),
+    "lemma-2.5": _Check(lambda e, n: e.size > 0, _lemma_25, "min_cone_slack", "min"),
+    "thm-3.1": _Check(lambda e, n: True, _thm_31, "min_bound_slack", "min"),
+    "thm-4.1": _Check(lambda e, n: _dense_free(e, 3), _thm_41, "min_intersection", "min"),
+    "thm-1.1": _Check(_dense_free, _thm_11, "min_intersection", "min"),
+    "cor-1.3": _Check(_dense_free, _cor_13, "max_chi", "max"),
+    "reconcile": _Check(lambda e, n: _reconcile_condition(e, n) is not None, _reconcile),
+}
+ALL_CHECKS = tuple(_CHECKS)
 
 _SAMPLE_STRIDE = 1 << 48
 _MAX_REJECTIONS = 4096
@@ -150,40 +272,51 @@ def _universe_set(cfg: SweepConfig, index: int) -> PointSet:
 
 
 # ---------------------------------------------------------------------------
-# per-check logic
+# sweep driver
 # ---------------------------------------------------------------------------
 
 
 class _CheckStats:
-    __slots__ = ("evaluated", "hypothesis_skipped", "violations", "witnesses", "extremal")
+    __slots__ = ("record_name", "minimize", "evaluated", "hypothesis_skipped", "violations",
+                 "witnesses", "extremal")
 
-    def __init__(self):
+    def __init__(self, check: _Check):
+        self.record_name = check.record
+        self.minimize = check.kind == "min"
         self.evaluated = 0
         self.hypothesis_skipped = 0
         self.violations = 0
         self.witnesses: list[str] = []
-        self.extremal: dict[str, tuple] = {}  # name -> (kind, value, witness)
+        self.extremal: Optional[tuple] = None  # (value, witness) of the record
 
     def violation(self, e: PointSet, detail: str) -> None:
         self.violations += 1
         self.witnesses.append(f"{e.to_compact()} {detail}")
 
-    def record(self, name: str, kind: str, value, witness: str) -> None:
-        cur = self.extremal.get(name)
-        cand = (kind, value, witness)
-        if cur is None or _extremal_beats(cand, cur):
-            self.extremal[name] = cand
+    def record(self, value, e) -> None:
+        """Keep the extremal value, ties going to the least compact witness.
+
+        ``e`` is the set, formatted only when its value beats or ties the
+        record, or a compact form when partials are merged.
+        """
+        cur = self.extremal
+        if cur is not None and value != cur[0] and (value < cur[0]) != self.minimize:
+            return
+        witness = e if isinstance(e, str) else e.to_compact()
+        if cur is None or value != cur[0] or witness < cur[1]:
+            self.extremal = (value, witness)
 
     def to_json_obj(self) -> dict:
+        extremal = {}
+        if self.extremal is not None:
+            value, witness = self.extremal
+            extremal[self.record_name] = {"value": _value_str(value), "witness": witness}
         return {
             "evaluated": self.evaluated,
             "hypothesis_skipped": self.hypothesis_skipped,
             "violations": self.violations,
             "witnesses": sorted(self.witnesses)[:5],
-            "extremal": {
-                name: {"value": _value_str(value), "witness": witness}
-                for name, (kind, value, witness) in sorted(self.extremal.items())
-            },
+            "extremal": extremal,
         }
 
 
@@ -191,173 +324,6 @@ def _value_str(value) -> str:
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     return str(value)
-
-
-def _extremal_beats(cand: tuple, cur: tuple) -> bool:
-    kind, value, witness = cand
-    _, cur_value, cur_witness = cur
-    if value != cur_value:
-        return value > cur_value if kind == "max" else value < cur_value
-    return witness < cur_witness
-
-
-# Each check below has three jobs: gate the set on the statement's
-# hypotheses, call the library's single definition of its conclusion (an
-# InternalInconsistencyError from it is a violation), and keep the
-# extremal records.
-
-
-def _check_bose_burton(e: PointSet, n: int, stats: _CheckStats) -> None:
-    if is_pg_free(e, n).found:
-        stats.hypothesis_skipped += 1
-        return
-    stats.evaluated += 1
-    bound_num = (1 << n) - 2  # |E| <= bound_num/2^n * 2^r
-    bound = bound_num * (1 << (e.rank - n))
-    if e.size > bound:
-        stats.violation(e, f"size {e.size} exceeds the extremal bound {bound}")
-        return
-    stats.record("max_free_size", "max", e.size, e.to_compact())
-    if e.size == bound and critical_number(e) > n:
-        stats.violation(e, f"extremal set is not inside the complement of a corank-{n} flat")
-
-
-def _check_gs(e: PointSet, n: int, stats: _CheckStats) -> None:
-    # threshold (1 - 2/2^n - 3/2^(n+2)) 2^r, as a single fraction
-    num = (1 << (n + 2)) - (1 << 3) - 3
-    if not e.denser_than(num, 1 << (n + 2)) or is_pg_free(e, n).found:
-        stats.hypothesis_skipped += 1
-        return
-    stats.evaluated += 1
-    if critical_number(e) > n:
-        stats.violation(e, f"no corank-{n} flat is disjoint (chi = {critical_number(e)})")
-    else:
-        stats.record("max_evaluated_size", "max", e.size, e.to_compact())
-
-
-def _check_lemma_24(e: PointSet, n: int, stats: _CheckStats) -> None:
-    if is_pg_free(e, n).found:
-        stats.hypothesis_skipped += 1
-        return
-    for gamma in range(1, 1 << e.rank):
-        inter = hyperplane_intersection(e, gamma)
-        if not is_pg_free(inter, n - 1).found:
-            continue  # E ∩ H is PG(n-2,2)-free: the lemma does not apply
-        stats.evaluated += 1
-        try:
-            outside_bound, _, _ = _hyperplane_bounds(e, inter, n)
-        except InternalInconsistencyError as exc:
-            stats.violation(e, f"gamma={gamma}: {exc}")
-            continue
-        slack = Fraction(outside_bound - (e.size - inter.size))
-        stats.record("min_outside_slack", "min", slack, e.to_compact())
-
-
-def _check_lemma_25(e: PointSet, n: int, stats: _CheckStats) -> None:
-    if e.size == 0:
-        stats.hypothesis_skipped += 1
-        return
-    stats.evaluated += 1
-    free = not is_pg_free(e, n).found
-    total = 0
-    for p in e:
-        try:
-            size, bound = _cone_lemma_at(e, p, n, free)
-        except InternalInconsistencyError as exc:
-            stats.violation(e, str(exc))
-            return
-        total += size
-        stats.record("min_cone_slack", "min", size - bound, e.to_compact())
-    if not _cone_identity_holds(e, total):
-        stats.violation(e, f"sum of cone sizes {total} != T {triangle_count_naive(e)}")
-
-
-def _check_thm_31(e: PointSet, n: int, stats: _CheckStats) -> None:
-    stats.evaluated += 1
-    try:
-        _checked_triangle_count(e)
-        _, lhs, rhs = counting_bound_check(e, uniformity(e).epsilon_min)
-    except InternalInconsistencyError as exc:
-        stats.violation(e, str(exc))
-        return
-    stats.record("min_bound_slack", "min", rhs - lhs, e.to_compact())
-
-
-def _check_thm_41(e: PointSet, n: int, stats: _CheckStats) -> None:
-    if not _dense_free(e, 3):
-        stats.hypothesis_skipped += 1
-        return
-    stats.evaluated += 1
-    out = find_pg_free_hyperplane(e, 3)
-    if out is None:
-        stats.violation(e, "no hyperplane has a triangle-free intersection")
-        return
-    _, (sub, _) = out
-    if 4 * sub.size <= (1 << (e.rank - 1)):
-        stats.violation(e, f"triangle-free intersection of size {sub.size} is too small")
-        return
-    stats.record("min_intersection", "min", sub.size, e.to_compact())
-
-
-def _check_thm_11(e: PointSet, n: int, stats: _CheckStats) -> None:
-    if not _dense_free(e, n):
-        stats.hypothesis_skipped += 1
-        return
-    stats.evaluated += 1
-    exh, _ = find_triangle_free_flat(e, n, "exhaustive")
-    if not exh.found:
-        stats.violation(e, f"no triangle-free corank-{n - 2} flat exists")
-        return
-    if not exh.density_claim_holds:
-        stats.violation(e, f"flat found but |E∩K| = {exh.intersection_size} is too sparse")
-        return
-    desc, _ = find_triangle_free_flat(e, n, "descent")
-    if not desc.found:
-        stats.violation(e, "descent missed a flat the exhaustive scan found")
-        return
-    stats.record("min_intersection", "min", exh.intersection_size, e.to_compact())
-
-
-def _check_cor_13(e: PointSet, n: int, stats: _CheckStats) -> None:
-    if not _dense_free(e, n):
-        stats.hypothesis_skipped += 1
-        return
-    stats.evaluated += 1
-    if not check_corollary_1_3(e, n):
-        stats.violation(e, f"critical number {critical_number(e)} is outside {{{n - 1}, {n}}}")
-    else:
-        stats.record("max_chi", "max", critical_number(e), e.to_compact())
-
-
-def _check_reconcile(e: PointSet, n: int, stats: _CheckStats) -> None:
-    if _reconcile_condition(e, n) is None:
-        stats.hypothesis_skipped += 1
-        return
-    for gamma in range(1, 1 << e.rank):
-        stats.evaluated += 1
-        try:
-            reconcile_hyperplane(e, hyperplane_of(e.rank, gamma), n)
-        except InternalInconsistencyError as exc:
-            stats.violation(e, f"gamma={gamma}: {exc}")
-            return
-
-
-_CHECK_FNS = {
-    "bose-burton": _check_bose_burton,
-    "gs": _check_gs,
-    "lemma-2.4": _check_lemma_24,
-    "lemma-2.5": _check_lemma_25,
-    "thm-3.1": _check_thm_31,
-    "thm-4.1": _check_thm_41,
-    "thm-1.1": _check_thm_11,
-    "cor-1.3": _check_cor_13,
-    "reconcile": _check_reconcile,
-}
-
-
-# ---------------------------------------------------------------------------
-# sweep driver
-# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -387,17 +353,34 @@ class SweepOutcome:
 
 
 def _sweep_range(cfg: SweepConfig, start: int, stop: int) -> dict[str, _CheckStats]:
-    stats = {name: _CheckStats() for name in cfg.checks}
-    checks = [(_CHECK_FNS[name], stats[name]) for name in cfg.checks]
+    """Gate, conclude and record every configured check on each set of the range.
+
+    A check's first failed conclusion on a set counts as one evaluation and
+    one violation, and the check moves on to the next set.
+    """
+    stats = {name: _CheckStats(_CHECKS[name]) for name in cfg.checks}
+    rows = [(_CHECKS[name].gate, _CHECKS[name].conclude, stats[name]) for name in cfg.checks]
+    n = cfg.level
     for index in range(start, stop):
         e = _universe_set(cfg, index)
-        for check, st in checks:
-            check(e, cfg.level, st)
+        for gate, conclude, st in rows:
+            if not gate(e, n):
+                st.hypothesis_skipped += 1
+                continue
+            try:
+                count, value = conclude(e, n)
+            except InternalInconsistencyError as exc:
+                st.evaluated += 1
+                st.violation(e, str(exc))
+                continue
+            st.evaluated += count
+            if value is not None:
+                st.record(value, e)
     return stats
 
 
 def _merge_stats(parts: list[dict[str, _CheckStats]], checks) -> dict[str, _CheckStats]:
-    merged = {name: _CheckStats() for name in checks}
+    merged = {name: _CheckStats(_CHECKS[name]) for name in checks}
     for part in parts:
         for name, st in part.items():
             m = merged[name]
@@ -405,8 +388,8 @@ def _merge_stats(parts: list[dict[str, _CheckStats]], checks) -> dict[str, _Chec
             m.hypothesis_skipped += st.hypothesis_skipped
             m.violations += st.violations
             m.witnesses = sorted(set(m.witnesses) | set(st.witnesses))[:5]
-            for rec_name, cand in st.extremal.items():
-                m.record(rec_name, *cand)
+            if st.extremal is not None:
+                m.record(*st.extremal)
     return merged
 
 

@@ -11,10 +11,8 @@ from pgfree.constructions import (
     bose_burton,
     complete_graph,
     direct_sum,
-    extend_rank,
     graphic_representation,
     m_k5,
-    tightness_explorer,
 )
 from pgfree.matroid import critical_number, is_pg_free, matroid_rank, triangle_count_naive
 from pgfree.pointset import PointSet, pointset_from_mask
@@ -139,34 +137,3 @@ def test_direct_sum():
 
     with pytest.raises(RankCapError):
         direct_sum(PointSet.empty(20), PointSet.empty(20))
-
-
-def test_extend_rank():
-    k5 = m_k5()
-    e = extend_rank(k5, 6)
-    assert e.rank == 6 and e.points == k5.points
-    with pytest.raises(GeometryError):
-        extend_rank(e, 4)
-
-
-def test_tightness_explorer_finds_k5():
-    found = tightness_explorer(4, 3, budget=40, seed=1)
-    assert any(e.bits == m_k5().bits for e in found)
-    for e in found:
-        assert e.size == 10
-        assert not is_pg_free(e, 3).found
-        res, _ = find_triangle_free_flat(e, 3, "exhaustive")
-        assert not res.found
-
-
-def test_tightness_explorer_deterministic():
-    a = tightness_explorer(4, 3, budget=25, seed=9)
-    b = tightness_explorer(4, 3, budget=25, seed=9)
-    assert [e.bits for e in a] == [e.bits for e in b]
-
-
-def test_tightness_explorer_validates():
-    with pytest.raises(GeometryError):
-        tightness_explorer(3, 3, budget=1)
-    with pytest.raises(GeometryError):
-        tightness_explorer(5, 2, budget=1)

@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,9 @@ from pgfree.constructions import affine_set, bose_burton, m_k5
 from pgfree.errors import ConfigError, ResourceCapError
 from pgfree.matroid import FreenessWitness
 from pgfree.pointset import PointSet
+from pgfree.search import StructureResult
 from pgfree.verify import (
+    ALL_CHECKS,
     SweepConfig,
     analyze,
     extremal_records_csv,
@@ -96,30 +99,43 @@ def test_analyze_json_is_pinned(make, digest):
 
 _PLANE = PointSet.full(3)
 _PLANE_MINUS_7 = _PLANE.without_point(7)  # six points: fano-free and dense at level 3
+_ODD_WORDS = affine_set(4, 1)  # eight points, triangle-free: gs applies at level 2
+_NO_FLAT = (StructureResult(False, None, 0, False), None)
 
 
 @pytest.mark.parametrize(
-    "check, target, patched, wrong",
+    "check, level, target, patched, wrong",
     [
+        # Bose–Burton reads the critical number of a set at the bound
+        ("bose-burton", 3, _PLANE_MINUS_7, "pgfree.verify.critical_number", 4),
+        # Govaerts–Storme reads the critical number
+        ("gs", 2, _ODD_WORDS, "pgfree.verify.critical_number", 3),
         # the counting bound reads the spectral triangle count
-        ("thm-3.1", _PLANE_MINUS_7, "pgfree.spectral.triangle_count_spectral", 10**6),
+        ("thm-3.1", 3, _PLANE_MINUS_7, "pgfree.spectral.triangle_count_spectral", 10**6),
         # Corollary 1.3 reads the critical number
-        ("cor-1.3", _PLANE_MINUS_7, "pgfree.matroid.critical_number", 0),
+        ("cor-1.3", 3, _PLANE_MINUS_7, "pgfree.matroid.critical_number", 0),
         # Lemma 2.4 reads E once the freeness gate passes: the plane itself
-        ("lemma-2.4", _PLANE, "pgfree.verify.is_pg_free", FreenessWitness(False, None)),
+        ("lemma-2.4", 3, _PLANE, "pgfree.verify.is_pg_free", FreenessWitness(False, None)),
         # the cone lemma reads each cone
-        ("lemma-2.5", _PLANE_MINUS_7, "pgfree.search.cone", PointSet.empty(3)),
+        ("lemma-2.5", 3, _PLANE_MINUS_7, "pgfree.search.cone", PointSet.empty(3)),
+        # Theorem 4.1 reads the first triangle-free hyperplane
+        ("thm-4.1", 3, _PLANE_MINUS_7, "pgfree.verify.find_pg_free_hyperplane", None),
+        # Theorem 1.1 reads the flat search
+        ("thm-1.1", 3, _PLANE_MINUS_7, "pgfree.verify.find_triangle_free_flat", _NO_FLAT),
         # rank reconciliation reads the matroid rank
-        ("reconcile", _PLANE_MINUS_7, "pgfree.search.matroid_rank", 0),
+        ("reconcile", 3, _PLANE_MINUS_7, "pgfree.search.matroid_rank", 0),
     ],
-    ids=["thm-3.1", "cor-1.3", "lemma-2.4", "lemma-2.5", "reconcile"],
+    ids=["bose-burton", "gs", "thm-3.1", "cor-1.3", "lemma-2.4", "lemma-2.5", "thm-4.1",
+         "thm-1.1", "reconcile"],
 )
-def test_failed_conclusion_is_counted_as_a_violation(check, target, patched, wrong, monkeypatch):
+def test_failed_conclusion_is_counted_as_a_violation(
+    check, level, target, patched, wrong, monkeypatch
+):
     module, name = patched.rsplit(".", 1)
     real = getattr(importlib.import_module(module), name)
     monkeypatch.setattr(patched, lambda e, *args: wrong if e == target else real(e, *args))
-    out = run_sweep(SweepConfig(rank=3, level=3, mode="exhaustive", checks=(check,)))
-    st = out.checks[check]
+    cfg = SweepConfig(rank=target.rank, level=level, mode="exhaustive", checks=(check,))
+    st = run_sweep(cfg).checks[check]
     assert st["violations"] >= 1
     assert st["witnesses"]
     assert all(w.split()[0] == target.to_compact() for w in st["witnesses"])
@@ -382,6 +398,26 @@ def test_cli_verify_roundtrip(tmp_path, capsys):
     obj = json.loads(out_path.read_text())
     assert obj["checks"]["bose-burton"]["violations"] == 0
     assert csv_path.read_text().startswith("size,rank,chi")
+
+
+def test_cli_verify_default_checks_stdout_is_pinned(capsys):
+    # no --checks: every row of ALL_CHECKS runs, in order, gs included
+    code, out, _ = run_cli(
+        ["verify", "--rank", "5", "--level", "3", "--mode", "random", "--samples", "30",
+         "--seed", "3", "--density-filter", "11/16"],
+        capsys=capsys,
+    )
+    assert code == 0
+    assert json.loads(out)["config"]["checks"] == list(ALL_CHECKS)
+    assert _sha256(out) == "ebfb3e685b9aa105fde63363bf320a051a811472815baa0b47a95d18b14414a8"
+
+
+def test_readme_check_table_lists_all_checks():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### verify", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1].strip() for line in section.splitlines() if line.startswith("|")]
+    assert rows[:2] == ["token", "-" * len(rows[1])]
+    assert tuple(rows[2:]) == ALL_CHECKS
 
 
 def test_cli_verify_bad_config_exit_1(capsys):
