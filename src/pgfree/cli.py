@@ -16,6 +16,8 @@ import json
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (
     ConfigError,
     GeometryError,
@@ -192,9 +194,10 @@ def _cmd_spectrum(args) -> int:
     if args.top is not None:
         if args.top < 0:
             raise _UsageError(f"--top must be >= 0, got {args.top}")
-        order = sorted(range(len(coeffs)), key=lambda g: (-abs(int(coeffs[g])), g))
-        for g in order[: args.top]:
-            print(f"{g},{int(coeffs[g])}")
+        # a stable sort keeps ascending gamma among equal magnitudes
+        order = np.argsort(-np.abs(coeffs), kind="stable")[: args.top]
+        for g, v in zip(order.tolist(), coeffs[order].tolist()):
+            print(f"{g},{v}")
     else:
         for g, v in enumerate(coeffs.tolist()):
             print(f"{g},{v}")

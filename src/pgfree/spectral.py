@@ -2,13 +2,17 @@
 
 The transform of the indicator of a point set E is
 coeff(gamma) = sum over words y in E of (-1)^(y . gamma), computed for all
-2^r characters at once by the in-place size-doubling butterfly.  All
-arithmetic is integer-exact.  The butterfly runs in int32, because every
+2^r characters at once by the size-doubling butterfly.  All arithmetic is
+integer-exact.  The six narrowest stages (widths 1 to 32) are read off
+the bitset's 64-bit words by popcounts, so no indicator array is built.
+The wider stages run in place: first every stage narrower than a
+cache-sized block of ``_BLOCK`` entries, one block at a time, then the
+rest over the whole table.  The butterfly runs in int32, because every
 partial sum it forms is bounded by |E| < 2^24, and the spectrum is kept
 as int64.  A cube sum can reach 2^72 at the rank cap, so it is taken
-twice: as its residue mod 2^64 from wrapping int64 arithmetic, and as a
-float64 estimate within 2^44 of the truth; together they fix the exact
-integer (see ``_exact_cube_sum``).
+twice, one block at a time: as its residue mod 2^64 from wrapping int64
+arithmetic, and as a float64 estimate within 2^44 of the truth; together
+they fix the exact integer (see ``_exact_cube_sum``).
 """
 
 from __future__ import annotations
@@ -21,24 +25,54 @@ import numpy as np
 from .errors import HypothesisError, InternalInconsistencyError
 from .pointset import PointSet, memoized
 
+# Entries per cache-sized block: 256 KiB of int32, 512 KiB of int64.
+_BLOCK = 1 << 16
 
-def fwht_inplace(a: np.ndarray) -> np.ndarray:
+# Bit v of _WORD_MASKS[u] is set iff u . v is odd (u, v < 64): where
+# character u is negative on the 64 words that one bitset word holds.
+_WORD_MASKS = np.array(
+    [sum(1 << v for v in range(64) if (u & v).bit_count() & 1) for u in range(64)],
+    dtype=np.uint64,
+)
+
+
+def _butterfly(a: np.ndarray, h: int) -> None:
+    """The stage of width h, in place: (x, y) -> (x + y, x - y)."""
+    b = a.reshape(-1, 2, h)
+    x = b[:, 0, :]
+    y = b[:, 1, :]
+    x += y
+    y *= -2
+    y += x
+
+
+def fwht_inplace(a: np.ndarray, width: int = 1) -> np.ndarray:
     """Size-doubling butterfly, in place; a.size must be a power of two.
 
-    Applying it twice multiplies the input by a.size.  After the stage of
-    width h, each entry is a signed sum of 2h input entries, so on a 0/1
-    indicator of a set E every intermediate value is bounded by |E| in
-    magnitude, and int32 is exact for |E| < 2^31.
+    Runs the stages of width ``width``, 2*width, ..., a.size/2, so a
+    caller that has already run the narrower stages passes the first
+    width left.  Stages narrower than ``_BLOCK`` entries run one block at
+    a time, so that each block stays in cache across them; the wider
+    stages then run over the whole array.  From width 1, applying it
+    twice multiplies the input by a.size.
+
+    After the stage of width h, each entry is a signed sum of 2h input
+    entries, so on a 0/1 indicator of a set E every value formed is
+    bounded by 2|E| in magnitude (a stage doubles y before it forms
+    x - y), and int32 is exact for |E| < 2^30.  Other input wraps like
+    its dtype, so the result is exact whenever it fits.
     """
     n = a.size
-    h = 1
+    block = min(n, _BLOCK)
+    if width < block:
+        for b in a.reshape(-1, block):
+            h = width
+            while h < block:
+                _butterfly(b, h)
+                h *= 2
+    h = max(width, block)
     while h < n:
-        b = a.reshape(-1, 2, h)
-        x = b[:, 0, :]
-        y = b[:, 1, :]
-        t = x - y
-        x += y
-        y[...] = t
+        _butterfly(a, h)
         h *= 2
     return a
 
@@ -74,23 +108,43 @@ class Spectrum:
 def walsh_hadamard(E: PointSet) -> Spectrum:
     """Exact transform of the indicator of E over all 2^r characters.
 
-    The butterfly runs in int32, exact since |E| < 2^24 bounds every
-    partial sum (see ``fwht_inplace``); the table is then widened to int64,
-    in which squares are exact and cubes wrap (see ``_exact_cube_sum``).
+    The first min(r, 6) stages come from the bitset's little-endian 64-bit
+    words w_j: after them, entry 64j + u is the sum of (-1)^(u . v) over
+    the members 64j + v that w_j holds, which is |w_j| - 2|w_j & M_u| with
+    M_u = ``_WORD_MASKS[u]``.  Below r = 6 the one word has no bit at or
+    above 2^r, so only the low 2^r bits of each mask count and the first
+    2^r entries are the whole transform.  ``fwht_inplace`` runs the
+    stages from width 64.  The butterfly runs in int32, exact since
+    |E| < 2^24 bounds every partial sum; the table is then widened to
+    int64, in which squares are exact and cubes wrap (see
+    ``_exact_cube_sum``).
     """
-    a = E.indicator().astype(np.int32)
-    fwht_inplace(a)
+    n = 1 << E.rank
+    words = np.frombuffer(E.bits.to_bytes(max(n >> 3, 8), "little"), dtype="<u8")
+    a = np.empty((words.size, 64), dtype=np.int32)
+    step = max(_BLOCK >> 6, 1)
+    for j in range(0, words.size, step):
+        w = words[j : j + step]
+        rows = a[j : j + step]
+        np.multiply(np.bitwise_count(w[:, None] & _WORD_MASKS), -2, out=rows, dtype=np.int32)
+        rows += np.bitwise_count(w)[:, None]
+    a = a.reshape(-1)[:n]
+    fwht_inplace(a, 64)
     return Spectrum(E.rank, a.astype(np.int64), E.size)
 
 
 def _exact_cube_sum(c: np.ndarray) -> int:
     """sum(c^3) over an int64 array, exactly, as a Python integer.
 
-    int64 arithmetic wraps, so ``np.dot(c*c, c)`` is the sum mod 2^64 (c*c
-    itself is exact).  A float64 evaluation of the same sum estimates it:
-    each c and c^2 is exact in float64, each product is rounded once and
-    summing n terms adds at most (n-1) more roundings, so the estimate is
-    within n * 2^-53 * sum(|c|^3) of the truth.  For a spectrum of E,
+    The array is taken in chunks d of ``_BLOCK`` entries, so no temporary
+    is larger than a block.  int64 arithmetic wraps, so ``np.dot(d*d, d)``
+    is a chunk's sum mod 2^64 (d*d itself is exact), and the chunks'
+    residues, added as Python integers, give the sum mod 2^64.  A float64
+    evaluation of the same sum estimates it: each c and c^2 is exact in
+    float64, each product is rounded once and no term passes through more
+    than n-1 rounded additions, in whatever order the terms within a
+    chunk and the chunks' estimates are added, so the estimate is within
+    n * 2^-53 * sum(|c|^3) of the truth.  For a spectrum of E,
     sum(|c|^3) <= max|c| * sum(c^2) = |E|^2 2^r <= 2^72 and n = 2^r <= 2^24,
     so the error is below 2^44, far below 2^63: the unique integer that is
     congruent to the residue mod 2^64 and within 2^63 of the estimate is
@@ -98,11 +152,13 @@ def _exact_cube_sum(c: np.ndarray) -> int:
     |c| < 2^26 (so that c^2 is exact in both types) and
     n * sum(|c|^3) < 2^115.
     """
-    residue = int(np.dot(c * c, c))
-    f = c.astype(np.float64)
-    f *= f
-    f *= c
-    estimate = int(f.sum())
+    residue, estimate = 0, 0.0
+    for i in range(0, c.size, _BLOCK):
+        d = c[i : i + _BLOCK]
+        sq = d * d
+        residue += int(np.dot(sq, d))
+        estimate += float(np.multiply(sq, d, dtype=np.float64).sum())
+    estimate = int(estimate)
     return estimate + ((residue - estimate + (1 << 63)) % (1 << 64) - (1 << 63))
 
 
@@ -165,15 +221,21 @@ def uniformity(E: PointSet) -> UniformityReport:
     """epsilon_min = (max nontrivial |coeff|) / 2^r, with its witness.
 
     Equivalently the least epsilon such that every hyperplane H satisfies
-    (|E| - eps*2^r)/2 <= |E ∩ H| <= (|E| + eps*2^r)/2.
+    (|E| - eps*2^r)/2 <= |E ∩ H| <= (|E| + eps*2^r)/2.  The witness is the
+    least gamma of greatest |coeff|.
     """
-    spec = walsh_hadamard(E)
-    mags = np.abs(spec.coeffs[1:])
-    worst = int(np.argmax(mags)) + 1
+    c = walsh_hadamard(E).coeffs[1:]
+    # np.argmax and np.argmin copy a read-only table, so the extremes come
+    # from reductions and each witness from a boolean array; argmax of a
+    # boolean array is its first True
+    top, bottom = int(c.max()), -int(c.min())
+    m = max(top, bottom)
+    hi = int(np.argmax(c == m)) if top == m else c.size
+    lo = int(np.argmax(c == -m)) if bottom == m else c.size
     return UniformityReport(
         alpha=E.density,
-        epsilon_min=Fraction(int(mags[worst - 1]), 1 << E.rank),
-        worst_gamma=worst,
+        epsilon_min=Fraction(m, 1 << E.rank),
+        worst_gamma=min(hi, lo) + 1,
     )
 
 

@@ -8,9 +8,10 @@ from hypothesis import given, strategies as st
 
 from pgfree.constructions import affine_set, bose_burton
 from pgfree.errors import HypothesisError, InternalInconsistencyError
-from pgfree.pointset import PointSet
+from pgfree.pointset import PointSet, pointset_from_mask
 from pgfree.spectral import (
     Spectrum,
+    _BLOCK,
     _exact_cube_sum,
     claim_quantities,
     counting_bound_check,
@@ -80,20 +81,33 @@ def test_involution_recovers_indicator():
         assert np.array_equal(a, e.indicator().astype(np.int64) << r)
 
 
-@pytest.mark.parametrize("r", range(1, 17))
-def test_int32_transform_matches_copying_int64_butterfly(r):
-    rng = np.random.default_rng(r)
+def _assert_transforms_match_copying_butterfly(r, rng):
     for density in (0.1, 0.5, 1.0):
         mask = rng.random(1 << r) < density
         mask[0] = False
-        e = PointSet.from_points(r, np.nonzero(mask)[0].tolist())
+        e = pointset_from_mask(r, mask)
         coeffs = walsh_hadamard(e).coeffs
         assert coeffs.dtype == np.int64
-        assert np.array_equal(coeffs, copying_fwht(e.indicator().astype(np.int64)))
+        assert np.array_equal(coeffs, copying_fwht(mask.astype(np.int64)))
     # the in-place butterfly on arbitrary int64 input, as the per-hyperplane
     # counts use it
     a = rng.integers(-(1 << 20), 1 << 20, 1 << r)
     assert np.array_equal(fwht_inplace(a.copy()), copying_fwht(a.copy()))
+
+
+# 17 and 18 run wide stages past a whole block
+@pytest.mark.parametrize("r", range(1, 19))
+def test_int32_transform_matches_copying_int64_butterfly(r):
+    _assert_transforms_match_copying_butterfly(r, np.random.default_rng(r))
+
+
+# blocks smaller than a word's 64 entries, as large as one, and many blocks
+# to a table
+@pytest.mark.parametrize("block", [2, 8, 64])
+@pytest.mark.parametrize("r", range(1, 13))
+def test_transforms_match_copying_butterfly_at_any_block_size(r, block, monkeypatch):
+    monkeypatch.setattr("pgfree.spectral._BLOCK", block)
+    _assert_transforms_match_copying_butterfly(r, np.random.default_rng(100 * r + block))
 
 
 def test_uniformity_affine_and_empty():
@@ -104,6 +118,24 @@ def test_uniformity_affine_and_empty():
     assert rep.alpha == Fraction(1, 2)
     assert rep.worst_gamma == g
     assert uniformity(PointSet.empty(4)).epsilon_min == 0
+
+
+def test_uniformity_witness_is_least_gamma_of_greatest_magnitude():
+    # every set at r=3 and r=4 containing word 1: ties between a positive
+    # and a negative coefficient occur in both index orders
+    orders = set()
+    for r in (3, 4):
+        for mask in range(0, 1 << ((1 << r) - 1), 2):
+            e = PointSet(r, (mask | 1) << 1)
+            c = direct_walsh(e.points, r)
+            top = max(abs(v) for v in c[1:])
+            rep = uniformity(e)
+            assert rep.epsilon_min == Fraction(top, 1 << r)
+            assert rep.worst_gamma == min(g for g in range(1, 1 << r) if abs(c[g]) == top)
+            signs = [c[g] > 0 for g in range(1, 1 << r) if abs(c[g]) == top]
+            if True in signs and False in signs:
+                orders.add(signs[0])
+    assert orders == {True, False}
 
 
 def test_uniformity_matches_hyperplane_loop():
@@ -267,6 +299,18 @@ _CUBE_SUM_BASES = [
 def test_exact_cube_sum_across_int64_boundaries(base, tail):
     c = np.array(base + tail, dtype=np.int64)
     assert _exact_cube_sum(c) == sum(v**3 for v in base + tail)
+
+
+@pytest.mark.parametrize("base", _CUBE_SUM_BASES)
+def test_exact_cube_sum_across_chunk_boundaries(base):
+    # lengths that are not a multiple of the chunk, with the extremes split
+    # every way across the first chunk boundary
+    rng = np.random.default_rng(len(base))
+    for n in (_BLOCK + 3, 2 * _BLOCK + 1):
+        for split in range(len(base) + 1):
+            c = rng.integers(-(1 << 12), 1 << 12, n, endpoint=True)
+            c[_BLOCK - split : _BLOCK - split + len(base)] = base
+            assert _exact_cube_sum(c) == python_cube_sum(c)
 
 
 def test_exact_cube_sum_on_long_wide_arrays():

@@ -22,6 +22,8 @@ from pgfree.verify import (
     sample_pointset,
 )
 
+from oracles import direct_walsh
+
 
 def test_sweep_config_validation():
     with pytest.raises(ConfigError):
@@ -337,6 +339,24 @@ def test_cli_spectrum(monkeypatch, capsys):
     rows = out.strip().split("\n")[1:]
     assert len(rows) == 2
     assert {r.split(",")[0] for r in rows} == {"0", "1"}
+
+
+@pytest.mark.parametrize("e", [bose_burton(6, 3), affine_set(6, 0b101101)])
+@pytest.mark.parametrize("top", [0, 5, 100])
+def test_cli_spectrum_top_orders_ties_by_gamma(e, top, monkeypatch, capsys):
+    # both sets have many coefficients of equal magnitude; the rows must
+    # follow magnitude descending, then gamma ascending
+    coeffs = direct_walsh(e.points, e.rank)
+    order = sorted(range(len(coeffs)), key=lambda g: (-abs(coeffs[g]), g))
+    expect = ["gamma,coefficient"] + [f"{g},{coeffs[g]}" for g in order[:top]]
+    code, out, _ = run_cli(
+        ["spectrum", "--top", str(top)],
+        stdin_text=e.to_compact(),
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert code == 0
+    assert out.splitlines() == expect
 
 
 def test_cli_count_triangles(monkeypatch, capsys):
