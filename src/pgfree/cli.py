@@ -51,11 +51,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise PointSetParseError(f"not UTF-8 text (byte {exc.start})", path) from None
+
+
 def _read_pointset(path: str | None) -> PointSet:
     if path is None or path == "-":
         return PointSet.parse(sys.stdin.read(), where="stdin")
-    with open(path, "r", encoding="utf-8") as fh:
-        return PointSet.parse(fh.read(), where=path)
+    return PointSet.parse(_read_text(path), where=path)
 
 
 def _emit_pointset(e: PointSet, fmt: str) -> None:
@@ -79,21 +86,20 @@ def _graph_int(text: str, where: str) -> int:
 def _read_graph(path: str) -> GraphSpec:
     vertex_count = None
     edges = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
-            where = f"{path}:{lineno}"
-            if vertex_count is None:
-                if fields[0] != "vertices" or len(fields) != 2:
-                    raise PointSetParseError('first line must be "vertices N"', where)
-                vertex_count = _graph_int(fields[1], where)
-                continue
-            if len(fields) != 2:
-                raise PointSetParseError('edge lines must be "u v"', where)
-            edges.append((_graph_int(fields[0], where), _graph_int(fields[1], where)))
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        where = f"{path}:{lineno}"
+        if vertex_count is None:
+            if fields[0] != "vertices" or len(fields) != 2:
+                raise PointSetParseError('first line must be "vertices N"', where)
+            vertex_count = _graph_int(fields[1], where)
+            continue
+        if len(fields) != 2:
+            raise PointSetParseError('edge lines must be "u v"', where)
+        edges.append((_graph_int(fields[0], where), _graph_int(fields[1], where)))
     if vertex_count is None:
         raise PointSetParseError("empty graph file", path)
     return GraphSpec.from_edges(vertex_count, edges)

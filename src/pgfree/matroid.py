@@ -7,25 +7,29 @@ rank (with a witness), its triangle count by summing |E ∩ (E + x)| over the
 points x (independently of the Fourier transform), and its critical number
 (the least corank of a flat of the ambient geometry disjoint from E).
 
-Both the subgeometry search and the triangle count work on E as a bitset of
-64-bit words and translate it by gathers from its 64 in-word XOR
-permutations.  The search fixes its first generators by a DFS, and decides
-the last three by the cone lemma: an apex x completes the span S iff the
-cone of E_S at x holds a pair, which a batched kernel tests for a block of
-apexes at once; the least apex with a hit is the one the DFS fixes.  The
-witness keeps those generators and spans its flat only when it is read.
+In an ambient of rank r <= 6 the whole geometry is one 64-bit word, and the
+subgeometry search is one lookup in a table of all rank-n flats, built once
+per (r, n) and sorted by each flat's least generating tuple.  In larger
+ambients the search and the triangle count work on E as a bitset of 64-bit
+words and translate it by gathers from its 64 in-word XOR permutations.
+The search fixes its first generators by a DFS, and decides the last three
+by the cone lemma: an apex x completes the span S iff the cone of E_S at x
+holds a pair, which a batched kernel tests for a block of apexes at once;
+the least apex with a hit is the one the DFS fixes.  The witness keeps the
+generators and spans its flat only when it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .errors import GeometryError, HypothesisError
-from .geometry import Flat, closure, echelon_basis, kernel_basis, rank_of
+from .geometry import Flat, closure, echelon_basis, enumerate_flats, flat_points, kernel_basis, rank_of
 from .pointset import SMALL_SET_POINTS, PointSet, memoized, pointset_from_words
 
 
@@ -82,12 +86,14 @@ def is_pg_free(E: PointSet, n: int) -> FreenessWitness:
     found=False iff no such subspace exists, i.e. E is PG(n-1,2)-free.
     The witness is the canonically least generating tuple g_1 < ... < g_n
     of points of E, each g_i outside the span S of the earlier ones with
-    g_i ^ s in E for every s in S.  A DFS in ascending word order fixes
-    the first n-3 generators; g_{n-2} is the least apex that the batched
-    cone kernel ``_least_triple`` finds a completion for, and the last two
-    are the least pair a < b found by ``_least_pair`` (see both).  The
-    answer is remembered in E.memo, once per n.  Its flat is spanned from
-    the generators when ``subspace`` is first read, not by the search.
+    g_i ^ s in E for every s in S.  At r <= 6 it is the first row of
+    ``_flat_table(r, n)`` whose flat lies inside E: one AND over the
+    table's masks.  Above, a DFS in ascending word order fixes the first
+    n-3 generators; g_{n-2} is the least apex that the batched cone kernel
+    ``_least_triple`` finds a completion for, and the last two are the
+    least pair a < b found by ``_least_pair`` (see both).  The answer is
+    remembered in E.memo, once per n.  Its flat is spanned from the
+    generators when ``subspace`` is first read, not by the search.
     """
     if n < 1:
         raise GeometryError("subgeometry rank must be >= 1")
@@ -100,6 +106,53 @@ def is_pg_free(E: PointSet, n: int) -> FreenessWitness:
 def _search_subgeometry(E: PointSet, n: int) -> FreenessWitness:
     """The least generating tuple of a rank-n flat inside E, as a witness.
 
+    An ambient of at most SMALL_SET_POINTS words is one bitset word, and
+    the answer is read off its table of flats (see ``_flat_table``);
+    larger ambients run the DFS of ``_dfs_generators``.
+    """
+    if n > E.rank or E.size < (1 << n) - 1:
+        return FreenessWitness(False, None)
+    if (1 << E.rank) <= SMALL_SET_POINTS:
+        masks, generators = _flat_table(E.rank, n)
+        missing = masks & np.uint64(E.bits ^ 0xFFFFFFFFFFFFFFFF)
+        i = int(missing.argmin())
+        gens = None if missing[i] else list(generators[i])
+    else:
+        gens = _dfs_generators(E, n)
+    if gens is None:
+        return FreenessWitness(False, None)
+    return FreenessWitness._spanned_by(E.rank, gens)
+
+
+
+@lru_cache(maxsize=None)
+def _flat_table(r: int, n: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+    """Every rank-n flat of the rank-r ambient, for 2^r <= SMALL_SET_POINTS.
+
+    Row i holds the flat's points as one uint64 mask and its least
+    generating tuple: g_1 is its least point and each later g_i its least
+    point outside the span of the earlier ones.  That tuple is ascending
+    and the least ascending tuple that generates the flat, so the rows,
+    sorted by it, put first the flat inside E whose tuple the DFS finds:
+    the lexicographically least generating tuple over all flats inside E.
+    """
+    rows = []
+    for f in enumerate_flats(r, r - n):
+        mask = flat_points(f).bits
+        gens, span, rest = [], [0], mask
+        while rest:
+            g = (rest & -rest).bit_length() - 1
+            gens.append(g)
+            span += [s ^ g for s in span]
+            rest &= ~sum(1 << w for w in span)
+        rows.append((tuple(gens), mask))
+    rows.sort()
+    return np.array([m for _, m in rows], dtype=np.uint64), tuple(g for g, _ in rows)
+
+
+def _dfs_generators(E: PointSet, n: int) -> Optional[list[int]]:
+    """The least generating tuple of a rank-n flat inside E, by a DFS.
+
     A node of the DFS holds the span S of the generators fixed so far.  At
     the node of g_{n-2} (the root when n = 3) and at the node of g_{n-1},
     a pool of more than SMALL_SET_POINTS remaining points goes to the
@@ -107,8 +160,6 @@ def _search_subgeometry(E: PointSet, n: int) -> FreenessWitness:
     find first; smaller pools stay in the loop, whose per-call cost is
     lower.
     """
-    if n > E.rank or E.size < (1 << n) - 1:
-        return FreenessWitness(False, None)
     bits = E.bits
     pts = E.points
     gens: list[int] = []
@@ -135,9 +186,7 @@ def _search_subgeometry(E: PointSet, n: int) -> FreenessWitness:
                 gens.pop()
         return False
 
-    if dfs([], 0):
-        return FreenessWitness._spanned_by(E.rank, gens)
-    return FreenessWitness(False, None)
+    return gens if dfs([], 0) else None
 
 
 def _least_triple(E: PointSet, span_pts: list[int], start: int) -> Optional[tuple[int, int, int]]:

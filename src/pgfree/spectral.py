@@ -115,13 +115,19 @@ def walsh_hadamard(E: PointSet) -> Spectrum:
     above 2^r, so only the low 2^r bits of each mask count and the first
     2^r entries are the whole transform.  ``fwht_inplace`` runs the
     stages from width 64.  The butterfly runs in int32, exact since
-    |E| < 2^24 bounds every partial sum; the table is then widened to
-    int64, in which squares are exact and cubes wrap (see
-    ``_exact_cube_sum``).
+    |E| < 2^24 bounds every partial sum, in the upper half of the int64
+    table that it is then widened into, one block at a time, so the two
+    tables never take more than the int64 one's memory.  In int64,
+    squares are exact and cubes wrap (see ``_exact_cube_sum``).
     """
     n = 1 << E.rank
     words = np.frombuffer(E.bits.to_bytes(max(n >> 3, 8), "little"), dtype="<u8")
-    a = np.empty((words.size, 64), dtype=np.int32)
+    out = np.empty(64 * words.size, dtype=np.int64)
+    # The int32 table is the upper half of the int64 one.  Widened front to
+    # back, int64 entry i covers int32 entries 2i - N and 2i - N + 1 (N =
+    # out.size), which are at most i and so read by then; taken a block at
+    # a time, any temporary numpy makes stays block-sized.
+    a = out.view(np.int32)[out.size :].reshape(-1, 64)
     step = max(_BLOCK >> 6, 1)
     for j in range(0, words.size, step):
         w = words[j : j + step]
@@ -130,7 +136,10 @@ def walsh_hadamard(E: PointSet) -> Spectrum:
         rows += np.bitwise_count(w)[:, None]
     a = a.reshape(-1)[:n]
     fwht_inplace(a, 64)
-    return Spectrum(E.rank, a.astype(np.int64), E.size)
+    coeffs = out[:n]
+    for i in range(0, n, _BLOCK):
+        coeffs[i : i + _BLOCK] = a[i : i + _BLOCK]
+    return Spectrum(E.rank, coeffs, E.size)
 
 
 def _exact_cube_sum(c: np.ndarray) -> int:

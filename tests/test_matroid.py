@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from pgfree.constructions import affine_set, bose_burton
 from pgfree.errors import GeometryError, HypothesisError
-from pgfree.geometry import closure, flat_points, hyperplane_of
+from pgfree.geometry import closure, flat_points, gaussian_binomial, hyperplane_of
 from pgfree.matroid import (
     _NAIVE_PYTHON_CUTOFF,
     FreenessWitness,
@@ -263,10 +263,15 @@ def test_is_pg_free_memo_is_per_instance():
 
 
 def test_lazy_witness_spans_the_dfs_generators():
+    # r <= 6 reads the table of flats; at r = 7 the sets of at most 64
+    # points run the DFS loop alone, the larger ones its vectorised searches
     rng = random.Random(41)
     for r in (4, 5, 6, 7):
-        for density in (0.3, 0.6, 0.9):
-            e = PointSet.from_points(r, [w for w in range(1, 1 << r) if rng.random() < density])
+        sets = [PointSet.from_points(r, [w for w in range(1, 1 << r) if rng.random() < density])
+                for density in (0.3, 0.6, 0.9)]
+        if r == 7:
+            sets += [PointSet.from_points(r, rng.sample(range(1, 128), k)) for k in (20, 45, 64)]
+        for e in sets:
             for n in (1, 2, 3, 4):
                 gens = dfs_least_generators(e.points, n)
                 w = is_pg_free(e, n)
@@ -306,9 +311,11 @@ def test_sweep_spans_no_witness_flat(monkeypatch):
 
 def _span_point_after_g2_sets(r, rng):
     """Sets with 1, 2 and 3 = 1 ^ 2: the DFS takes g_1 = 1 and g_2 = 2, and
-    then meets the span point 3 first among the candidates for g_3."""
+    then meets the span point 3 first among the candidates for g_3.  Above
+    r = 6 the densities shrink, so that the sets keep at most 64 points."""
+    scale = min(1.0, 64 / (1 << r))
     for density in (0.2, 0.5, 0.8):
-        words = {1, 2, 3} | {w for w in range(4, 1 << r) if rng.random() < density}
+        words = {1, 2, 3} | {w for w in range(4, 1 << r) if rng.random() < density * scale}
         yield PointSet.from_points(r, words)
 
 
@@ -320,15 +327,85 @@ def test_dfs_without_span_set_matches_dfs_oracle():
     for n in (3, 4):
         # {1, 2, 3} is a line: 3 must not be taken as g_3
         assert not is_pg_free(PointSet.from_points(5, [1, 2, 3]), n).found
+    # r <= 6 reads the table of flats; r = 7 keeps the DFS loop covered
     rng = random.Random(43)
-    for r in (5, 6):
+    for r in (5, 6, 7):
         cases = list(_span_point_after_g2_sets(r, rng))
-        cases += [PointSet.from_points(r, rng.sample(range(1, 1 << r), rng.randint(5, (1 << r) - 1)))
+        cases += [PointSet.from_points(r, rng.sample(range(1, 1 << r), rng.randint(5, min(64, (1 << r) - 1))))
                   for _ in range(12)]
         for e in cases:
             assert e.size <= 64
             for n in (1, 2, 3, 4):
                 assert_matches_dfs(e, n)
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_flat_table_lists_every_flat_once_by_least_generators(r):
+    import pgfree.matroid as matroid
+
+    for n in range(1, r + 1):
+        masks, generators = matroid._flat_table(r, n)
+        assert masks.dtype == np.uint64
+        assert len(masks) == len(generators) == gaussian_binomial(r, n)
+        assert list(generators) == sorted(set(generators))
+        for mask, gens in zip(masks.tolist(), generators):
+            assert mask.bit_count() == (1 << n) - 1
+            assert mask == flat_points(closure(r, gens)).bits
+            # g_1 is the least point, each later g_i the least point outside
+            # the span of the earlier ones
+            for i, g in enumerate(gens):
+                span = flat_points(closure(r, gens[:i])).bits if i else 0
+                rest = mask & ~span
+                assert g == (rest & -rest).bit_length() - 1
+
+
+def _assert_table_witness_is_dfs_tuple(e):
+    for n in range(1, e.rank + 1):
+        gens = dfs_least_generators(e.points, n)
+        w = is_pg_free(e, n)
+        assert w.found == (gens is not None), (e.to_compact(), n)
+        if gens is not None:
+            assert w._span == (e.rank, list(gens)), (e.to_compact(), n)
+            assert w.subspace == closure(e.rank, gens)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_table_witness_is_dfs_tuple_on_every_set(r):
+    for bits in range(0, 1 << (1 << r), 2):
+        _assert_table_witness_is_dfs_tuple(PointSet(r, bits))
+
+
+@pytest.mark.parametrize("r", [4, 5, 6])
+def test_table_witness_is_dfs_tuple_on_seeded_sets(r):
+    # the oracle's no-witness searches on bose_burton(6, 5 or 6) take
+    # seconds to a minute, so the levels stop at 4
+    rng = random.Random(500 + r)
+    sets = [bose_burton(r, level) for level in range(2, min(r, 4) + 1)]
+    sets += [PointSet.from_points(r, [w for w in range(1, 1 << r) if rng.random() < rng.random()])
+             for _ in range(20)]
+    for e in sets:
+        _assert_table_witness_is_dfs_tuple(e)
+
+
+def test_flat_table_replaces_the_dfs_up_to_rank_6(monkeypatch):
+    import pgfree.matroid as matroid
+
+    calls = []
+    for name in ("_least_triple", "_least_pair", "_dfs_generators"):
+        real = getattr(matroid, name)
+        monkeypatch.setattr(matroid, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    rng = random.Random(47)
+    for r in range(1, 7):
+        sets = [PointSet.full(r), PointSet.from_points(r, [w for w in range(1, 1 << r) if rng.random() < 0.7])]
+        sets += [bose_burton(r, level) for level in range(2, min(r, 4) + 1)]
+        for e in sets:
+            for n in range(1, r + 1):
+                is_pg_free(e, n)
+    assert calls == []
+    # at r = 7 a pool of more than 64 points reaches the vectorised searches
+    full = PointSet.full(7)
+    assert is_pg_free(full, 3).found and is_pg_free(full, 4).found
+    assert set(calls) == {"_least_triple", "_least_pair", "_dfs_generators"}
 
 
 def test_is_pg_free_rejects_bad_n():

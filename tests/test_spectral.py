@@ -101,6 +101,25 @@ def test_int32_transform_matches_copying_int64_butterfly(r):
     _assert_transforms_match_copying_butterfly(r, np.random.default_rng(r))
 
 
+def test_transform_widens_in_place():
+    # The int32 butterfly runs in the upper half of the int64 table, so the
+    # transform's peak is the int64 table plus block-sized temporaries, not
+    # the int32 table and the int64 one side by side (1.5 times as much).
+    import tracemalloc
+
+    r = 20
+    e = sample_pointset(r, 1, 0)
+    e.bits
+    tracemalloc.start()
+    try:
+        coeffs = walsh_hadamard(e).coeffs
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * coeffs.nbytes
+    assert np.array_equal(coeffs, copying_fwht(e.indicator().astype(np.int64)))
+
+
 # blocks smaller than a word's 64 entries, as large as one, and many blocks
 # to a table
 @pytest.mark.parametrize("block", [2, 8, 64])

@@ -501,3 +501,25 @@ def test_cli_malformed_input_exit_1_one_line(
     code, out, err = run_cli(args, stdin_text=stdin_text, monkeypatch=monkeypatch, capsys=capsys)
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith(("error:", "usage error:"))
+
+
+@pytest.mark.parametrize(
+    "flag_args",
+    [["analyze", "--in"], ["construct", "--kind", "graphic", "--edges-file"]],
+    ids=["analyze-in", "graphic-edges-file"],
+)
+def test_cli_non_utf8_file_exit_1_one_line(flag_args, tmp_path):
+    # run as a process, so that an escaping exception would show its traceback
+    import subprocess
+    import sys
+
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "pgfree.cli", *flag_args, str(bad)],
+        capture_output=True, text=True, env={"PYTHONPATH": src},
+    )
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr and str(bad) in proc.stderr
