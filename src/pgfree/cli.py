@@ -12,6 +12,7 @@ resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -105,6 +106,9 @@ def _read_graph(path: str) -> GraphSpec:
     return GraphSpec.from_edges(vertex_count, edges)
 
 
+# parse_args leaves the parser as it found it (the append action of
+# construct --in copies its default list), so one parser serves every main call
+@functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="pgfree", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)

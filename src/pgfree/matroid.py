@@ -30,13 +30,34 @@ import numpy as np
 
 from .errors import GeometryError, HypothesisError
 from .geometry import Flat, closure, echelon_basis, enumerate_flats, flat_points, kernel_basis, rank_of
-from .pointset import SMALL_SET_POINTS, PointSet, memoized, pointset_from_words
+from .pointset import SMALL_SET_POINTS, PointSet, memoized, pointset_from_mask, pointset_from_words
 
 
 @memoized
 def matroid_rank(E: PointSet) -> int:
-    """Rank of the represented matroid: GF(2) rank of the points of E."""
-    return rank_of(E)
+    """Rank of the represented matroid: GF(2) rank of the points of E.
+
+    A set holding a word of each bit length spans the ambient (see
+    ``_spans_by_bit_lengths``); any other set is eliminated by ``rank_of``.
+    """
+    return E.rank if _spans_by_bit_lengths(E) else rank_of(E)
+
+
+def _spans_by_bit_lengths(E: PointSet) -> bool:
+    """Whether E holds a word of each bit length 1..r.
+
+    Words whose highest set bits differ are independent, so r such words
+    span GF(2)^r.  A spanning set without them gets False: this only
+    certifies full rank.  The words of bit length k + 1 are bits 2^k to
+    2^(k+1) - 1 of the bitset, tested from the top down as it is halved,
+    so no array of the words is built.
+    """
+    bits = E.bits
+    for k in range(E.rank - 1, -1, -1):
+        if not bits >> (1 << k):
+            return False
+        bits &= (1 << (1 << k)) - 1
+    return True
 
 
 @dataclass(frozen=True)
@@ -122,7 +143,6 @@ def _search_subgeometry(E: PointSet, n: int) -> FreenessWitness:
     if gens is None:
         return FreenessWitness(False, None)
     return FreenessWitness._spanned_by(E.rank, gens)
-
 
 
 @lru_cache(maxsize=None)
@@ -474,18 +494,23 @@ def critical_number(E: PointSet) -> int:
     Computed as r minus the maximum rank of a flat inside the complement,
     after first quotienting out the stabilizer subspace of E (read off the
     Fourier support) so that structured sets collapse to a small ambient.
+    A support with a word of each bit length spans, so nothing is quotiented
+    out and no basis of it is built.
     """
     if E.size == 0:
         return 0
     from .spectral import walsh_hadamard
 
     spec = walsh_hadamard(E)
-    support = (np.nonzero(spec.coeffs[1:])[0] + 1).tolist()
-    support_basis = echelon_basis(int(g) for g in support)
-    if len(support_basis) < E.rank:
-        # E is a union of cosets of the (r-d)-dimensional subspace orthogonal
-        # to its d-dimensional support: its rank-d image has the same chi
-        E = _image(E.points_array, support_basis)
+    nonzero = spec.coeffs != 0
+    nonzero[0] = False
+    support = pointset_from_mask(E.rank, nonzero)
+    if not _spans_by_bit_lengths(support):
+        support_basis = echelon_basis(support.points)
+        if len(support_basis) < E.rank:
+            # E is a union of cosets of the (r-d)-dimensional subspace orthogonal
+            # to its d-dimensional support: its rank-d image has the same chi
+            E = _image(E.points_array, support_basis)
     return E.rank - max_flat_rank_inside(E.complement())
 
 

@@ -210,7 +210,7 @@ class SweepConfig:
             raise ConfigError("at least one check is required")
         if len(set(self.checks)) != len(self.checks):
             raise ConfigError(f"each check may be named once, got {list(self.checks)}")
-        for c in ("lemma-2.4", "lemma-2.5") :
+        for c in ("lemma-2.4", "lemma-2.5"):
             if c in self.checks and self.level < 3:
                 raise ConfigError(f"{c} needs level >= 3")
         if "thm-4.1" in self.checks and self.level != 3:

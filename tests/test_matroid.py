@@ -7,9 +7,10 @@ from hypothesis import given, strategies as st
 
 from pgfree.constructions import affine_set, bose_burton
 from pgfree.errors import GeometryError, HypothesisError
-from pgfree.geometry import closure, flat_points, gaussian_binomial, hyperplane_of
+from pgfree.geometry import closure, flat_points, gaussian_binomial, hyperplane_of, rank_of
 from pgfree.matroid import (
     _NAIVE_PYTHON_CUTOFF,
+    _spans_by_bit_lengths,
     FreenessWitness,
     check_corollary_1_3,
     critical_number,
@@ -19,6 +20,8 @@ from pgfree.matroid import (
     triangle_count_naive,
 )
 from pgfree.pointset import PointSet
+from pgfree.spectral import walsh_hadamard
+from pgfree.verify import sample_pointset
 
 from oracles import (
     brute_chi,
@@ -41,6 +44,43 @@ def test_matroid_rank_examples():
     assert matroid_rank(PointSet.full(4)) == 4
     assert matroid_rank(PointSet.from_points(3, [0b011, 0b101, 0b110])) == 2
     assert matroid_rank(PointSet.empty(5)) == 0
+
+
+def _assert_rank_certified(e):
+    r, rank = e.rank, rank_of(e.points)
+    # the check certifies full rank, and holds exactly on sets with every bit length
+    certified = _spans_by_bit_lengths(e)
+    assert certified == (len({w.bit_length() for w in e.points}) == r)
+    assert rank == r or not certified
+    assert matroid_rank(PointSet(r, e.bits)) == rank
+
+
+def test_bit_length_check_certifies_rank_on_every_subset_up_to_rank_4():
+    for r in range(1, 5):
+        for bits in range(0, 1 << (1 << r), 2):
+            _assert_rank_certified(PointSet(r, bits))
+
+
+@pytest.mark.parametrize("r", range(5, 17))
+def test_bit_length_check_certifies_rank_on_seeded_sets(r):
+    for index in range(3):
+        e = sample_pointset(r, 11, index)
+        _assert_rank_certified(e)
+        _assert_rank_certified(e.complement())
+
+
+@pytest.mark.parametrize("r", [3, 5, 7, 10, 16])
+def test_full_rank_without_a_bit_length_falls_back_to_elimination(r):
+    # every word of bit length 2 removed: the set still spans, by {3, 5, 7}
+    # at r = 3 and by far more points above
+    e = PointSet.from_points(r, [w for w in range(1, 1 << r) if w.bit_length() != 2])
+    assert not _spans_by_bit_lengths(e)
+    assert matroid_rank(e) == r
+    _assert_rank_certified(e)
+    # a hyperplane section lacks one bit length and has rank r - 1
+    section = PointSet.full(r).intersection(flat_points(hyperplane_of(r, 1 << (r - 1))))
+    assert matroid_rank(section) == r - 1
+    _assert_rank_certified(section)
 
 
 def test_is_pg_free_examples():
@@ -530,6 +570,20 @@ def test_critical_number_structured_set_uses_quotient():
     e = PointSet.from_points(r, pts)
     assert e.size == len(quotient_classes) * (1 << (r - c))
     assert critical_number(e) == brute_chi(quotient_classes, c) == 2
+
+
+@pytest.mark.parametrize(
+    "kind, r, arg",
+    [("affine", r, g) for r, g in ((3, 1), (3, 6), (4, 5), (4, 15), (5, 3), (5, 16), (6, 33))]
+    + [("bose-burton", r, n) for r in (3, 4, 5) for n in range(2, r + 1)]
+    + [("bose-burton", 6, 3)],
+)
+def test_critical_number_of_cosets_matches_oracle(kind, r, arg):
+    e = affine_set(r, arg) if kind == "affine" else bose_burton(r, arg)
+    # unions of cosets: the Fourier support does not span, so the quotient runs
+    support = np.nonzero(walsh_hadamard(e).coeffs[1:])[0] + 1
+    assert rank_of(support.tolist()) < e.rank
+    assert critical_number(e) == brute_chi(e.points, e.rank)
 
 
 @given(st.randoms(use_true_random=False))

@@ -471,6 +471,49 @@ def test_cli_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+def test_cli_reused_parser_acts_like_a_fresh_one(tmp_path, monkeypatch, capsys):
+    a, b, e = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "e.json"
+    a.write_text(PointSet.from_points(2, [1, 2, 3]).to_json())
+    b.write_text("2:2")
+    e.write_text(bose_burton(5, 3).without_point(31).to_json())
+    direct_sum = ["construct", "--kind", "direct-sum", "--in", str(a), "--in", str(b)]
+    calls = [
+        (["analyze", "--in", str(e)], None),
+        (["analyze", "--levels", "x"], "3:AA"),
+        (["--help"], None),
+        (direct_sum, None),
+        (direct_sum, None),
+        (["analyze", "--in", str(e)], None),
+    ]
+
+    def run_all():
+        return [run_cli(args, text, monkeypatch, capsys)[:2] for args, text in calls]
+
+    reused = run_all()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert reused == run_all()
+    assert [code for code, _ in reused] == [0, 1, 0, 0, 0, 0]
+    # the append default of --in does not carry inputs over between calls
+    assert json.loads(reused[4][1]) == {"rank": 4, "points": [1, 2, 3, 4]}
+
+
+def test_cli_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    real_init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    for i in range(50):
+        args = [["construct", "--kind", "k5"], ["construct", "--kind", "affine"], ["cone"]][i % 3]
+        cli.main(args)
+    capsys.readouterr()
+    assert len(built) <= 8  # the top-level parser and its seven subcommands
+
+
 _GRAPHIC = ["construct", "--kind", "graphic", "--edges-file", "graph.txt"]
 
 
