@@ -186,11 +186,11 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    e = _read_pointset(args.input)
     try:
         levels = [int(x) for x in args.levels.split(",") if x.strip()]
     except ValueError:
         raise _UsageError(f"bad --levels value {args.levels!r}") from None
+    e = _read_pointset(args.input)
     report = analyze(e, levels, find_flat=not args.no_find_flat)
     print(json.dumps(report.to_json_obj()))
     return 0

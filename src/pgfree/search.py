@@ -26,6 +26,7 @@ from .matroid import (
     triangle_count_naive,
 )
 from .pointset import SMALL_SET_POINTS, PointSet, pointset_from_words
+from .spectral import triangle_counts_per_hyperplane, walsh_hadamard
 
 
 def cone(E: PointSet, p: int) -> PointSet:
@@ -143,7 +144,7 @@ def check_lemma_hsize(E: PointSet, H: Flat, n: int) -> HyperplaneBoundReport:
     inside = E.intersection(flat_points(H))
     if not is_pg_free(inside, n - 1).found:
         raise HypothesisError(f"E ∩ H is PG({n - 2},2)-free: the lemma does not apply")
-    outside_bound, inside_bound, dense = _hyperplane_bounds(E, inside, n)
+    outside_bound, inside_bound, dense = _hyperplane_bounds(E, inside.size, n)
     outside = E.size - inside.size
     return HyperplaneBoundReport(
         outside_size=outside,
@@ -156,40 +157,46 @@ def check_lemma_hsize(E: PointSet, H: Flat, n: int) -> HyperplaneBoundReport:
     )
 
 
-def _hyperplane_bounds(E: PointSet, inside: PointSet, n: int) -> tuple[int, int, bool]:
-    """Lemma 2.4's conclusions, given inside = E ∩ H for a hyperplane H.
+def _hyperplane_bounds(E: PointSet, inside, n: int) -> tuple[int, int, bool]:
+    """Lemma 2.4's conclusions, given inside = |E ∩ H| for a hyperplane H,
+    or an int64 array of such sizes, one per hyperplane.
 
     For r >= n, a PG(n-1,2)-free E and an E ∩ H that holds a PG(n-2,2):
     |E \\ H| <= (1 - 1/2^(n-1)) 2^(r-1) and, when |E| > (1 - 3/2^n) 2^r,
     |E ∩ H| > (1 - 2/2^(n-1)) 2^(r-1).  Both bounds are integers since
-    r >= n.  Returns (outside bound, inside bound, whether E is dense); a
-    failed bound raises an internal inconsistency.
+    r >= n, and the least size decides both.  Returns (outside bound,
+    inside bound, whether E is dense); a failed bound raises an internal
+    inconsistency.
     """
     unit = 1 << (E.rank - n)
-    outside = E.size - inside.size
+    least = int(np.min(inside))
     outside_bound = ((1 << (n - 1)) - 1) * unit
-    if outside > outside_bound:
+    if E.size - least > outside_bound:
         raise InternalInconsistencyError(
-            f"|E \\ H| = {outside} exceeds the proven bound {outside_bound}"
+            f"|E \\ H| = {E.size - least} exceeds the proven bound {outside_bound}"
         )
     inside_bound = ((1 << (n - 1)) - 2) * unit
     dense = _dense(E, n)
-    if dense and inside.size <= inside_bound:
+    if dense and least <= inside_bound:
         raise InternalInconsistencyError(
-            f"|E ∩ H| = {inside.size} is not above the proven bound {inside_bound}"
+            f"|E ∩ H| = {least} is not above the proven bound {inside_bound}"
         )
     return outside_bound, inside_bound, dense
 
 
-def _triangle_free_gammas(E: PointSet) -> Optional[np.ndarray]:
-    """Normals of all hyperplanes with triangle-free intersection, ascending,
-    or None when the int64 spectral route is unavailable."""
-    from .spectral import hyperplane_counts_fit_int64, triangle_counts_per_hyperplane
+def _hyperplanes_holding_pg(E: PointSet, n: int):
+    """Whether E ∩ W_gamma holds a PG(n-2,2), for gamma = 1, ..., 2^r - 1.
 
-    if not hyperplane_counts_fit_int64(E):
-        return None
-    per = triangle_counts_per_hyperplane(E)
-    return np.nonzero(per[1:] == 0)[0] + 1
+    At n = 3 a bool array, read off the per-hyperplane triangle counts.
+    At n >= 4 a generator that runs ``is_pg_free`` on one intersection at
+    a time, so that a caller may stop at the first free one.
+    """
+    if n == 3:
+        return triangle_counts_per_hyperplane(E)[1:] > 0
+    return (
+        is_pg_free(hyperplane_intersection(E, gamma), n - 1).found
+        for gamma in range(1, 1 << E.rank)
+    )
 
 
 def find_pg_free_hyperplane(
@@ -205,17 +212,16 @@ def find_pg_free_hyperplane(
         raise GeometryError("hyperplane descent needs n >= 3")
     if E.rank < n:
         raise GeometryError(f"ambient rank {E.rank} is below n = {n}")
+    held = _hyperplanes_holding_pg(E, n)
     if n == 3:
-        gammas = _triangle_free_gammas(E)
-        if gammas is not None:
-            if gammas.size == 0:
-                return None
-            gamma = int(gammas[0])
-            return gamma, restrict_to_flat(E, hyperplane_of(E.rank, gamma))
-    for gamma in range(1, 1 << E.rank):
-        if not is_pg_free(hyperplane_intersection(E, gamma), n - 1).found:
-            return gamma, restrict_to_flat(E, hyperplane_of(E.rank, gamma))
-    return None
+        free = np.flatnonzero(~held) + 1
+    else:
+        free = (gamma for gamma, h in enumerate(held, 1) if not h)
+    gamma = next(iter(free), None)
+    if gamma is None:
+        return None
+    gamma = int(gamma)
+    return gamma, restrict_to_flat(E, hyperplane_of(E.rank, gamma))
 
 
 @dataclass(frozen=True)
@@ -290,37 +296,21 @@ def _result_for(E: PointSet, flat: Optional[Flat], intersection_size: int) -> St
 def _exhaustive_flat_search(E: PointSet, n: int) -> StructureResult:
     """Scan every corank-(n-2) flat for a triangle-free intersection,
     keeping the one of maximum |E ∩ K| (first in canonical order on ties)."""
-    best_flat = None
-    best_size = -1
+    best_flat, best_size = None, -1
     if n == 3:
         # corank-1 scan: intersection sizes come straight off the spectrum
-        best_gamma = None
-        gammas = _triangle_free_gammas(E)
-        if gammas is not None:
-            if gammas.size:
-                from .spectral import walsh_hadamard
-
-                coeffs = walsh_hadamard(E).coeffs
-                sizes = (E.size + coeffs[gammas]) >> 1
-                at = int(np.argmax(sizes))  # first index on ties: least gamma
-                best_gamma = int(gammas[at])
-                best_size = int(sizes[at])
-        else:
-            for gamma in range(1, 1 << E.rank):
-                inter = hyperplane_intersection(E, gamma)
-                if inter.size > best_size and not is_pg_free(inter, 2).found:
-                    best_gamma = gamma
-                    best_size = inter.size
-        if best_gamma is not None:
-            best_flat = hyperplane_of(E.rank, best_gamma)
+        free = np.flatnonzero(~_hyperplanes_holding_pg(E, 3)) + 1
+        if free.size:
+            sizes = (E.size + walsh_hadamard(E).coeffs[free]) >> 1
+            at = int(np.argmax(sizes))  # first index on ties: least gamma
+            best_flat = hyperplane_of(E.rank, int(free[at]))
+            best_size = int(sizes[at])
     else:
         for f in enumerate_flats(E.rank, n - 2):
             inter = E.intersection(flat_points(f))
             if inter.size > best_size and not is_pg_free(inter, 2).found:
                 best_flat = f
                 best_size = inter.size
-    if best_flat is None:
-        return _result_for(E, None, 0)
     return _result_for(E, best_flat, best_size)
 
 

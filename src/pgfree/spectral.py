@@ -12,7 +12,10 @@ partial sum it forms is bounded by |E| < 2^24, and the spectrum is kept
 as int64.  A cube sum can reach 2^72 at the rank cap, so it is taken
 twice, one block at a time: as its residue mod 2^64 from wrapping int64
 arithmetic, and as a float64 estimate within 2^44 of the truth; together
-they fix the exact integer (see ``_exact_cube_sum``).
+they fix the exact integer (see ``_exact_cube_sum``).  The triangle counts
+of all 2^r hyperplane intersections come from two more butterflies over
+E's cone sizes, whose every value stays below 2^51, so int64 is exact
+for them at every rank (see ``triangle_counts_per_hyperplane``).
 """
 
 from __future__ import annotations
@@ -185,35 +188,36 @@ def triangle_count_spectral(E: PointSet) -> int:
 
 
 def triangle_counts_per_hyperplane(E: PointSet) -> np.ndarray:
-    """T(E ∩ W_gamma) for every gamma at once, exactly.
+    """T(E ∩ W_gamma) for every gamma at once, exactly, at every rank.
 
-    The restricted indicator's coefficient at delta is the average of the
-    parent coefficients at delta and delta^gamma, so the restricted cube
-    sum expands into the full cube sum plus an XOR-correlation of the
-    squared spectrum with the spectrum; past the spectrum of E, the
-    correlation is two more butterflies.  Entry 0 is T of E itself.  Only
-    valid when the int64 bound 4^r |E|^2 < 2^63 holds; callers guard with
-    hyperplane_counts_fit_int64.
+    An ordered triangle (x, y, z) of E lies in W_gamma exactly when x and
+    y do, since z = x ^ y.  Summing (1 + (-1)^(x.gamma))(1 + (-1)^(y.gamma))/4
+    over the triangles, where each of x, y and z = x ^ y meets every word
+    of E as often as its cone size d(x) = |E ∩ (E + x)|, gives
+    T(E ∩ W_gamma) = (T + 3 A_gamma)/4, with A the transform of d on E
+    (zero off E).  A_0 = T, so entry 0 is T of E itself.  d is the
+    self-convolution of the indicator, WHT(c^2) / 2^r, read on E.
+
+    int64 is exact at every rank: the transform of c^2 forms partial sums
+    bounded by 2 sum(c^2) = 2^(r+1) |E|, and that of d ones bounded by
+    2 sum(d) = 2T <= 2|E|^2, so with |E| < 2^24 every value formed,
+    T + 3A included, stays below 2^51.
     """
     r = E.rank
-    c = walsh_hadamard(E).coeffs
-    csq = c * c
-    fwht_inplace(csq)  # bounded by sum(c^2) = 2^r |E|
-    p = (csq * E.indicator()) << r  # spectrum of the correlation: WHT(c)=2^r * indicator
-    fwht_inplace(p)
-    if (p & ((1 << r) - 1)).any():
-        raise InternalInconsistencyError("hyperplane correlation is not divisible by 2^r")
-    corr = p >> r
-    # the int64 guard bounds |c|*sum(c^2) = 2^r |E|^2, so this sum is exact
-    s3 = 2 * np.sum(c * c * c, dtype=np.int64)
-    scaled = s3 + 6 * corr
-    if (scaled & ((1 << (r + 3)) - 1)).any():
-        raise InternalInconsistencyError("restricted cube sums are not divisible by 2^(r+3)")
-    return scaled >> (r + 3)
-
-
-def hyperplane_counts_fit_int64(E: PointSet) -> bool:
-    return (E.size * E.size) << (2 * E.rank) < (1 << 63)
+    d = fwht_inplace(walsh_hadamard(E).coeffs ** 2)
+    # a bitwise OR over the table has a low bit set iff some entry does
+    if int(np.bitwise_or.reduce(d)) & ((1 << r) - 1):
+        raise InternalInconsistencyError("self-convolution is not divisible by 2^r")
+    d >>= r
+    d *= E.indicator()
+    a = fwht_inplace(d)
+    t = int(a[0])
+    a *= 3
+    a += t
+    if int(np.bitwise_or.reduce(a)) & 3:
+        raise InternalInconsistencyError("hyperplane triangle counts are not divisible by 4")
+    a >>= 2
+    return a
 
 
 @dataclass(frozen=True)

@@ -35,13 +35,14 @@ from .search import (
     _cone_identity_holds,
     _cone_lemma_at,
     _hyperplane_bounds,
+    _hyperplanes_holding_pg,
     _reconcile_condition,
     _reconciled_ranks,
     find_pg_free_hyperplane,
     find_triangle_free_flat,
     hyperplane_intersection,
 )
-from .spectral import counting_bound_check, triangle_count_spectral, uniformity
+from .spectral import counting_bound_check, triangle_count_spectral, uniformity, walsh_hadamard
 
 # ---------------------------------------------------------------------------
 # the check table
@@ -81,20 +82,15 @@ def _gs(e: PointSet, n: int) -> tuple[int, int]:
 
 
 def _lemma_24(e: PointSet, n: int) -> tuple[int, Optional[Fraction]]:
-    count, slack = 0, None
-    for gamma in range(1, 1 << e.rank):
-        inside = hyperplane_intersection(e, gamma)
-        if not is_pg_free(inside, n - 1).found:
-            continue  # E ∩ H is PG(n-2,2)-free: the lemma does not apply
-        try:
-            outside_bound, _, _ = _hyperplane_bounds(e, inside, n)
-        except InternalInconsistencyError as exc:
-            raise InternalInconsistencyError(f"gamma={gamma}: {exc}") from None
-        count += 1
-        s = outside_bound - (e.size - inside.size)
-        if slack is None or s < slack:
-            slack = s
-    return count, None if slack is None else Fraction(slack)
+    # the lemma applies to the hyperplanes whose intersection holds a PG(n-2,2)
+    held = _hyperplanes_holding_pg(e, n)
+    if n > 3:
+        held = np.fromiter(held, dtype=bool, count=(1 << e.rank) - 1)
+    inside = (e.size + walsh_hadamard(e).coeffs[1:][held]) >> 1
+    if not inside.size:
+        return 0, None
+    outside_bound, _, _ = _hyperplane_bounds(e, inside, n)
+    return inside.size, Fraction(outside_bound - e.size + int(inside.min()))
 
 
 def _lemma_25(e: PointSet, n: int) -> tuple[int, int]:

@@ -172,9 +172,7 @@ def test_find_pg_free_hyperplane_validates():
 
 
 @pytest.mark.parametrize("r", [6, 7, 8])
-def test_fallback_beyond_int64_guard_matches_spectral_route(r, monkeypatch):
-    import pgfree.spectral as spectral
-
+def test_level_three_searches_match_a_naive_hyperplane_loop(r):
     rng = random.Random(60 + r)
     bb = bose_burton(r, 3)
     sets = [
@@ -183,20 +181,33 @@ def test_fallback_beyond_int64_guard_matches_spectral_route(r, monkeypatch):
         PointSet.from_points(r, [w for w in range(1, 1 << r) if rng.random() < 0.5]),
         PointSet.from_points(r, [w for w in range(1, 1 << r) if w & 1 or rng.random() < 0.1]),
     ]
+    steps = []
+    for e in sets:
+        # oracle: the triangle-free intersections, by the translation count
+        free = {}
+        for g in range(1, 1 << r):
+            inter = hyperplane_intersection(e, g)
+            if triangle_count_naive(inter) == 0:
+                free[g] = inter
 
-    def outcomes(e):
         step = find_pg_free_hyperplane(e, 3)
-        if step is not None:
+        steps.append(step)
+        if not free:
+            assert step is None
+        else:
             gamma, (sub, cmap) = step
-            step = (gamma, sub, cmap.flat)
-        result, _ = find_triangle_free_flat(e, 3, "exhaustive")
-        return step, result
+            assert gamma == min(free)
+            assert cmap.lift_points(sub) == free[gamma]
 
-    spectral_route = [outcomes(e) for e in sets]
-    monkeypatch.setattr(spectral, "hyperplane_counts_fit_int64", lambda e: False)
-    assert [outcomes(e) for e in sets] == spectral_route
-    assert any(step is not None for step, _ in spectral_route)
-    assert any(step is None for step, _ in spectral_route)
+        result, _ = find_triangle_free_flat(e, 3, "exhaustive")
+        if not free:
+            assert not result.found
+        else:
+            best = max(free, key=lambda g: (free[g].size, -g))
+            assert result.flat == hyperplane_of(r, best)
+            assert result.intersection_size == free[best].size
+    assert any(step is not None for step in steps)
+    assert any(step is None for step in steps)
 
 
 def test_find_flat_level_two():

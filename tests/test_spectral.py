@@ -8,7 +8,9 @@ from hypothesis import given, strategies as st
 
 from pgfree.constructions import affine_set, bose_burton
 from pgfree.errors import HypothesisError, InternalInconsistencyError
+from pgfree.matroid import triangle_count_naive
 from pgfree.pointset import PointSet, pointset_from_mask
+from pgfree.search import hyperplane_intersection
 from pgfree.spectral import (
     Spectrum,
     _BLOCK,
@@ -17,6 +19,7 @@ from pgfree.spectral import (
     counting_bound_check,
     fwht_inplace,
     triangle_count_spectral,
+    triangle_counts_per_hyperplane,
     uniformity,
     walsh_hadamard,
 )
@@ -300,6 +303,46 @@ def test_spectral_closed_forms_at_the_rank_cap():
     assert _exact_cube_sum(c) == cube_sum
     assert triangle_count_spectral(full) == (top - 1) * (top - 2)
     assert triangle_count_spectral(affine_set(r, 1)) == 0
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_hyperplane_counts_match_the_naive_count(r):
+    rng = random.Random(80 + r)
+    sets = [PointSet.full(r), PointSet.empty(r)]
+    sets += [bose_burton(r, n) for n in (2, 3) if n <= r]
+    sets += [random_set(rng, r, density) for density in (0.2, 0.5, 0.8)]
+    for e in sets:
+        counts = triangle_counts_per_hyperplane(e)
+        assert counts.shape == (1 << r,)
+        assert int(counts[0]) == triangle_count_naive(e)
+        for g in range(1, 1 << r):
+            assert int(counts[g]) == triangle_count_naive(hyperplane_intersection(e, g))
+
+
+def test_hyperplane_counts_on_sampled_normals_at_rank_17():
+    # past 4^r |E|^2 < 2^63, where the counts once needed a Python-level loop
+    r = 17
+    rng = random.Random(17)
+    bb = _bose_burton_by_mask(r, 3)
+    e = bb.without_point(rng.choice(bb.points))
+    counts = triangle_counts_per_hyperplane(e)
+    assert int(counts[0]) == triangle_count_naive(e)
+    # the normals of the missing flat's hyperplanes meet E in affine sets
+    normals = [1 << (r - 1), 1 << (r - 2), 3 << (r - 2)] + rng.sample(range(1, 1 << r), 3)
+    for g in normals:
+        assert int(counts[g]) == triangle_count_naive(hyperplane_intersection(e, g))
+    assert {int(counts[g]) for g in normals[:3]} == {0}
+
+
+def test_hyperplane_counts_closed_forms_at_the_rank_cap():
+    r, top = 24, 1 << 24
+    counts = triangle_counts_per_hyperplane(PointSet.full(r))
+    assert int(counts[0]) == (top - 1) * (top - 2)
+    half = top >> 1
+    assert int(counts[1:].min()) == int(counts[1:].max()) == (half - 1) * (half - 2)
+    del counts
+    counts = triangle_counts_per_hyperplane(affine_set(22, 5))
+    assert not counts.any()
 
 
 _CUBE_SUM_BASES = [

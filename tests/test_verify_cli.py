@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import io
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,12 +11,13 @@ import pytest
 from pgfree import cli
 from pgfree.constructions import affine_set, bose_burton, m_k5
 from pgfree.errors import ConfigError, ResourceCapError
-from pgfree.matroid import FreenessWitness
+from pgfree.matroid import FreenessWitness, is_pg_free, triangle_count_naive
 from pgfree.pointset import PointSet
-from pgfree.search import StructureResult
+from pgfree.search import StructureResult, hyperplane_intersection
 from pgfree.verify import (
     ALL_CHECKS,
     SweepConfig,
+    _lemma_24,
     analyze,
     extremal_records_csv,
     run_sweep,
@@ -150,6 +152,80 @@ def test_sweep_hypothesis_gating_counts_separately():
     assert st["evaluated"] + st["hypothesis_skipped"] == 128
     assert st["evaluated"] == 64  # triangle-free subsets, frozen from the triple-loop oracle
     assert st["violations"] == 0
+
+
+def _lemma_24_by_hyperplane_loop(e, n):
+    """(count, least slack) of Lemma 2.4's outside bound, one hyperplane at a time."""
+    bound = ((1 << (n - 1)) - 1) << (e.rank - n)
+    count, slack = 0, None
+    for g in range(1, 1 << e.rank):
+        inside = hyperplane_intersection(e, g)
+        if n == 3:
+            held = triangle_count_naive(inside) > 0
+        else:
+            held = is_pg_free(inside, n - 1).found
+        if held:
+            count += 1
+            s = bound - (e.size - inside.size)
+            slack = s if slack is None else min(slack, s)
+    return count, None if slack is None else Fraction(slack)
+
+
+def _lemma_24_cases():
+    rng = random.Random(24)
+    for r in range(5, 10):
+        bb = bose_burton(r, 3)
+        for k in (1, 3):
+            yield _minus(bb, rng, k), 3
+        kept = PointSet.from_points(r, [w for w in bb.points if rng.random() < 0.7])
+        yield kept, 3
+    for r in (5, 6):
+        for _ in range(20):
+            e = PointSet.from_points(r, [w for w in range(1, 1 << r) if rng.random() < 0.4])
+            if not is_pg_free(e, 3).found:
+                yield e, 3
+    bb = bose_burton(6, 4)
+    for k in (1, 2):
+        yield _minus(bb, rng, k), 4
+
+
+def _minus(e, rng, k):
+    for w in rng.sample(e.points, k):
+        e = e.without_point(w)
+    return e
+
+
+def test_lemma_24_row_matches_a_hyperplane_loop():
+    seen = []
+    for e, n in _lemma_24_cases():
+        assert not is_pg_free(e, n).found
+        got = _lemma_24(e, n)
+        assert got == _lemma_24_by_hyperplane_loop(e, n)
+        seen.append((n, got[0]))
+    assert {n for n, count in seen if count} == {3, 4}
+    assert any(count == 0 for n, count in seen)
+
+
+def test_lemma_24_sweep_runs_no_per_hyperplane_search(monkeypatch):
+    import pgfree.search as search
+    import pgfree.verify as verify
+
+    intersections, levels = [], []
+    for module in (search, verify):
+        real_free = module.is_pg_free
+        real_meet = module.hyperplane_intersection
+        monkeypatch.setattr(
+            module, "is_pg_free", lambda e, n, f=real_free: levels.append(n) or f(e, n)
+        )
+        monkeypatch.setattr(
+            module,
+            "hyperplane_intersection",
+            lambda e, g, f=real_meet: intersections.append(g) or f(e, g),
+        )
+    out = run_sweep(SweepConfig(rank=4, level=3, mode="exhaustive", checks=("lemma-2.4",)))
+    assert out.checks["lemma-2.4"]["evaluated"] == 202_545
+    assert intersections == []
+    assert levels == [3] * (1 << 15)  # the freeness gate, once per set
 
 
 def test_fano_free_hyperplane_theorem_exhaustive_r4():
@@ -306,6 +382,17 @@ def test_cli_analyze_parse_error_exit_1(monkeypatch, capsys):
     )
     assert code == 1
     assert "points[0]" in err
+
+
+def test_cli_analyze_bad_levels_is_a_usage_error_before_reading_input(monkeypatch, capsys):
+    class UnreadableStdin:
+        def read(self, *args):
+            raise AssertionError("stdin was read")
+
+    monkeypatch.setattr("sys.stdin", UnreadableStdin())
+    code, out, err = run_cli(["analyze", "--levels", "x"], capsys=capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["usage error: bad --levels value 'x'"]
 
 
 def test_cli_usage_error_exit_1(capsys):
