@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import GeometryError
-from .pointset import PointSet, cached, check_rank, pointset_from_words
+from .pointset import PointSet, cached, check_normal, check_rank, pointset_from_words
 
 
 def dot(a: int, b: int) -> int:
@@ -129,10 +129,7 @@ def flat_points(f: Flat) -> PointSet:
 def hyperplane_of(ambient_rank: int, gamma: int) -> Flat:
     """The corank-1 flat of words orthogonal to the nonzero normal gamma."""
     check_rank(ambient_rank)
-    if gamma == 0:
-        raise GeometryError("gamma = 0 does not define a hyperplane")
-    if not gamma < (1 << ambient_rank):
-        raise GeometryError(f"normal {gamma} is outside the rank-{ambient_rank} ambient")
+    check_normal(ambient_rank, gamma)
     return Flat(ambient_rank, kernel_basis(ambient_rank, (gamma,)))
 
 

@@ -7,16 +7,24 @@ rank (with a witness), its triangle count by summing |E ∩ (E + x)| over the
 points x (independently of the Fourier transform), and its critical number
 (the least corank of a flat of the ambient geometry disjoint from E).
 
+Both searches for a flat inside a set walk the iterated cone: once
+generators g_1 < ... < g_d with span S are fixed, a point extends them to
+a flat inside E iff it lies in E_S, the intersection of E + s over s in S
+and s = 0.  E_S is a bitset, and g_{d+1} = q takes it to E_S ∩ (E_S + q),
+one ``xor_translate``.  The walk tries only the least point of each coset
+of S above g_d, and cuts a branch with too few of them left to finish a
+flat.  ``max_flat_rank_inside`` (behind the critical number) walks to the
+largest rank, ``is_pg_free`` to rank n for the least generating tuple.
+
 In an ambient of rank r <= 6 the whole geometry is one 64-bit word, and the
 subgeometry search is one lookup in a table of all rank-n flats, built once
-per (r, n) and sorted by each flat's least generating tuple.  In larger
-ambients the search and the triangle count work on E as a bitset of 64-bit
-words and translate it by gathers from its 64 in-word XOR permutations.
-The search fixes its first generators by a DFS, and decides the last three
-by the cone lemma: an apex x completes the span S iff the cone of E_S at x
-holds a pair, which a batched kernel tests for a block of apexes at once;
-the least apex with a hit is the one the DFS fixes.  The witness keeps the
-generators and spans its flat only when it is read.
+per (r, n) and sorted by each flat's least generating tuple.  Above, the
+walk fixes the first generators and the cone lemma decides the last three:
+an apex x completes the span S iff the cone of E_S at x holds a pair, which
+a batched kernel tests for a block of apexes at once on the 64-bit words of
+E_S, translated by gathers from their 64 in-word XOR permutations as in the
+triangle count; the least apex with a hit is the one the walk fixes.  The
+witness keeps the generators and spans its flat only when it is read.
 """
 
 from __future__ import annotations
@@ -30,7 +38,8 @@ import numpy as np
 
 from .errors import GeometryError, HypothesisError
 from .geometry import Flat, closure, echelon_basis, enumerate_flats, flat_points, kernel_basis, rank_of
-from .pointset import SMALL_SET_POINTS, PointSet, memoized, pointset_from_mask, pointset_from_words
+from .pointset import SMALL_SET_POINTS, PointSet, coordinate_masks, memoized, xor_translate
+from .pointset import pointset_from_mask, pointset_from_words
 
 
 @memoized
@@ -107,14 +116,11 @@ def is_pg_free(E: PointSet, n: int) -> FreenessWitness:
     found=False iff no such subspace exists, i.e. E is PG(n-1,2)-free.
     The witness is the canonically least generating tuple g_1 < ... < g_n
     of points of E, each g_i outside the span S of the earlier ones with
-    g_i ^ s in E for every s in S.  At r <= 6 it is the first row of
-    ``_flat_table(r, n)`` whose flat lies inside E: one AND over the
-    table's masks.  Above, a DFS in ascending word order fixes the first
-    n-3 generators; g_{n-2} is the least apex that the batched cone kernel
-    ``_least_triple`` finds a completion for, and the last two are the
-    least pair a < b found by ``_least_pair`` (see both).  The answer is
-    remembered in E.memo, once per n.  Its flat is spanned from the
-    generators when ``subspace`` is first read, not by the search.
+    g_i ^ s in E for every s in S: at r <= 6 the first row of
+    ``_flat_table(r, n)`` whose flat lies inside E, above it the first
+    leaf of ``_dfs_generators``.  The answer is remembered in E.memo, once
+    per n.  Its flat is spanned from the generators when ``subspace`` is
+    first read, not by the search.
     """
     if n < 1:
         raise GeometryError("subgeometry rank must be >= 1")
@@ -125,12 +131,9 @@ def is_pg_free(E: PointSet, n: int) -> FreenessWitness:
 
 
 def _search_subgeometry(E: PointSet, n: int) -> FreenessWitness:
-    """The least generating tuple of a rank-n flat inside E, as a witness.
-
-    An ambient of at most SMALL_SET_POINTS words is one bitset word, and
-    the answer is read off its table of flats (see ``_flat_table``);
-    larger ambients run the DFS of ``_dfs_generators``.
-    """
+    """The least generating tuple of a rank-n flat inside E, as a witness:
+    off the table of flats of an ambient of one bitset word (at most
+    SMALL_SET_POINTS words), else by ``_dfs_generators``."""
     if n > E.rank or E.size < (1 << n) - 1:
         return FreenessWitness(False, None)
     if (1 << E.rank) <= SMALL_SET_POINTS:
@@ -173,84 +176,84 @@ def _flat_table(r: int, n: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]
 def _dfs_generators(E: PointSet, n: int) -> Optional[list[int]]:
     """The least generating tuple of a rank-n flat inside E, by a DFS.
 
-    A node of the DFS holds the span S of the generators fixed so far.  At
-    the node of g_{n-2} (the root when n = 3) and at the node of g_{n-1},
-    a pool of more than SMALL_SET_POINTS remaining points goes to the
-    vectorised searches, which return the generators the loop below would
-    find first; smaller pools stay in the loop, whose per-call cost is
-    lower.
+    A node holds the cone K = E_S of the generators g_1 .. g_d and its
+    pool (see ``_cone_step``).  The least tuple is its flat's least
+    generating tuple, so each later generator is in a pool, and the pool
+    of a node holds one point of each of the 2^(n-d) - 1 cosets of S in
+    such a flat from g_{d+1} on: the loop stops when fewer are left.  At
+    the nodes of g_{n-2} and g_{n-1}, a pool of more than SMALL_SET_POINTS
+    points goes to the vectorised searches, which return the least
+    completion in K; smaller pools stay in the loop, whose per-call cost
+    is lower.
     """
-    bits = E.bits
-    pts = E.points
+    r = E.rank
     gens: list[int] = []
 
-    def dfs(span_pts: list[int], start: int) -> bool:
-        if len(pts) - start > SMALL_SET_POINTS and n - 3 <= len(gens) <= n - 2:
-            search = _least_pair if len(gens) == n - 2 else _least_triple
-            found = search(E, span_pts, start)
+    def dfs(cone: int, pool: int) -> bool:
+        d = len(gens)
+        if d == n:
+            return True
+        if n - 3 <= d <= n - 2 and pool.bit_count() > SMALL_SET_POINTS:
+            search = _least_pair if d == n - 2 else _least_triple
+            found = search(PointSet(r, cone), gens[-1] if gens else 0)
             if found is None:
                 return False
             gens.extend(found)
             return True
-        last = len(gens) == n - 1
-        for i in range(start, len(pts)):
-            p = pts[i]
-            # a point p of the span fails at s = p: bit 0 is never set
-            for s in span_pts:
-                if not (bits >> (s ^ p)) & 1:
-                    break
-            else:
-                gens.append(p)
-                if last or dfs(span_pts + [p] + [s ^ p for s in span_pts], i + 1):
-                    return True
-                gens.pop()
+        pts = PointSet(r, pool).points
+        need = (1 << (n - d)) - 1
+        for i in range(len(pts) - need + 1):
+            gens.append(pts[i])
+            if dfs(*_cone_step(cone, pool, pts[i], r)):
+                return True
+            gens.pop()
         return False
 
-    return gens if dfs([], 0) else None
+    return gens if dfs(E.bits, E.bits) else None
 
 
-def _least_triple(E: PointSet, span_pts: list[int], start: int) -> Optional[tuple[int, int, int]]:
-    """Least apex x with its least pair a < b completing the span S = span_pts.
+def _cone_step(cone: int, pool: int, q: int, rank: int) -> tuple[int, int]:
+    """The cone K ∩ (K + q) and its pool once q, a point of K's pool, joins S.
 
-    The apexes are the iterated cone E_S = {y in E : y ^ s in E for all s
-    in S} from E.points[start] on, in ascending order.  By the cone lemma
-    (Lemma 2.5), x has a completion iff the cone of E_S at x above x,
-    C_x = E_S ∩ (E_S + x) ∩ {b > x}, holds a pair a, b with a ^ b in
-    E_S ∩ (E_S + x): a nonzero word of C_x ∩ (E_S + a) ∩ (E_S + a ^ x) for
-    some a in C_x.  That is the DFS condition for the last two generators
-    (see ``_least_pair``), so the least apex with a hit is the DFS's
-    g_{n-2}, and ``_least_pair`` above it returns the DFS's last two.
+    The pool of K holds its points above the last generator that are the
+    least of their coset of S.  Generators from pools have distinct
+    highest bits, so a point is the least of its coset of S + q iff it is
+    the least of its coset of S and has bit hb(q) clear: the pool's step
+    is an AND with K + q and L_hb(q), then the cut at q.
+    """
+    moved = xor_translate(cone, q, rank)
+    low = coordinate_masks(rank)[q.bit_length() - 1]
+    return cone & moved, (pool & moved & low) >> (q + 1) << (q + 1)
+
+
+def _least_triple(K: PointSet, lo: int) -> Optional[tuple[int, int, int]]:
+    """Least apex x > lo of the cone K = E_S with its least pair a < b.
+
+    By the cone lemma (Lemma 2.5), x has a completion iff its cone
+    C_x = K ∩ (K + x), above x, holds a pair a < b with a ^ b in C_x: a
+    nonzero word of C_x ∩ (K + a) ∩ (K + a ^ x) above x for some a in it.
+    So the least apex with a hit is the DFS's g_{n-2}, and ``_least_pair``
+    above it returns the DFS's last two.
 
     The least apex goes to ``_least_pair`` at once, so a set that holds a
     witness there pays nothing more.  The others are tested in ascending
-    blocks that double from two apexes, on the bitset words of E_S: every
-    translate is a gather from their 64 in-word XOR permutations, as in
-    ``triangle_count_naive``.  Apex blocks and the pair rows of their
-    gathers hold at most _PAIR_BLOCK_ELEMENTS words (a single row may hold
-    more above rank 20).
+    blocks that double from two apexes, on K's bitset words, translated by
+    gathers from their 64 in-word XOR permutations.  Apex blocks and the
+    pair rows of their gathers hold at most _PAIR_BLOCK_ELEMENTS words (a
+    single row may hold more above rank 20).
     """
-    mem = E.membership
-    apexes = E.points_array[start:]
-    for s in span_pts:
-        apexes = apexes[mem[apexes ^ np.int64(s)]]
+    apexes = K.points_array[K.points_array > lo]
     if apexes.size == 0:
         return None
 
     def completion(x: int) -> Optional[tuple[int, int, int]]:
-        span = span_pts + [x] + [s ^ x for s in span_pts]
-        pair = _least_pair(E, span, int(np.searchsorted(E.points_array, x)) + 1)
+        pair = _least_pair(PointSet(K.rank, K.bits & xor_translate(K.bits, x, K.rank)), x)
         return None if pair is None else (x, *pair)
 
     found = completion(int(apexes[0]))
     if found is not None or apexes.size == 1:
         return found
-    cone = mem
-    if span_pts:
-        universe = np.arange(mem.size)
-        for s in span_pts:
-            cone = cone & mem[universe ^ s]
-    packed = np.packbits(cone, bitorder="little").tobytes()
-    words = np.frombuffer(packed.ljust(8, b"\0"), dtype="<u8")
+    words = K.words()
     perms = _xor_permutations(words).ravel()
     nw = words.size
     cap = max(1, _PAIR_BLOCK_ELEMENTS // nw)
@@ -299,25 +302,20 @@ def _first_apex_with_pair(words: np.ndarray, perms: np.ndarray, xs: np.ndarray) 
     return None
 
 
-def _least_pair(E: PointSet, span_pts: list[int], start: int) -> Optional[tuple[int, int]]:
-    """Lexicographically least pair a < b completing the span S = span_pts.
+def _least_pair(K: PointSet, lo: int) -> Optional[tuple[int, int]]:
+    """Lexicographically least pair lo < a < b of the cone K = E_S with a ^ b in K.
 
-    Both lie in the iterated cone K = {y in E[start:] : y ^ s in E for all
-    s in S}, and a ^ b and every a ^ b ^ s lie in E.  Those are exactly the
-    DFS conditions for the last two generators, so the least such pair is
-    the pair the DFS finds first: that a and b lie outside the spans of S
-    and S + a needs no test, since a in S, b in S or b = a ^ s would put 0
-    in E.  For n = 3 this is the cone lemma: apex x has a witness iff the
-    cone of E at x, above x, holds a pair whose sum lies in the cone.
+    Those are exactly the DFS conditions for the last two generators, so
+    this is the pair the DFS finds first: that a and b lie outside the
+    spans of S and S + a needs no test, since a in S, b in S or b = a ^ s
+    would put 0 in E.  For n = 2, K = E and this is the least triangle.
 
     The table a ^ K is evaluated in row blocks, earliest rows first, that
     double from one row up to _PAIR_BLOCK_ELEMENTS entries (one row wider
     than that is split into column chunks), stopping at the first hit.
     """
-    mem = E.membership
-    cands = E.points_array[start:]
-    for s in span_pts:
-        cands = cands[mem[cands ^ np.int64(s)]]
+    mem = K.membership
+    cands = K.points_array[K.points_array > lo]
     k = int(cands.size)
     i0, rows = 0, 1
     while i0 < k - 1:
@@ -325,10 +323,7 @@ def _least_pair(E: PointSet, span_pts: list[int], start: int) -> Optional[tuple[
         a = cands[i0:i1, None]
         for j0 in range(i0 + 1, k, _PAIR_BLOCK_ELEMENTS):
             j1 = min(j0 + _PAIR_BLOCK_ELEMENTS, k)
-            x = a ^ cands[None, j0:j1]
-            hit = mem[x]
-            for s in span_pts:
-                hit &= mem[x ^ np.int64(s)]
+            hit = mem[a ^ cands[None, j0:j1]]
             hit &= np.arange(j0, j1) > np.arange(i0, i1)[:, None]
             first = int(hit.argmax())
             if hit.flat[first]:
@@ -396,8 +391,8 @@ def triangle_count_naive(E: PointSet) -> int:
                 if (bits >> (x ^ pts[j])) & 1:
                     t += 1
         return 2 * t
-    nw = max(1, (1 << E.rank) >> 6)
-    words = np.frombuffer(E.bits.to_bytes(8 * nw, "little"), dtype="<u8")
+    words = E.words()
+    nw = words.size
     perms = _xor_permutations(words).ravel()
     key = _translation_keys(E.points_array, nw)
     rows = max(1, _PAIR_BLOCK_ELEMENTS // nw)
@@ -455,35 +450,22 @@ def _image(words: np.ndarray, functionals) -> PointSet:
 def max_flat_rank_inside(C: PointSet) -> int:
     """Largest rank of a flat all of whose points lie in C.
 
-    Depth-first search over canonical basis towers: each flat is reached
-    exactly once by always extending with the minimum point of the new
-    coset layer.  A branch is cut when the remaining candidate pool cannot
-    supply enough coset minima to beat the incumbent.
+    The walk of ``_dfs_generators`` over every flat's least generating
+    tuple reaches each flat inside C once.  A branch is cut when its pool
+    cannot supply enough coset minima to beat the incumbent.
     """
-    if C.size == 0:
-        return 0
-    mem = C.membership
     best = 0
 
-    def dfs(span_pts: list[int], cands: np.ndarray, depth: int) -> None:
+    def dfs(cone: int, pool: int, depth: int) -> None:
         nonlocal best
-        if depth > best:
-            best = depth
-        while cands.size:
-            if depth + (int(cands.size) + 1).bit_length() - 1 <= best:
+        best = max(best, depth)
+        pts = PointSet(C.rank, pool).points
+        for i, q in enumerate(pts):
+            if depth + (len(pts) - i + 1).bit_length() - 1 <= best:
                 return
-            q = int(cands[0])
-            cands = cands[1:]
-            layer = [q] + [q ^ s for s in span_pts]
-            child = cands
-            for t in layer:
-                if child.size == 0:
-                    break
-                x = child ^ np.int64(t)
-                child = child[mem[x] & (x > child)]
-            dfs(span_pts + layer, child, depth + 1)
+            dfs(*_cone_step(cone, pool, q, C.rank), depth + 1)
 
-    dfs([], C.points_array, 0)
+    dfs(C.bits, C.bits, 0)
     return best
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import wraps
+from functools import lru_cache, wraps
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -118,6 +118,11 @@ class PointSet:
     def __iter__(self) -> Iterator[int]:
         return iter(self.points)
 
+    def words(self) -> np.ndarray:
+        """The bitset as at least one little-endian uint64 word, read-only
+        and not kept on the set: bit b of word j is member 64j + b."""
+        return np.frombuffer(self.bits.to_bytes(max(8, (1 << self.rank) >> 3), "little"), dtype="<u8")
+
     def indicator(self) -> np.ndarray:
         """0/1 indicator over all 2^r words, as a uint8 array."""
         n = 1 << self.rank
@@ -132,9 +137,9 @@ class PointSet:
     def memo(self) -> dict:
         """What this instance has computed about itself, each once: subgeometry
         rank n -> is_pg_free(self, n), and the name of each function decorated
-        with ``memoized`` (the spectrum, the uniformity report, the naive and
-        the spectral triangle counts, the matroid rank and the critical
-        number) -> its value."""
+        with ``memoized`` (the spectrum, the uniformity report, the naive,
+        the spectral and the per-hyperplane triangle counts, the matroid
+        rank and the critical number) -> its value."""
         return {}
 
     # -- set algebra (all return new sets in the same ambient) --------------
@@ -260,6 +265,45 @@ def pointset_from_words(rank: int, words: np.ndarray) -> PointSet:
     mask = np.zeros(1 << rank, dtype=np.uint8)
     mask[words] = 1
     return pointset_from_mask(rank, mask)
+
+
+def check_normal(rank: int, gamma: int) -> None:
+    """A hyperplane's normal gamma is a nonzero word: 1 <= gamma < 2^r."""
+    if not 0 < gamma < (1 << rank):
+        raise GeometryError(f"normal {gamma} is not a nonzero word of the rank-{rank} ambient")
+
+
+def hyperplane_mask(rank: int, gamma: int) -> int:
+    """The bitset of the words w with w·gamma = 0, word 0 included.  Words
+    2^i + w (w < 2^i) have the parity of w, flipped when bit i of gamma is
+    set, so the bitset doubles once per coordinate."""
+    check_normal(rank, gamma)
+    mask = 1
+    for i in range(rank):
+        width = 1 << i
+        mask |= (mask ^ ((1 << width) - 1) if (gamma >> i) & 1 else mask) << width
+    return mask
+
+
+@lru_cache(maxsize=None)
+def coordinate_masks(rank: int) -> tuple[int, ...]:
+    """L_i = the bitset of the words with bit i clear, for i < rank."""
+    return tuple(hyperplane_mask(rank, 1 << i) for i in range(rank))
+
+
+def xor_translate(bits: int, x: int, rank: int) -> int:
+    """The bitset of E + x = {y ^ x : y in E}, given the bitset of E.
+
+    Adding 2^i swaps each run of 2^i words in L_i with the run above it:
+    one mask-and-shift per set bit of x.  E + x holds word 0 iff x is in E.
+    """
+    masks = coordinate_masks(rank)
+    while x:
+        step = x & -x
+        low = masks[step.bit_length() - 1]
+        bits = (bits & low) << step | (bits >> step) & low
+        x ^= step
+    return bits
 
 
 def memoized(fn):

@@ -1,5 +1,9 @@
 """Structural searches: cones, hyperplane bounds, and triangle-free flats.
 
+The cone of E at p, E ∩ (E + p), is one ``xor_translate`` of E's bitset:
+the one-step case of the iterated cone that ``matroid``'s flat searches
+walk.  A hyperplane intersection is one AND with ``hyperplane_mask``.
+
 The headline operation finds a triangle-free corank-(n-2) flat inside a
 dense PG(n-1,2)-free set, either by descending one hyperplane at a time
 (each step keeping the intersection free of one smaller subgeometry) or by
@@ -25,38 +29,21 @@ from .matroid import (
     restrict_to_flat,
     triangle_count_naive,
 )
-from .pointset import SMALL_SET_POINTS, PointSet, pointset_from_words
+from .pointset import PointSet, hyperplane_mask, xor_translate
 from .spectral import triangle_counts_per_hyperplane, walsh_hadamard
 
 
 def cone(E: PointSet, p: int) -> PointSet:
-    """Points of E - {p} lying on a line of E through p: x with x^p in E."""
+    """Points of E - {p} lying on a line of E through p: x with x^p in E,
+    that is E ∩ (E + p)."""
     if p not in E:
         raise GeometryError(f"{p} is not a point of the set")
-    if E.size <= SMALL_SET_POINTS:
-        bits, inside = E.bits, 0
-        for x in E.points:  # x = p fails: bit 0 is never set
-            if (bits >> (x ^ p)) & 1:
-                inside |= 1 << x
-        return PointSet(E.rank, inside)
-    arr = E.points_array
-    return pointset_from_words(E.rank, arr[E.membership[arr ^ np.int64(p)]])
+    return PointSet(E.rank, E.bits & xor_translate(E.bits, p, E.rank))
 
 
 def hyperplane_intersection(E: PointSet, gamma: int) -> PointSet:
-    """E ∩ W_gamma in the parent coordinates.
-
-    The bitset of W_gamma = {w : w·gamma = 0} doubles once per coordinate:
-    words 2^i + w (w < 2^i) have the parity of w, flipped when bit i of
-    gamma is set, so their block is the lower block, complemented then.
-    """
-    if gamma == 0:
-        raise GeometryError("gamma = 0 does not define a hyperplane")
-    mask = 1
-    for i in range(E.rank):
-        width = 1 << i
-        mask |= (mask ^ ((1 << width) - 1) if (gamma >> i) & 1 else mask) << width
-    return PointSet(E.rank, E.bits & mask)
+    """E ∩ W_gamma in the parent coordinates, for a normal 1 <= gamma < 2^r."""
+    return PointSet(E.rank, E.bits & hyperplane_mask(E.rank, gamma))
 
 
 @dataclass(frozen=True)
@@ -426,30 +413,19 @@ def reconcile_hyperplane(E: PointSet, H: Flat, n: int) -> ReconcileReport:
     if H.ambient_rank != E.rank or H.corank != 1:
         raise GeometryError("H must be a hyperplane of the same ambient")
     condition = _reconcile_condition(E, n)
-    asserted = condition is not None
-    rank_full, rank_inter = _reconciled_ranks(E, E.intersection(flat_points(H)), asserted)
-    return ReconcileReport(
-        condition=condition,
-        matroid_rank_full=rank_full,
-        matroid_rank_intersection=rank_inter,
-        asserted=asserted,
-    )
-
-
-def _reconciled_ranks(E: PointSet, inside: PointSet, asserted: bool) -> tuple[int, int]:
-    """(r(E), r(E ∩ H)), given inside = E ∩ H for a hyperplane H.
-
-    When ``asserted``, E must span the ambient and E ∩ H must have rank
-    r - 1; a failure raises an internal inconsistency.
-    """
     rank_full = matroid_rank(E)
-    rank_inter = matroid_rank(inside)
-    if asserted and not (rank_full == E.rank and rank_inter == E.rank - 1):
+    rank_inter = matroid_rank(E.intersection(flat_points(H)))
+    if condition is not None and not (rank_full == E.rank and rank_inter == E.rank - 1):
         raise InternalInconsistencyError(
             f"rank reconciliation failed on {E.to_compact()}: "
             f"r(M)={rank_full}, r(E∩H)={rank_inter}"
         )
-    return rank_full, rank_inter
+    return ReconcileReport(
+        condition=condition,
+        matroid_rank_full=rank_full,
+        matroid_rank_intersection=rank_inter,
+        asserted=condition is not None,
+    )
 
 
 def _reconcile_condition(E: PointSet, n: int) -> Optional[str]:

@@ -124,7 +124,7 @@ def walsh_hadamard(E: PointSet) -> Spectrum:
     squares are exact and cubes wrap (see ``_exact_cube_sum``).
     """
     n = 1 << E.rank
-    words = np.frombuffer(E.bits.to_bytes(max(n >> 3, 8), "little"), dtype="<u8")
+    words = E.words()
     out = np.empty(64 * words.size, dtype=np.int64)
     # The int32 table is the upper half of the int64 one.  Widened front to
     # back, int64 entry i covers int32 entries 2i - N and 2i - N + 1 (N =
@@ -187,6 +187,7 @@ def triangle_count_spectral(E: PointSet) -> int:
     return total >> E.rank
 
 
+@memoized
 def triangle_counts_per_hyperplane(E: PointSet) -> np.ndarray:
     """T(E ∩ W_gamma) for every gamma at once, exactly, at every rank.
 
@@ -201,7 +202,8 @@ def triangle_counts_per_hyperplane(E: PointSet) -> np.ndarray:
     int64 is exact at every rank: the transform of c^2 forms partial sums
     bounded by 2 sum(c^2) = 2^(r+1) |E|, and that of d ones bounded by
     2 sum(d) = 2T <= 2|E|^2, so with |E| < 2^24 every value formed,
-    T + 3A included, stays below 2^51.
+    T + 3A included, stays below 2^51.  The table is remembered per set,
+    so it is read-only.
     """
     r = E.rank
     d = fwht_inplace(walsh_hadamard(E).coeffs ** 2)
@@ -217,6 +219,7 @@ def triangle_counts_per_hyperplane(E: PointSet) -> np.ndarray:
     if int(np.bitwise_or.reduce(a)) & 3:
         raise InternalInconsistencyError("hyperplane triangle counts are not divisible by 4")
     a >>= 2
+    a.flags.writeable = False
     return a
 
 

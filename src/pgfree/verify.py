@@ -21,6 +21,7 @@ import numpy as np
 
 from . import FORMAT_VERSION, __version__
 from .errors import ConfigError, InternalInconsistencyError, ResourceCapError
+from .geometry import hyperplane_of
 from .matroid import (
     AnalysisReport,
     _dense_free,
@@ -37,10 +38,9 @@ from .search import (
     _hyperplane_bounds,
     _hyperplanes_holding_pg,
     _reconcile_condition,
-    _reconciled_ranks,
     find_pg_free_hyperplane,
     find_triangle_free_flat,
-    hyperplane_intersection,
+    reconcile_hyperplane,
 )
 from .spectral import counting_bound_check, triangle_count_spectral, uniformity, walsh_hadamard
 
@@ -147,7 +147,7 @@ def _cor_13(e: PointSet, n: int) -> tuple[int, int]:
 def _reconcile(e: PointSet, n: int) -> tuple[int, None]:
     for gamma in range(1, 1 << e.rank):
         try:
-            _reconciled_ranks(e, hyperplane_intersection(e, gamma), True)
+            reconcile_hyperplane(e, hyperplane_of(e.rank, gamma), n)
         except InternalInconsistencyError as exc:
             raise InternalInconsistencyError(f"gamma={gamma}: {exc}") from None
     return (1 << e.rank) - 1, None

@@ -7,6 +7,7 @@ it checks.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -25,8 +26,10 @@ def span_points(pts) -> frozenset[int]:
     return frozenset(words - {0})
 
 
-def all_flats(r: int) -> list[frozenset[int]]:
-    """Every flat of the rank-r geometry as a frozenset of points."""
+@lru_cache(maxsize=None)
+def all_flats(r: int) -> tuple[frozenset[int], ...]:
+    """Every flat of the rank-r geometry as a frozenset of points, built
+    once per rank."""
     points = range(1, 1 << r)
     flats = {frozenset()}
     frontier = {frozenset()}
@@ -40,7 +43,7 @@ def all_flats(r: int) -> list[frozenset[int]]:
                         grown.add(g)
         flats |= grown
         frontier = grown
-    return sorted(flats, key=lambda f: (len(f), sorted(f)))
+    return tuple(sorted(flats, key=lambda f: (len(f), sorted(f))))
 
 
 def flat_rank(f: frozenset[int]) -> int:

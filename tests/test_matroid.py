@@ -16,6 +16,7 @@ from pgfree.matroid import (
     critical_number,
     is_pg_free,
     matroid_rank,
+    max_flat_rank_inside,
     restrict_to_flat,
     triangle_count_naive,
 )
@@ -205,7 +206,7 @@ def test_apex_kernel_decides_later_apexes(monkeypatch):
         for _ in range(6):
             low = [w for w in flipped if rng.random() < rng.random()]
             e = fano_free_below(r, low, rng.sample(kept, 2), rng)
-            assert matroid._least_triple(e, [], 0) == dfs_least_generators(e.points, 3)
+            assert matroid._least_triple(e, 0) == dfs_least_generators(e.points, 3)
             assert_matches_dfs(e, 3)
         for density in (0.45, 0.55):
             for _ in range(4):
@@ -250,7 +251,7 @@ def test_apex_kernel_first_hit_at_word_boundary():
     for low in (flipped, flipped[:1]):
         e = fano_free_below(8, low, [63], rng)
         assert dfs_least_generators(e.points, 3)[0] == 63
-        assert matroid._least_triple(e, [], 0) == dfs_least_generators(e.points, 3)
+        assert matroid._least_triple(e, 0) == dfs_least_generators(e.points, 3)
         assert_matches_dfs(e, 3)
 
 
@@ -275,6 +276,35 @@ def test_is_pg_free_on_lifted_dense_free_set():
     assert e.size == a.size << 7
     assert is_pg_free(e, 3) == FreenessWitness(False, None)
     assert_matches_dfs(e, 2)
+
+
+@pytest.mark.parametrize("r", [7, 8, 9])
+def test_is_pg_free_matches_dfs_oracle_at_levels_5_and_6(r):
+    # Above g_{n-2} the DFS walks the iterated cone over coset minima and
+    # stops when the pool cannot finish a flat.  bose_burton(r, level) plus
+    # a point or two holds its least witness past the first points.  The
+    # oracle's no-witness searches at these levels take seconds to minutes,
+    # so the free sets are bose_burton(r, level) minus a point, whose
+    # answer is known, at r = 7 and 8, and one random set at r = 7.
+    rng = random.Random(600 + r)
+    for level in (5, 6):
+        bb = bose_burton(r, level)
+        outside = bb.complement().points
+        for k in (1, 2):
+            e = bb
+            for w in rng.sample(outside, k):
+                e = e.with_point(w)
+            for n in range(5, level + 1):
+                assert_matches_dfs(e, n)
+        if r < 9:
+            minus = bb.without_point(rng.choice(bb.points))
+            assert is_pg_free(minus, level) == FreenessWitness(False, None)
+    for density in (0.85, 0.9, 0.93):
+        e = PointSet.from_points(r, [w for w in range(1, 1 << r) if rng.random() < density])
+        assert_matches_dfs(e, 5)
+    if r == 7:
+        e = PointSet.from_points(r, [w for w in range(1, 1 << r) if rng.random() < 0.8])
+        assert_matches_dfs(e, 5)
 
 
 def test_is_pg_free_matches_brute_oracle_rank_5():
@@ -554,6 +584,15 @@ def test_critical_number_against_oracle_random():
         pts = rng.sample(range(1, 16), rng.randint(1, 15))
         e = PointSet.from_points(4, pts)
         assert critical_number(e) == brute_chi(pts, 4)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_chi_and_largest_flat_inside_match_oracle_on_every_set(r):
+    for bits in range(0, 1 << (1 << r), 2):
+        e = PointSet(r, bits)
+        assert critical_number(e) == brute_chi(e.points, r)
+        # a flat lies inside E iff it is disjoint from the complement
+        assert max_flat_rank_inside(e) == r - brute_chi(e.complement().points, r)
 
 
 def test_critical_number_structured_set_uses_quotient():

@@ -1,10 +1,11 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from pgfree.errors import GeometryError, PointSetParseError, RankCapError
-from pgfree.pointset import PointSet, pointset_from_mask
+from pgfree.pointset import PointSet, pointset_from_mask, xor_translate
 
 
 def test_pointset_basics():
@@ -60,6 +61,43 @@ def test_indicator_roundtrip():
     assert ind.shape == (16,)
     assert [i for i, v in enumerate(ind) if v] == [1, 7, 14]
     assert pointset_from_mask(4, ind) == e
+
+
+def test_words_view_is_little_endian_and_at_least_one_word():
+    for r, pts in ((1, [1]), (3, [1, 7]), (6, [1, 63]), (7, [1, 64, 127]), (12, [5, 64, 4095])):
+        e = PointSet.from_points(r, pts)
+        words = e.words()
+        assert words.dtype == np.dtype("<u8") and words.size == max(1, (1 << r) >> 6)
+        assert not words.flags.writeable
+        members = [64 * j + b for j, w in enumerate(words.tolist()) for b in range(64) if w >> b & 1]
+        assert members == pts
+        assert "words" not in e.__dict__
+
+
+def loop_translate(e, x):
+    """The bitset of E + x, one member word at a time."""
+    out = 0
+    for y in e:
+        out |= 1 << (y ^ x)
+    return out
+
+
+def test_xor_translate_matches_a_loop_over_the_words():
+    rng = random.Random(61)
+    for r in range(1, 7):
+        sets = [PointSet.empty(r), PointSet.full(r), PointSet(r, rng.getrandbits(1 << r) & ~1)]
+        for x in range(1 << r):
+            for e in sets:
+                assert xor_translate(e.bits, x, r) == loop_translate(e, x), (e.to_compact(), x)
+    for r in (12, 22, 24):
+        if r == 12:
+            e = PointSet(r, rng.getrandbits(1 << r) & ~1)
+        else:
+            e = PointSet.from_points(r, rng.sample(range(1, 1 << r), 200))
+        # translates by members of E hold word 0
+        xs = [1, 1 << (r - 1), (1 << r) - 1, *e.points[:2]] + [rng.randrange(1, 1 << r) for _ in range(4)]
+        for x in xs:
+            assert xor_translate(e.bits, x, r) == loop_translate(e, x), (r, x)
 
 
 def test_json_roundtrip():

@@ -43,6 +43,25 @@ def test_cone_matches_line_loop_oracle():
             assert set(cone(e, p)) == brute_cone(pts, p, r)
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_cone_matches_line_loop_oracle_on_every_set(r):
+    for bits in range(0, 1 << (1 << r), 2):
+        e = PointSet(r, bits)
+        for p in e:
+            assert set(cone(e, p)) == brute_cone(e.points, p, r)
+
+
+@pytest.mark.parametrize("r", [12, 20])
+def test_cone_matches_line_loop_oracle_on_seeded_sets(r):
+    # the oracle walks all 2^r words for each apex, so few apexes are taken
+    rng = random.Random(800 + r)
+    sparse = PointSet.from_points(r, rng.sample(range(1, 1 << r), 1 << (r // 2)))
+    for e in (sparse, PointSet(r, rng.getrandbits(1 << r) & ~1)):
+        pts = e.points
+        for p in rng.sample(pts, 6 if r == 12 else 2) + [pts[0], pts[-1]]:
+            assert set(cone(e, p)) == brute_cone(pts, p, r)
+
+
 def test_cone_symmetry_and_parity():
     rng = random.Random(51)
     e = PointSet.from_points(5, [w for w in range(1, 32) if rng.random() < 0.6])
@@ -84,6 +103,16 @@ def test_hyperplane_intersection_matches_parity_filter(r):
             assert set(got) == {w for w in e if popcount_parity(w & gamma) == 0}, gamma
         # every hyperplane holds 2^(r-1) - 1 points
         assert hyperplane_intersection(full, gamma).size == (1 << (r - 1)) - 1
+
+
+@pytest.mark.parametrize("r", [1, 3, 8])
+def test_normals_outside_the_ambient_are_rejected(r):
+    full = PointSet.full(r)
+    for gamma in (0, -1, 1 << r, (1 << r) + 1):
+        with pytest.raises(GeometryError):
+            hyperplane_intersection(full, gamma)
+        with pytest.raises(GeometryError):
+            hyperplane_of(r, gamma)
 
 
 def test_check_cone_lemma_on_extremal_set():

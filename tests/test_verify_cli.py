@@ -213,19 +213,42 @@ def test_lemma_24_sweep_runs_no_per_hyperplane_search(monkeypatch):
     intersections, levels = [], []
     for module in (search, verify):
         real_free = module.is_pg_free
-        real_meet = module.hyperplane_intersection
         monkeypatch.setattr(
             module, "is_pg_free", lambda e, n, f=real_free: levels.append(n) or f(e, n)
         )
-        monkeypatch.setattr(
-            module,
-            "hyperplane_intersection",
-            lambda e, g, f=real_meet: intersections.append(g) or f(e, g),
-        )
+    # of the modules a sweep runs, only search binds hyperplane_intersection
+    real_meet = search.hyperplane_intersection
+    monkeypatch.setattr(
+        search, "hyperplane_intersection", lambda e, g: intersections.append(g) or real_meet(e, g)
+    )
     out = run_sweep(SweepConfig(rank=4, level=3, mode="exhaustive", checks=("lemma-2.4",)))
     assert out.checks["lemma-2.4"]["evaluated"] == 202_545
     assert intersections == []
     assert levels == [3] * (1 << 15)  # the freeness gate, once per set
+
+
+def test_sweep_computes_the_hyperplane_counts_once_per_set(monkeypatch):
+    # lemma-2.4, thm-4.1 and thm-1.1's scan and descent all read the
+    # per-hyperplane counts of a dense fano-free set; it is computed once
+    import pgfree.search as search
+
+    seen = {}  # id -> [the set, calls, computations]; the set keeps its id unique
+    real = search.triangle_counts_per_hyperplane
+
+    def spy(e):
+        entry = seen.setdefault(id(e), [e, 0, 0])
+        entry[1] += 1
+        entry[2] += "triangle_counts_per_hyperplane" not in e.memo
+        return real(e)
+
+    monkeypatch.setattr(search, "triangle_counts_per_hyperplane", spy)
+    checks = tuple(c for c in ALL_CHECKS if c != "gs")  # gs needs rank >= level + 2
+    cfg = SweepConfig(rank=4, level=3, mode="random", sample_count=200, rng_seed=5,
+                      density_filter=Fraction(5, 8), checks=checks)
+    out = run_sweep(cfg, workers=1)
+    assert out.checks["thm-1.1"]["evaluated"] > 0
+    assert max(computed for _, _, computed in seen.values()) == 1
+    assert max(calls for _, calls, _ in seen.values()) > 1
 
 
 def test_fano_free_hyperplane_theorem_exhaustive_r4():
