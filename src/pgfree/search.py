@@ -5,14 +5,16 @@ the one-step case of the iterated cone that ``matroid``'s flat searches
 walk.  A hyperplane intersection is one AND with ``hyperplane_mask``.
 
 The headline operation finds a triangle-free corank-(n-2) flat inside a
-dense PG(n-1,2)-free set, either by descending one hyperplane at a time
-(each step keeping the intersection free of one smaller subgeometry) or by
-exhaustively scanning all flats of the target corank.
+dense PG(n-1,2)-free set, either by the descent or by exhaustively
+scanning all flats of the target corank.  The descent follows the paper's
+recursion on n: one hyperplane step restricts E to a PG(n-2,2)-free
+intersection, the descent recurses from level n-1 there, and the flat it
+finds is lifted through that step's coordinate map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -114,21 +116,21 @@ class HyperplaneBoundReport:
     inside_slack: Optional[Fraction]
 
 
-def check_lemma_hsize(E: PointSet, H: Flat, n: int) -> HyperplaneBoundReport:
-    """Bounds on |E \\ H| and |E ∩ H| when E ∩ H holds a PG(n-2,2).
+def check_lemma_hsize(E: PointSet, gamma: int, n: int) -> HyperplaneBoundReport:
+    """Bounds on |E \\ H| and |E ∩ H| for the hyperplane H = W_gamma when
+    E ∩ H holds a PG(n-2,2).
 
-    Hypotheses (all checked): H is a hyperplane, E is PG(n-1,2)-free, and
-    E ∩ H is NOT PG(n-2,2)-free.  The first bound always follows; the
-    second additionally needs the density hypothesis.
+    Hypotheses (all checked): E is PG(n-1,2)-free and E ∩ H is NOT
+    PG(n-2,2)-free.  The first bound always follows; the second
+    additionally needs the density hypothesis.  A normal outside
+    1..2^r - 1 raises ``GeometryError``.
     """
     if n < 3 or E.rank < n:
         raise HypothesisError(f"requires r >= n >= 3, got r={E.rank}, n={n}")
-    if H.ambient_rank != E.rank or H.corank != 1:
-        raise HypothesisError("H must be a hyperplane of the same ambient")
+    inside = hyperplane_intersection(E, gamma)
     witness = is_pg_free(E, n)
     if witness.found:
         raise HypothesisError(f"E is not PG({n - 1},2)-free", witness=witness.subspace)
-    inside = E.intersection(flat_points(H))
     if not is_pg_free(inside, n - 1).found:
         raise HypothesisError(f"E ∩ H is PG({n - 2},2)-free: the lemma does not apply")
     outside_bound, inside_bound, dense = _hyperplane_bounds(E, inside.size, n)
@@ -241,14 +243,7 @@ class DescentStep:
     hypothesis_ok: bool  # density and freeness held at this level
 
     def to_json_obj(self) -> dict:
-        return {
-            "level": self.level,
-            "normal": self.normal,
-            "ambient_rank": self.ambient_rank,
-            "size_before": self.size_before,
-            "size_after": self.size_after,
-            "hypothesis_ok": self.hypothesis_ok,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -258,7 +253,7 @@ class DescentTrace:
     steps: tuple[DescentStep, ...]
     final_flat: Optional[Flat]
     final_restriction_size: int
-    fallback_level: Optional[int] = field(default=None)
+    fallback_level: Optional[int] = None
 
     def to_json_obj(self) -> dict:
         return {
@@ -269,7 +264,7 @@ class DescentTrace:
         }
 
 
-def _result_for(E: PointSet, flat: Optional[Flat], intersection_size: int) -> StructureResult:
+def _result_for(flat: Optional[Flat], intersection_size: int) -> StructureResult:
     if flat is None:
         return StructureResult(False, None, 0, False)
     return StructureResult(
@@ -298,7 +293,33 @@ def _exhaustive_flat_search(E: PointSet, n: int) -> StructureResult:
             if inter.size > best_size and not is_pg_free(inter, 2).found:
                 best_flat = f
                 best_size = inter.size
-    return _result_for(E, best_flat, best_size)
+    return _result_for(best_flat, best_size)
+
+
+def _descend(
+    E: PointSet, n: int
+) -> tuple[Optional[Flat], tuple[DescentStep, ...], int, Optional[int]]:
+    """The descent from level n: (the flat or None, the steps taken,
+    |E ∩ flat|, the level that fell back to the exhaustive scan or None).
+
+    At level 2 the flat is E's whole ambient.  Above it, the first
+    PG(n-2,2)-free hyperplane restricts E, and the flat found from level
+    n-1 in the restriction is lifted back.  A level with no such hyperplane
+    scans its own corank-(n-2) flats; at level 3 that scan is the
+    hyperplane scan again, so it finds nothing.
+    """
+    if n == 2:
+        return closure(E.rank, [1 << i for i in range(E.rank)]), (), E.size, None
+    hypothesis_ok = _dense_free(E, n)
+    step = find_pg_free_hyperplane(E, n)
+    if step is None:
+        fallback = _exhaustive_flat_search(E, n)
+        return fallback.flat, (), fallback.intersection_size, n
+    gamma, (sub, cmap) = step
+    flat, steps, size, fallback_level = _descend(sub, n - 1)
+    here = DescentStep(n, gamma, E.rank, E.size, sub.size, hypothesis_ok)
+    lifted = None if flat is None else cmap.lift_flat(flat)
+    return lifted, (here, *steps), size, fallback_level
 
 
 def find_triangle_free_flat(
@@ -306,7 +327,7 @@ def find_triangle_free_flat(
 ) -> tuple[StructureResult, Optional[DescentTrace]]:
     """Search for a triangle-free corank-(n-2) flat meeting E densely.
 
-    descent: iterate the PG-free hyperplane step at levels n, n-1, ..., 3,
+    descent: take the PG-free hyperplane step at levels n, n-1, ..., 3,
     re-validating the density/freeness hypotheses at each level and falling
     back to an exhaustive scan at the level where the step fails.
     exhaustive: scan all corank-(n-2) flats, maximizing |E ∩ K|.
@@ -319,78 +340,10 @@ def find_triangle_free_flat(
         return _exhaustive_flat_search(E, n), None
     if strategy != "descent":
         raise GeometryError(f"unknown strategy {strategy!r}")
-
-    full = closure(E.rank, [1 << i for i in range(E.rank)])
-    if n == 2:
-        if is_pg_free(E, 2).found:
-            return _result_for(E, None, 0), None
-        return (
-            _result_for(E, full, E.size),
-            DescentTrace(steps=(), final_flat=full, final_restriction_size=E.size),
-        )
-
-    current = E
-    maps: list[CoordinateMap] = []
-    steps: list[DescentStep] = []
-
-    def lift_flat_chain(sub_flat: Flat) -> Flat:
-        f = sub_flat
-        for cmap in reversed(maps):
-            f = cmap.lift_flat(f)
-        return f
-
-    for level in range(n, 2, -1):
-        hyp_ok = _dense_free(current, level)
-        step = find_pg_free_hyperplane(current, level)
-        if step is None:
-            # The guaranteed step failed here; fall back to scanning the
-            # current restriction exhaustively.  At level 3 the hyperplane
-            # scan already was that corank-1 scan, so nothing can be found.
-            if level == 3:
-                return _result_for(E, None, 0), DescentTrace(
-                    steps=tuple(steps),
-                    final_flat=None,
-                    final_restriction_size=0,
-                    fallback_level=level,
-                )
-            fallback = _exhaustive_flat_search(current, level)
-            if not fallback.found:
-                return _result_for(E, None, 0), DescentTrace(
-                    steps=tuple(steps),
-                    final_flat=None,
-                    final_restriction_size=0,
-                    fallback_level=level,
-                )
-            lifted = lift_flat_chain(fallback.flat)
-            trace = DescentTrace(
-                steps=tuple(steps),
-                final_flat=lifted,
-                final_restriction_size=fallback.intersection_size,
-                fallback_level=level,
-            )
-            return _result_for(E, lifted, fallback.intersection_size), trace
-        gamma, (sub, cmap) = step
-        steps.append(
-            DescentStep(
-                level=level,
-                normal=gamma,
-                ambient_rank=current.rank,
-                size_before=current.size,
-                size_after=sub.size,
-                hypothesis_ok=hyp_ok,
-            )
-        )
-        current = sub
-        maps.append(cmap)
-
-    final_local = closure(current.rank, [1 << i for i in range(current.rank)])
-    lifted = lift_flat_chain(final_local)
-    trace = DescentTrace(
-        steps=tuple(steps),
-        final_flat=lifted,
-        final_restriction_size=current.size,
-    )
-    return _result_for(E, lifted, current.size), trace
+    if n == 2 and is_pg_free(E, 2).found:
+        return _result_for(None, 0), None
+    flat, steps, size, fallback_level = _descend(E, n)
+    return _result_for(flat, size), DescentTrace(steps, flat, size, fallback_level)
 
 
 @dataclass(frozen=True)
@@ -403,18 +356,18 @@ class ReconcileReport:
     asserted: bool
 
 
-def reconcile_hyperplane(E: PointSet, H: Flat, n: int) -> ReconcileReport:
-    """Check that E spans the ambient and E ∩ H drops rank by exactly one.
+def reconcile_hyperplane(E: PointSet, gamma: int, n: int) -> ReconcileReport:
+    """Check that E spans the ambient and E ∩ W_gamma drops rank by exactly
+    one; a normal outside 1..2^r - 1 raises ``GeometryError``.
 
     Asserted when |E| >= (3/4) 2^r, or when E is PG(n-1,2)-free with
     |E| > (1 - 3/2^n) 2^r and n >= 3; outside both conditions the measured
     ranks are reported without asserting.
     """
-    if H.ambient_rank != E.rank or H.corank != 1:
-        raise GeometryError("H must be a hyperplane of the same ambient")
+    inside = hyperplane_intersection(E, gamma)
     condition = _reconcile_condition(E, n)
     rank_full = matroid_rank(E)
-    rank_inter = matroid_rank(E.intersection(flat_points(H)))
+    rank_inter = matroid_rank(inside)
     if condition is not None and not (rank_full == E.rank and rank_inter == E.rank - 1):
         raise InternalInconsistencyError(
             f"rank reconciliation failed on {E.to_compact()}: "

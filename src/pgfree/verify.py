@@ -21,7 +21,6 @@ import numpy as np
 
 from . import FORMAT_VERSION, __version__
 from .errors import ConfigError, InternalInconsistencyError, ResourceCapError
-from .geometry import hyperplane_of
 from .matroid import (
     AnalysisReport,
     _dense_free,
@@ -147,7 +146,7 @@ def _cor_13(e: PointSet, n: int) -> tuple[int, int]:
 def _reconcile(e: PointSet, n: int) -> tuple[int, None]:
     for gamma in range(1, 1 << e.rank):
         try:
-            reconcile_hyperplane(e, hyperplane_of(e.rank, gamma), n)
+            reconcile_hyperplane(e, gamma, n)
         except InternalInconsistencyError as exc:
             raise InternalInconsistencyError(f"gamma={gamma}: {exc}") from None
     return (1 << e.rank) - 1, None

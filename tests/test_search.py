@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -5,7 +7,7 @@ import pytest
 
 from pgfree.errors import GeometryError, HypothesisError
 from pgfree.constructions import bose_burton, m_k5
-from pgfree.geometry import closure, flat_points, hyperplane_of
+from pgfree.geometry import flat_points, hyperplane_of
 from pgfree.matroid import is_pg_free, triangle_count_naive
 from pgfree.pointset import PointSet
 from pgfree.search import (
@@ -147,7 +149,7 @@ def test_check_lemma_hsize_example():
         h = hyperplane_of(4, gamma)
         inter = e.intersection(flat_points(h))
         if is_pg_free(inter, 2).found:  # holds a triangle
-            rep = check_lemma_hsize(e, h, 3)
+            rep = check_lemma_hsize(e, gamma, 3)
             hits += 1
             assert rep.outside_size <= 6
             assert rep.outside_bound == 6
@@ -162,12 +164,18 @@ def test_check_lemma_hsize_hypothesis_errors():
         h = hyperplane_of(4, gamma)
         if not is_pg_free(e.intersection(flat_points(h)), 2).found:
             with pytest.raises(HypothesisError):
-                check_lemma_hsize(e, h, 3)
+                check_lemma_hsize(e, gamma, 3)
             break
     with pytest.raises(HypothesisError):
-        check_lemma_hsize(PointSet.full(4), hyperplane_of(4, 1), 3)  # not fano-free
-    with pytest.raises(HypothesisError):
-        check_lemma_hsize(e, closure(4, [1, 2]), 3)  # not a hyperplane
+        check_lemma_hsize(PointSet.full(4), 1, 3)  # not fano-free
+
+
+@pytest.mark.parametrize("check", [check_lemma_hsize, reconcile_hyperplane])
+def test_hyperplane_checks_reject_normals_outside_the_ambient(check):
+    e = bose_burton(4, 3).without_point(4)  # meets both checks' hypotheses
+    for gamma in (0, -1, 1 << 4, (1 << 4) + 1):
+        with pytest.raises(GeometryError):
+            check(e, gamma, 3)
 
 
 def test_find_pg_free_hyperplane_dense_example():
@@ -346,10 +354,22 @@ def test_fano_free_hyperplane_theorem_at_rank_5_and_6():
             assert Fraction(sub.size) > quarter
 
 
+def test_descent_on_every_dense_subset_of_pg32_is_pinned():
+    # every subset of PG(3,2) with at least 9 points, at levels 3 and 4
+    digest = hashlib.sha256()
+    for level in (3, 4):
+        for s in range(1 << 15):
+            if s.bit_count() >= 9:
+                res, trace = find_triangle_free_flat(PointSet(4, s << 1), level)
+                line = json.dumps([res.to_json_obj(), trace.to_json_obj()])
+                digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == "ac581853cf8adf52fd5c1050f3b834c6981ca8465cd5b76290779d67bf0b4ead"
+
+
 def test_reconcile_hyperplane():
     e = PointSet.full(4).without_point(5)
     for gamma in (1, 7, 15):
-        rep = reconcile_hyperplane(e, hyperplane_of(4, gamma), 3)
+        rep = reconcile_hyperplane(e, gamma, 3)
         assert rep.condition == "size"
         assert rep.asserted
         assert rep.matroid_rank_full == 4
@@ -357,12 +377,12 @@ def test_reconcile_hyperplane():
 
     e11 = bose_burton(4, 3).without_point(4)
     for gamma in range(1, 16):
-        rep = reconcile_hyperplane(e11, hyperplane_of(4, gamma), 3)
+        rep = reconcile_hyperplane(e11, gamma, 3)
         assert rep.condition == "free-dense"
         assert rep.matroid_rank_intersection == 3
 
     basis_only = PointSet.from_points(4, [1, 2, 4, 8])
-    rep = reconcile_hyperplane(basis_only, hyperplane_of(4, 8), 3)
+    rep = reconcile_hyperplane(basis_only, 8, 3)
     assert rep.condition is None and not rep.asserted
     assert rep.matroid_rank_intersection == 3  # measured, not asserted
 
@@ -376,6 +396,6 @@ def test_reconcile_ranks_the_whole_set_once(monkeypatch):
     monkeypatch.setattr(matroid, "_spans_by_bit_lengths", lambda e: ranked.append(e) or real(e))
     e = PointSet.full(4).without_point(5)
     for gamma in range(1, 16):
-        reconcile_hyperplane(e, hyperplane_of(4, gamma), 3)
+        reconcile_hyperplane(e, gamma, 3)
     assert ranked.count(e) == 1
     assert len(ranked) == 16  # and one rank per intersection

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib
 import io
@@ -225,6 +226,22 @@ def test_lemma_24_sweep_runs_no_per_hyperplane_search(monkeypatch):
     assert out.checks["lemma-2.4"]["evaluated"] == 202_545
     assert intersections == []
     assert levels == [3] * (1 << 15)  # the freeness gate, once per set
+
+
+def test_reconcile_sweep_builds_no_hyperplane_flat(monkeypatch):
+    # the reconcile row intersects E with each hyperplane by its normal
+    import pgfree
+
+    built = []
+    for name in ("hyperplane_of", "flat_points"):
+        real = getattr(pgfree.geometry, name)
+        spy = lambda *a, f=real, name=name: built.append(name) or f(*a)
+        for module in (pgfree, pgfree.geometry, pgfree.matroid, pgfree.search, pgfree.verify):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, spy)
+    out = run_sweep(SweepConfig(rank=4, level=3, mode="exhaustive", checks=("reconcile",)))
+    assert out.checks["reconcile"]["evaluated"] == 15 * 996
+    assert built == []
 
 
 def test_sweep_computes_the_hyperplane_counts_once_per_set(monkeypatch):
@@ -548,6 +565,24 @@ def test_readme_check_table_lists_all_checks():
     rows = [line.split("|")[1].strip() for line in section.splitlines() if line.startswith("|")]
     assert rows[:2] == ["token", "-" * len(rows[1])]
     assert tuple(rows[2:]) == ALL_CHECKS
+
+
+def test_traced_names_resolve():
+    # perfbench/tracing.py wraps these by name; a refactor must keep them
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    source = tracing.read_text(encoding="utf-8")
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+    )
+    assert traced
+    for module, qualname in traced:
+        owner = importlib.import_module(f"pgfree.{module}")
+        for attr in qualname.split("."):
+            owner = getattr(owner, attr)
+        assert callable(owner), (module, qualname)
 
 
 def test_cli_verify_bad_config_exit_1(capsys):
