@@ -31,11 +31,11 @@ from .geometry import (
 from .pointset import RANK_CAP, PointSet
 from .matroid import (
     AnalysisReport,
-    CoordinateMap,
     FreenessWitness,
     check_corollary_1_3,
     critical_number,
     is_pg_free,
+    lift_flat,
     matroid_rank,
     restrict_to_flat,
     triangle_count_naive,
@@ -51,14 +51,10 @@ from .spectral import (
     walsh_hadamard,
 )
 from .search import (
-    ConeLemmaReport,
     DescentStep,
     DescentTrace,
-    HyperplaneBoundReport,
     ReconcileReport,
     StructureResult,
-    check_cone_lemma,
-    check_lemma_hsize,
     cone,
     find_pg_free_hyperplane,
     find_triangle_free_flat,

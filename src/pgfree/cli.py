@@ -197,13 +197,11 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    e = _read_pointset(args.input)
-    spec = walsh_hadamard(e)
-    coeffs = spec.coeffs
+    if args.top is not None and args.top < 0:
+        raise _UsageError(f"--top must be >= 0, got {args.top}")
+    coeffs = walsh_hadamard(_read_pointset(args.input)).coeffs
     print("gamma,coefficient")
     if args.top is not None:
-        if args.top < 0:
-            raise _UsageError(f"--top must be >= 0, got {args.top}")
         # a stable sort keeps ascending gamma among equal magnitudes
         order = np.argsort(-np.abs(coeffs), kind="stable")[: args.top]
         for g, v in zip(order.tolist(), coeffs[order].tolist()):

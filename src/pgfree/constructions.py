@@ -75,9 +75,7 @@ def graphic_representation(g: GraphSpec) -> PointSet:
     raw = PointSet.from_points(g.vertex_count, words) if words else PointSet.empty(1)
     if not words:
         return raw
-    span = closure(g.vertex_count, words)
-    restricted, _ = restrict_to_flat(raw, span)
-    return restricted
+    return restrict_to_flat(raw, closure(g.vertex_count, words))
 
 
 def m_k5() -> PointSet:

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import GeometryError
-from .pointset import PointSet, cached, check_normal, check_rank, pointset_from_words
+from .pointset import SMALL_SET_POINTS, PointSet, cached, check_normal, check_rank, pointset_from_words
 
 
 def dot(a: int, b: int) -> int:
@@ -89,13 +89,6 @@ class Flat:
     def pivots(self) -> tuple[int, ...]:
         return tuple((v & -v).bit_length() - 1 for v in self.basis)
 
-    def to_json_obj(self) -> dict:
-        return {"ambient_rank": self.ambient_rank, "basis": list(self.basis)}
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "Flat":
-        return cls(int(obj["ambient_rank"]), tuple(int(v) for v in obj["basis"]))
-
 
 def closure(ambient_rank: int, points: Iterable[int]) -> Flat:
     """The flat spanned by the given points; the rank-0 flat for none."""
@@ -108,14 +101,13 @@ def closure(ambient_rank: int, points: Iterable[int]) -> Flat:
     return Flat(ambient_rank, echelon_basis(pts))
 
 
-# Flats of at most this rank add up their words' bits in Python; larger ones
-# build the bitset in one numpy pass, since each addition copies the whole int.
-_PYTHON_FLAT_MAX_RANK = 6
-
-
 def flat_points(f: Flat) -> PointSet:
-    """All 2^k - 1 nonzero words in the span of the flat's basis."""
-    if len(f.basis) <= _PYTHON_FLAT_MAX_RANK:
+    """All 2^k - 1 nonzero words in the span of the flat's basis.
+
+    Small flats add up their words' bits in Python; larger ones build the
+    bitset in one numpy pass, since each addition copies the whole int.
+    """
+    if 1 << len(f.basis) <= SMALL_SET_POINTS:
         words = [0]
         for b in f.basis:
             words += [w ^ b for w in words]
@@ -191,13 +183,6 @@ def enumerate_flats(ambient_rank: int, corank: int) -> Iterator[Flat]:
     check_rank(ambient_rank)
     if not 0 <= corank <= ambient_rank:
         raise GeometryError(f"corank must be in 0..{ambient_rank}, got {corank}")
-    if corank == 0:
-        yield Flat(ambient_rank, echelon_basis(1 << i for i in range(ambient_rank)))
-        return
-    if corank == 1:
-        for gamma in range(1, 1 << ambient_rank):
-            yield hyperplane_of(ambient_rank, gamma)
-        return
     bases = sorted(_echelon_dual_bases(ambient_rank, corank))
     for rows in bases:
         yield Flat(ambient_rank, kernel_basis(ambient_rank, rows))

@@ -512,49 +512,12 @@ def check_corollary_1_3(E: PointSet, n: int) -> bool:
     return critical_number(E) in (n - 1, n)
 
 
-@dataclass(frozen=True)
-class CoordinateMap:
-    """Invertible re-coordinatization of a flat onto a fresh small ambient.
+def restrict_to_flat(E: PointSet, f: Flat) -> PointSet:
+    """E ∩ f, re-coordinatized into an ambient of rank f.rank.
 
-    Coordinates in the subspace are the coefficients over the flat's
-    canonical basis; since that basis is reduced-echelon, coefficient i of
-    a member word is simply its bit at the i-th pivot.
-    """
-
-    flat: Flat
-
-    def project(self, word: int) -> int:
-        """Parent word (must lie in the flat) -> subspace word."""
-        sub = 0
-        for i, p in enumerate(self.flat.pivots):
-            if (word >> p) & 1:
-                sub |= 1 << i
-        return sub
-
-    def lift(self, sub_word: int) -> int:
-        """Subspace word -> parent word."""
-        w = 0
-        for i, b in enumerate(self.flat.basis):
-            if (sub_word >> i) & 1:
-                w ^= b
-        return w
-
-    def lift_flat(self, sub_flat: Flat) -> Flat:
-        if sub_flat.ambient_rank != self.flat.rank:
-            raise GeometryError("flat does not live in the restricted ambient")
-        return closure(self.flat.ambient_rank, [self.lift(v) for v in sub_flat.basis])
-
-    def lift_points(self, sub: PointSet) -> PointSet:
-        if sub.rank != self.flat.rank:
-            raise GeometryError("point set does not live in the restricted ambient")
-        return PointSet.from_points(self.flat.ambient_rank, [self.lift(w) for w in sub])
-
-
-def restrict_to_flat(E: PointSet, f: Flat) -> tuple[PointSet, CoordinateMap]:
-    """Re-coordinatize E ∩ f into an ambient of rank f.rank.
-
-    Returns the restricted set together with the map that lifts witnesses
-    back to the original ambient.
+    Coordinate i of a member is its coefficient over the i-th word of f's
+    reduced-echelon basis, which is simply its bit at the i-th pivot.
+    ``lift_flat`` takes a flat of the new ambient back to the old one.
     """
     if f.rank < 1:
         raise GeometryError("restriction requires a flat of rank >= 1")
@@ -564,8 +527,22 @@ def restrict_to_flat(E: PointSet, f: Flat) -> tuple[PointSet, CoordinateMap]:
     keep = np.ones(arr.shape, dtype=bool)
     for g in kernel_basis(f.ambient_rank, f.basis):
         keep &= _parity(arr, g) == 0
-    # coordinate i of a member is its bit at the i-th pivot (see CoordinateMap)
-    return _image(arr[keep], [1 << p for p in f.pivots]), CoordinateMap(f)
+    return _image(arr[keep], [1 << p for p in f.pivots])
+
+
+def lift_flat(f: Flat, sub_flat: Flat) -> Flat:
+    """The flat of f's ambient that ``sub_flat``, a flat in the coordinates
+    of ``restrict_to_flat(·, f)``, stands for."""
+    if sub_flat.ambient_rank != f.rank:
+        raise GeometryError("flat does not live in the restricted ambient")
+    words = []
+    for v in sub_flat.basis:
+        w = 0
+        for i, b in enumerate(f.basis):
+            if (v >> i) & 1:
+                w ^= b
+        words.append(w)
+    return closure(f.ambient_rank, words)
 
 
 @dataclass(frozen=True)

@@ -9,24 +9,23 @@ dense PG(n-1,2)-free set, either by the descent or by exhaustively
 scanning all flats of the target corank.  The descent follows the paper's
 recursion on n: one hyperplane step restricts E to a PG(n-2,2)-free
 intersection, the descent recurses from level n-1 there, and the flat it
-finds is lifted through that step's coordinate map.
+finds is lifted back through that hyperplane (``lift_flat``).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .errors import GeometryError, HypothesisError, InternalInconsistencyError
+from .errors import GeometryError, InternalInconsistencyError
 from .geometry import Flat, closure, enumerate_flats, flat_points, hyperplane_of
 from .matroid import (
-    CoordinateMap,
     _dense,
     _dense_free,
     is_pg_free,
+    lift_flat,
     matroid_rank,
     restrict_to_flat,
     triangle_count_naive,
@@ -48,41 +47,6 @@ def hyperplane_intersection(E: PointSet, gamma: int) -> PointSet:
     return PointSet(E.rank, E.bits & hyperplane_mask(E.rank, gamma))
 
 
-@dataclass(frozen=True)
-class ConeLemmaReport:
-    """Measured conclusions of the cone lemma at one apex."""
-
-    point: int
-    cone_size: int
-    size_bound: int  # 2|E| - 2^r, possibly non-positive
-    size_slack: int
-    freeness_level: int  # the cone was verified PG(freeness_level-1,2)-free
-
-
-def check_cone_lemma(E: PointSet, p: int, n: int) -> ConeLemmaReport:
-    """Verify both cone-lemma conclusions for a PG(n-1,2)-free set.
-
-    The cone must be PG(n-2,2)-free and at least 2|E| - 2^r large; since
-    both are proven consequences, a failure raises an internal
-    inconsistency rather than returning.
-    """
-    if n < 3:
-        raise HypothesisError("cone lemma needs n >= 3")
-    if p not in E:
-        raise HypothesisError(f"apex {p} is not a point of the set")
-    witness = is_pg_free(E, n)
-    if witness.found:
-        raise HypothesisError(f"E is not PG({n - 1},2)-free", witness=witness.subspace)
-    size, bound = _cone_lemma_at(E, p, n, free=True)
-    return ConeLemmaReport(
-        point=p,
-        cone_size=size,
-        size_bound=bound,
-        size_slack=size - bound,
-        freeness_level=n - 1,
-    )
-
-
 def _cone_lemma_at(E: PointSet, p: int, n: int, free: bool) -> tuple[int, int]:
     """The cone lemma's conclusions at the apex p of E: (|E_p|, 2|E| - 2^r).
 
@@ -101,49 +65,6 @@ def _cone_lemma_at(E: PointSet, p: int, n: int, free: bool) -> tuple[int, int]:
             f"cone at {p} contains a PG({n - 2},2) despite the freeness hypothesis"
         )
     return ep.size, bound
-
-
-@dataclass(frozen=True)
-class HyperplaneBoundReport:
-    """Measured conclusions of the hyperplane-size bounds."""
-
-    outside_size: int
-    outside_bound: Fraction  # (1 - 1/2^(n-1)) 2^(r-1)
-    outside_slack: Fraction
-    dense_hypothesis: bool  # |E| > (1 - 3/2^n) 2^r
-    inside_size: int
-    inside_bound: Fraction  # (1 - 2/2^(n-1)) 2^(r-1), strict lower bound
-    inside_slack: Optional[Fraction]
-
-
-def check_lemma_hsize(E: PointSet, gamma: int, n: int) -> HyperplaneBoundReport:
-    """Bounds on |E \\ H| and |E ∩ H| for the hyperplane H = W_gamma when
-    E ∩ H holds a PG(n-2,2).
-
-    Hypotheses (all checked): E is PG(n-1,2)-free and E ∩ H is NOT
-    PG(n-2,2)-free.  The first bound always follows; the second
-    additionally needs the density hypothesis.  A normal outside
-    1..2^r - 1 raises ``GeometryError``.
-    """
-    if n < 3 or E.rank < n:
-        raise HypothesisError(f"requires r >= n >= 3, got r={E.rank}, n={n}")
-    inside = hyperplane_intersection(E, gamma)
-    witness = is_pg_free(E, n)
-    if witness.found:
-        raise HypothesisError(f"E is not PG({n - 1},2)-free", witness=witness.subspace)
-    if not is_pg_free(inside, n - 1).found:
-        raise HypothesisError(f"E ∩ H is PG({n - 2},2)-free: the lemma does not apply")
-    outside_bound, inside_bound, dense = _hyperplane_bounds(E, inside.size, n)
-    outside = E.size - inside.size
-    return HyperplaneBoundReport(
-        outside_size=outside,
-        outside_bound=Fraction(outside_bound),
-        outside_slack=Fraction(outside_bound - outside),
-        dense_hypothesis=dense,
-        inside_size=inside.size,
-        inside_bound=Fraction(inside_bound),
-        inside_slack=Fraction(inside.size - inside_bound) if dense else None,
-    )
 
 
 def _hyperplane_bounds(E: PointSet, inside, n: int) -> tuple[int, int, bool]:
@@ -188,11 +109,8 @@ def _hyperplanes_holding_pg(E: PointSet, n: int):
     )
 
 
-def find_pg_free_hyperplane(
-    E: PointSet, n: int
-) -> Optional[tuple[int, tuple[PointSet, CoordinateMap]]]:
-    """First hyperplane (normals scanned ascending) whose intersection with
-    E is PG(n-2,2)-free, together with the rank-(r-1) restriction.
+def find_pg_free_hyperplane(E: PointSet, n: int) -> Optional[int]:
+    """The least normal gamma whose hyperplane meets E in a PG(n-2,2)-free set.
 
     Absence is a legitimate outcome below the density threshold, so None is
     returned rather than raising.
@@ -207,10 +125,7 @@ def find_pg_free_hyperplane(
     else:
         free = (gamma for gamma, h in enumerate(held, 1) if not h)
     gamma = next(iter(free), None)
-    if gamma is None:
-        return None
-    gamma = int(gamma)
-    return gamma, restrict_to_flat(E, hyperplane_of(E.rank, gamma))
+    return None if gamma is None else int(gamma)
 
 
 @dataclass(frozen=True)
@@ -311,14 +226,15 @@ def _descend(
     if n == 2:
         return closure(E.rank, [1 << i for i in range(E.rank)]), (), E.size, None
     hypothesis_ok = _dense_free(E, n)
-    step = find_pg_free_hyperplane(E, n)
-    if step is None:
+    gamma = find_pg_free_hyperplane(E, n)
+    if gamma is None:
         fallback = _exhaustive_flat_search(E, n)
         return fallback.flat, (), fallback.intersection_size, n
-    gamma, (sub, cmap) = step
+    H = hyperplane_of(E.rank, gamma)
+    sub = restrict_to_flat(E, H)
     flat, steps, size, fallback_level = _descend(sub, n - 1)
     here = DescentStep(n, gamma, E.rank, E.size, sub.size, hypothesis_ok)
-    lifted = None if flat is None else cmap.lift_flat(flat)
+    lifted = None if flat is None else lift_flat(H, flat)
     return lifted, (here, *steps), size, fallback_level
 
 

@@ -9,13 +9,10 @@ The wider stages run in place: first every stage narrower than a
 cache-sized block of ``_BLOCK`` entries, one block at a time, then the
 rest over the whole table.  The butterfly runs in int32, because every
 partial sum it forms is bounded by |E| < 2^24, and the spectrum is kept
-as int64.  A cube sum can reach 2^72 at the rank cap, so it is taken
-twice, one block at a time: as its residue mod 2^64 from wrapping int64
-arithmetic, and as a float64 estimate within 2^44 of the truth; together
-they fix the exact integer (see ``_exact_cube_sum``).  The triangle counts
-of all 2^r hyperplane intersections come from two more butterflies over
-E's cone sizes, whose every value stays below 2^51, so int64 is exact
-for them at every rank (see ``triangle_counts_per_hyperplane``).
+as int64.  A cube sum, up to 2^72, is two int64 dots per chunk that
+never wrap (see ``_exact_cube_sum``).  The triangle counts of all 2^r
+hyperplane intersections come from two more butterflies over E's cone
+sizes, all below 2^51 (see ``triangle_counts_per_hyperplane``).
 """
 
 from __future__ import annotations
@@ -30,6 +27,8 @@ from .pointset import PointSet, memoized
 
 # Entries per cache-sized block: 256 KiB of int32, 512 KiB of int64.
 _BLOCK = 1 << 16
+# Entries per chunk of the cube sum: 2^14 products of at most 2^48 sum to at most 2^62.
+_CUBE_CHUNK = 1 << 14
 
 # Bit v of _WORD_MASKS[u] is set iff u . v is odd (u, v < 64): where
 # character u is negative on the 64 words that one bitset word holds.
@@ -146,32 +145,22 @@ def walsh_hadamard(E: PointSet) -> Spectrum:
 
 
 def _exact_cube_sum(c: np.ndarray) -> int:
-    """sum(c^3) over an int64 array, exactly, as a Python integer.
+    """sum(c^3) over an int64 array with |c| <= 2^24, exactly, as a Python integer.
 
-    The array is taken in chunks d of ``_BLOCK`` entries, so no temporary
-    is larger than a block.  int64 arithmetic wraps, so ``np.dot(d*d, d)``
-    is a chunk's sum mod 2^64 (d*d itself is exact), and the chunks'
-    residues, added as Python integers, give the sum mod 2^64.  A float64
-    evaluation of the same sum estimates it: each c and c^2 is exact in
-    float64, each product is rounded once and no term passes through more
-    than n-1 rounded additions, in whatever order the terms within a
-    chunk and the chunks' estimates are added, so the estimate is within
-    n * 2^-53 * sum(|c|^3) of the truth.  For a spectrum of E,
-    sum(|c|^3) <= max|c| * sum(c^2) = |E|^2 2^r <= 2^72 and n = 2^r <= 2^24,
-    so the error is below 2^44, far below 2^63: the unique integer that is
-    congruent to the residue mod 2^64 and within 2^63 of the estimate is
-    the sum.  The same argument covers any n-element int64 array with
-    |c| < 2^26 (so that c^2 is exact in both types) and
-    n * sum(|c|^3) < 2^115.
+    Split c^2 = h 2^24 + l with 0 <= h, l <= 2^24; then
+    sum(c^3) = 2^24 sum(c h) + sum(c l).  Over a chunk of ``_CUBE_CHUNK``
+    entries each of the two int64 dots is at most 2^14 2^48 = 2^62 in
+    magnitude, so neither wraps, and the chunks' dots are added as Python integers.  A
+    spectrum of E has |c| <= |E| < 2^24.
     """
-    residue, estimate = 0, 0.0
-    for i in range(0, c.size, _BLOCK):
-        d = c[i : i + _BLOCK]
+    total = 0
+    for i in range(0, c.size, _CUBE_CHUNK):
+        d = c[i : i + _CUBE_CHUNK]
         sq = d * d
-        residue += int(np.dot(sq, d))
-        estimate += float(np.multiply(sq, d, dtype=np.float64).sum())
-    estimate = int(estimate)
-    return estimate + ((residue - estimate + (1 << 63)) % (1 << 64) - (1 << 63))
+        low = sq & 0xFFFFFF
+        sq >>= 24
+        total += (int(np.dot(d, sq)) << 24) + int(np.dot(d, low))
+    return total
 
 
 @memoized

@@ -30,7 +30,7 @@ from .matroid import (
     matroid_rank,
     triangle_count_naive,
 )
-from .pointset import PointSet
+from .pointset import PointSet, check_rank
 from .search import (
     _cone_identity_holds,
     _cone_lemma_at,
@@ -39,6 +39,7 @@ from .search import (
     _reconcile_condition,
     find_pg_free_hyperplane,
     find_triangle_free_flat,
+    hyperplane_intersection,
     reconcile_hyperplane,
 )
 from .spectral import counting_bound_check, triangle_count_spectral, uniformity, walsh_hadamard
@@ -110,15 +111,13 @@ def _thm_31(e: PointSet, n: int) -> tuple[int, Fraction]:
 
 
 def _thm_41(e: PointSet, n: int) -> tuple[int, int]:
-    out = find_pg_free_hyperplane(e, 3)
-    if out is None:
+    gamma = find_pg_free_hyperplane(e, 3)
+    if gamma is None:
         raise InternalInconsistencyError("no hyperplane has a triangle-free intersection")
-    _, (sub, _) = out
-    if 4 * sub.size <= (1 << (e.rank - 1)):
-        raise InternalInconsistencyError(
-            f"triangle-free intersection of size {sub.size} is too small"
-        )
-    return 1, sub.size
+    size = hyperplane_intersection(e, gamma).size
+    if 4 * size <= (1 << (e.rank - 1)):
+        raise InternalInconsistencyError(f"triangle-free intersection of size {size} is too small")
+    return 1, size
 
 
 def _thm_11(e: PointSet, n: int) -> tuple[int, int]:
@@ -188,6 +187,7 @@ class SweepConfig:
     checks: tuple[str, ...] = ALL_CHECKS
 
     def __post_init__(self):
+        check_rank(self.rank)
         if self.mode not in ("exhaustive", "random"):
             raise ConfigError(f"mode must be exhaustive or random, got {self.mode!r}")
         if self.mode == "exhaustive" and self.rank > 4:
@@ -244,6 +244,7 @@ def sample_pointset(
     samples are partitioned across workers.  With a density filter,
     rejected draws are retried within the sample's own range.
     """
+    check_rank(rank)
     nbits = 1 << rank
     nbytes = (nbits + 7) // 8
     mask = ((1 << nbits) - 1) & ~1

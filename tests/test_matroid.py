@@ -15,6 +15,7 @@ from pgfree.matroid import (
     check_corollary_1_3,
     critical_number,
     is_pg_free,
+    lift_flat,
     matroid_rank,
     max_flat_rank_inside,
     restrict_to_flat,
@@ -656,21 +657,33 @@ def test_check_corollary_1_3():
 def test_restrict_roundtrip():
     e = PointSet.from_points(4, [1, 2, 3, 5, 9, 14])
     h = hyperplane_of(4, 8)  # words with top bit clear
-    sub, cmap = restrict_to_flat(e, h)
+    sub = restrict_to_flat(e, h)
     assert sub.size == len([x for x in e if x < 8])
-    for w in sub:
-        assert cmap.lift(w) in e
-        assert cmap.project(cmap.lift(w)) == w
     tri = is_pg_free(sub, 2)
-    if tri.found:
-        lifted = cmap.lift_flat(tri.subspace)
-        assert flat_points(lifted).issubset(e)
+    assert tri.found
+    assert flat_points(lift_flat(h, tri.subspace)).issubset(e)
+    # every point of a restriction lifts, as a rank-1 flat, onto E ∩ f
+    for gamma in range(1, 16):
+        h = hyperplane_of(4, gamma)
+        sub = restrict_to_flat(e, h)
+        lifted = {lift_flat(h, closure(3, [w])).basis[0] for w in sub}
+        assert lifted == set(e.intersection(flat_points(h)))
+    f = closure(4, [3, 5, 9])  # a basis that is not a set of unit vectors
+    sub = restrict_to_flat(e, f)
+    assert {lift_flat(f, closure(3, [w])).basis[0] for w in sub} == set(e.intersection(flat_points(f)))
+
+
+def test_lift_flat_rejects_a_flat_of_another_ambient():
+    h = hyperplane_of(4, 8)
+    for wrong in (closure(4, [1]), closure(2, [1])):
+        with pytest.raises(GeometryError):
+            lift_flat(h, wrong)
 
 
 def test_restrict_to_closure_has_full_rank():
     e = PointSet.from_points(5, [3, 5, 6, 24])
     f = closure(5, e.points)
-    sub, _ = restrict_to_flat(e, f)
+    sub = restrict_to_flat(e, f)
     assert matroid_rank(sub) == sub.rank == f.rank
 
 
@@ -679,7 +692,7 @@ def test_restrict_preserves_triangles_in_flat():
     for _ in range(20):
         e = PointSet.from_points(4, rng.sample(range(1, 16), 9))
         h = hyperplane_of(4, rng.randint(1, 15))
-        sub, _ = restrict_to_flat(e, h)
+        sub = restrict_to_flat(e, h)
         inside = e.intersection(flat_points(h))
         assert sub.size == inside.size
         assert triangle_count_naive(sub) == triangle_count_naive(inside)

@@ -5,15 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from pgfree.errors import GeometryError, HypothesisError
+from pgfree.errors import GeometryError
 from pgfree.constructions import bose_burton, m_k5
 from pgfree.geometry import flat_points, hyperplane_of
-from pgfree.matroid import is_pg_free, triangle_count_naive
+from pgfree.matroid import is_pg_free, restrict_to_flat, triangle_count_naive
 from pgfree.pointset import PointSet
 from pgfree.search import (
     _cone_identity_holds,
-    check_cone_lemma,
-    check_lemma_hsize,
     cone,
     find_pg_free_hyperplane,
     find_triangle_free_flat,
@@ -117,62 +115,9 @@ def test_normals_outside_the_ambient_are_rejected(r):
             hyperplane_of(r, gamma)
 
 
-def test_check_cone_lemma_on_extremal_set():
-    e = bose_burton(4, 3)
-    for p in e:
-        rep = check_cone_lemma(e, p, 3)
-        assert rep.cone_size >= 8 == rep.size_bound
-        assert rep.size_slack >= 0
-        assert rep.freeness_level == 2
-
-
-def test_check_cone_lemma_vacuous_bound():
-    e = PointSet.from_points(4, [1, 2, 4, 8])  # |E| = 4 <= 2^(r-1)
-    rep = check_cone_lemma(e, 1, 3)
-    assert rep.size_bound <= 0
-
-
-def test_check_cone_lemma_hypothesis_error_with_witness():
-    e = PointSet.full(3)  # contains a fano
-    with pytest.raises(HypothesisError) as exc:
-        check_cone_lemma(e, 1, 3)
-    assert exc.value.witness is not None
-    with pytest.raises(HypothesisError):
-        check_cone_lemma(bose_burton(4, 3), 1, 3)  # 1 is not in the set
-
-
-def test_check_lemma_hsize_example():
-    e = bose_burton(4, 3).without_point(4)
-    assert e.size == 11
-    hits = 0
-    for gamma in range(1, 16):
-        h = hyperplane_of(4, gamma)
-        inter = e.intersection(flat_points(h))
-        if is_pg_free(inter, 2).found:  # holds a triangle
-            rep = check_lemma_hsize(e, gamma, 3)
-            hits += 1
-            assert rep.outside_size <= 6
-            assert rep.outside_bound == 6
-            assert rep.dense_hypothesis
-            assert rep.inside_size > 4 == rep.inside_bound
-    assert hits > 0
-
-
-def test_check_lemma_hsize_hypothesis_errors():
-    e = bose_burton(4, 3).without_point(4)
-    for gamma in range(1, 16):
-        h = hyperplane_of(4, gamma)
-        if not is_pg_free(e.intersection(flat_points(h)), 2).found:
-            with pytest.raises(HypothesisError):
-                check_lemma_hsize(e, gamma, 3)
-            break
-    with pytest.raises(HypothesisError):
-        check_lemma_hsize(PointSet.full(4), 1, 3)  # not fano-free
-
-
-@pytest.mark.parametrize("check", [check_lemma_hsize, reconcile_hyperplane])
+@pytest.mark.parametrize("check", [reconcile_hyperplane])
 def test_hyperplane_checks_reject_normals_outside_the_ambient(check):
-    e = bose_burton(4, 3).without_point(4)  # meets both checks' hypotheses
+    e = bose_burton(4, 3).without_point(4)  # meets the check's hypotheses
     for gamma in (0, -1, 1 << 4, (1 << 4) + 1):
         with pytest.raises(GeometryError):
             check(e, gamma, 3)
@@ -180,21 +125,19 @@ def test_hyperplane_checks_reject_normals_outside_the_ambient(check):
 
 def test_find_pg_free_hyperplane_dense_example():
     e = bose_burton(4, 3).without_point(4)
-    out = find_pg_free_hyperplane(e, 3)
-    assert out is not None
-    gamma, (sub, cmap) = out
+    gamma = find_pg_free_hyperplane(e, 3)
     # oracle: first gamma whose intersection is triangle-free
     first = next(
         g for g in range(1, 16)
         if not is_pg_free(hyperplane_intersection(e, g), 2).found
     )
     assert gamma == first == 4
+    inside = hyperplane_intersection(e, gamma)
+    assert triangle_count_naive(inside) == 0
+    sub = restrict_to_flat(e, hyperplane_of(4, gamma))
     assert sub.rank == 3
     assert not is_pg_free(sub, 2).found
-    assert sub.size >= 3  # strictly above (1 - 3/4) * 8 = 2
-    lifted = cmap.lift_points(sub)
-    assert lifted.issubset(e)
-    assert triangle_count_naive(lifted) == 0
+    assert sub.size == inside.size >= 3  # strictly above (1 - 3/4) * 8 = 2
 
 
 def test_find_pg_free_hyperplane_k5_returns_none():
@@ -229,12 +172,7 @@ def test_level_three_searches_match_a_naive_hyperplane_loop(r):
 
         step = find_pg_free_hyperplane(e, 3)
         steps.append(step)
-        if not free:
-            assert step is None
-        else:
-            gamma, (sub, cmap) = step
-            assert gamma == min(free)
-            assert cmap.lift_points(sub) == free[gamma]
+        assert step == (min(free) if free else None)
 
         result, _ = find_triangle_free_flat(e, 3, "exhaustive")
         if not free:
@@ -348,10 +286,9 @@ def test_fano_free_hyperplane_theorem_at_rank_5_and_6():
                 e = e.without_point(w)
             if Fraction(e.size) <= threshold or is_pg_free(e, 3).found:
                 continue
-            out = find_pg_free_hyperplane(e, 3)
-            assert out is not None
-            _, (sub, _) = out
-            assert Fraction(sub.size) > quarter
+            gamma = find_pg_free_hyperplane(e, 3)
+            assert gamma is not None
+            assert Fraction(hyperplane_intersection(e, gamma).size) > quarter
 
 
 def test_descent_on_every_dense_subset_of_pg32_is_pinned():

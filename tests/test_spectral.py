@@ -14,6 +14,7 @@ from pgfree.search import hyperplane_intersection
 from pgfree.spectral import (
     Spectrum,
     _BLOCK,
+    _CUBE_CHUNK,
     _exact_cube_sum,
     claim_quantities,
     counting_bound_check,
@@ -382,6 +383,16 @@ def test_exact_cube_sum_on_long_wide_arrays():
         assert _exact_cube_sum(c) == python_cube_sum(c)
         c[: n // 2] = np.abs(c[: n // 2])
         assert _exact_cube_sum(c) == python_cube_sum(c)
+
+
+def test_exact_cube_sum_on_full_chunks_at_the_bound():
+    # every dot of a full chunk of +-2^24 is 2^14 * 2^24 * 2^24 = 2^62
+    top = 1 << 24
+    for v in (top, -top):
+        c = np.full(3 * _CUBE_CHUNK, v, dtype=np.int64)
+        assert _exact_cube_sum(c) == c.size * v**3
+    c[:_CUBE_CHUNK] = top
+    assert _exact_cube_sum(c) == -_CUBE_CHUNK * top**3
 
 
 def test_spectral_results_are_remembered_per_instance():

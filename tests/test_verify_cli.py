@@ -11,7 +11,7 @@ import pytest
 
 from pgfree import cli
 from pgfree.constructions import affine_set, bose_burton, m_k5
-from pgfree.errors import ConfigError, ResourceCapError
+from pgfree.errors import ConfigError, RankCapError, ResourceCapError
 from pgfree.matroid import FreenessWitness, is_pg_free, triangle_count_naive
 from pgfree.pointset import PointSet
 from pgfree.search import StructureResult, hyperplane_intersection
@@ -228,6 +228,24 @@ def test_lemma_24_sweep_runs_no_per_hyperplane_search(monkeypatch):
     assert levels == [3] * (1 << 15)  # the freeness gate, once per set
 
 
+def test_thm_41_sweep_builds_no_restriction(monkeypatch):
+    # the thm-4.1 row reads the size of E ∩ W_gamma off the free normal
+    import pgfree
+
+    calls = []
+    real = pgfree.matroid.restrict_to_flat
+    spy = lambda *a: calls.append(a) or real(*a)
+    for module in (pgfree, pgfree.matroid, pgfree.search, pgfree.verify):
+        if getattr(module, "restrict_to_flat", None) is real:
+            monkeypatch.setattr(module, "restrict_to_flat", spy)
+    out = run_sweep(SweepConfig(rank=4, level=3, mode="exhaustive", checks=("thm-4.1",)))
+    assert out.checks["thm-4.1"]["evaluated"] == 455
+    assert calls == []
+    # the descent step does restrict, through the spy
+    pgfree.find_triangle_free_flat(bose_burton(4, 3).without_point(4), 3)
+    assert len(calls) == 1
+
+
 def test_reconcile_sweep_builds_no_hyperplane_flat(monkeypatch):
     # the reconcile row intersects E with each hyperplane by its normal
     import pgfree
@@ -303,6 +321,22 @@ def test_sample_pointset_counter_based():
     d = sample_pointset(8, 8, 123)
     assert a == b and a != c and a != d
     assert a.bits & 1 == 0
+
+
+def test_rank_cap_is_checked_before_any_draw():
+    import tracemalloc
+
+    with pytest.raises(RankCapError):
+        SweepConfig(rank=25, level=3, mode="random", sample_count=1)
+    # a rank-25 draw would take 4 MiB of bytes before the set is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(RankCapError):
+            sample_pointset(25, 0, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_sample_density_filter():
@@ -466,6 +500,14 @@ def test_cli_spectrum(monkeypatch, capsys):
     rows = out.strip().split("\n")[1:]
     assert len(rows) == 2
     assert {r.split(",")[0] for r in rows} == {"0", "1"}
+
+
+def test_cli_spectrum_rejects_negative_top_before_any_output(monkeypatch, capsys):
+    code, out, err = run_cli(
+        ["spectrum", "--top", "-2"], stdin_text="3:AA", monkeypatch=monkeypatch, capsys=capsys
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("usage error:")
 
 
 @pytest.mark.parametrize("e", [bose_burton(6, 3), affine_set(6, 0b101101)])
