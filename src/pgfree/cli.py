@@ -39,7 +39,7 @@ from .constructions import (
 from .pointset import PointSet
 from .search import cone, find_triangle_free_flat
 from .spectral import walsh_hadamard
-from .verify import ALL_CHECKS, SweepConfig, analyze, extremal_records_csv, run_sweep
+from .verify import SweepConfig, analyze, applicable_checks, extremal_records_csv, run_sweep
 from .verify import _checked_triangle_count
 
 
@@ -154,7 +154,8 @@ def _build_parser() -> _Parser:
     v.add_argument("--mode", required=True, choices=["exhaustive", "random"])
     v.add_argument("--samples", type=int, default=0)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--checks", default=",".join(ALL_CHECKS))
+    v.add_argument("--checks", default=None,
+                   help="comma-separated rows to run (default: every row the rank and level admit)")
     v.add_argument("--density-filter", default=None,
                    help="keep only samples with |E|/2^r above NUM/DEN")
     v.add_argument("--out", default=None, help="write outcome JSON here instead of stdout")
@@ -243,7 +244,10 @@ def _cmd_verify(args) -> int:
             density = Fraction(args.density_filter)
         except (ValueError, ZeroDivisionError):
             raise _UsageError(f"bad --density-filter {args.density_filter!r}") from None
-    checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
+    if args.checks is None:
+        checks = applicable_checks(args.rank, args.level)
+    else:
+        checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
     cfg = SweepConfig(
         rank=args.rank,
         level=args.level,

@@ -10,7 +10,7 @@ lowest set bit of a row, rows mutually reduced, sorted by pivot).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -51,13 +51,19 @@ def echelon_basis(vectors: Iterable[int]) -> tuple[int, ...]:
     return tuple(rows[p] for p in sorted(rows))
 
 
-def rank_of(vectors: Iterable[int]) -> int:
-    """GF(2) rank of a collection of words; 0 for the empty collection."""
+def rank_of(vectors: Iterable[int], full: Optional[int] = None) -> int:
+    """GF(2) rank of a collection of words; 0 for the empty collection.
+
+    Given ``full``, the largest rank the words can have (their ambient
+    rank), it stops as soon as that many are independent.
+    """
     rows: dict[int, int] = {}
     n = 0
     for v in vectors:
         if _reduce_insert(rows, v):
             n += 1
+            if n == full:
+                break
     return n
 
 

@@ -47,9 +47,10 @@ def matroid_rank(E: PointSet) -> int:
     """Rank of the represented matroid: GF(2) rank of the points of E.
 
     A set holding a word of each bit length spans the ambient (see
-    ``_spans_by_bit_lengths``); any other set is eliminated by ``rank_of``.
+    ``_spans_by_bit_lengths``); any other set is eliminated by ``rank_of``,
+    which stops once r of its words are independent.
     """
-    return E.rank if _spans_by_bit_lengths(E) else rank_of(E)
+    return E.rank if _spans_by_bit_lengths(E) else rank_of(E, E.rank)
 
 
 def _spans_by_bit_lengths(E: PointSet) -> bool:

@@ -2,17 +2,23 @@
 
 The transform of the indicator of a point set E is
 coeff(gamma) = sum over words y in E of (-1)^(y . gamma), computed for all
-2^r characters at once by the size-doubling butterfly.  All arithmetic is
-integer-exact.  The six narrowest stages (widths 1 to 32) are read off
-the bitset's 64-bit words by popcounts, so no indicator array is built.
-The wider stages run in place: first every stage narrower than a
-cache-sized block of ``_BLOCK`` entries, one block at a time, then the
-rest over the whole table.  The butterfly runs in int32, because every
-partial sum it forms is bounded by |E| < 2^24, and the spectrum is kept
-as int64.  A cube sum, up to 2^72, is two int64 dots per chunk that
-never wrap (see ``_exact_cube_sum``).  The triangle counts of all 2^r
-hyperplane intersections come from two more butterflies over E's cone
-sizes, all below 2^51 (see ``triangle_counts_per_hyperplane``).
+2^r characters at once.  All arithmetic is integer-exact.  A table of at
+most ``SMALL_SET_POINTS`` (64) entries, the one-word ambient r <= 6, is
+one int64 product with a leading block of the Sylvester matrix H_64:
+there numpy's fixed cost per call, not arithmetic, sets the time, and one
+product of at most 64 x 64 costs less than the butterfly's handful of
+calls per stage.  Larger tables run the size-doubling butterfly, whose
+stages cost O(1) per entry against the product's O(k).  Its six narrowest
+stages (widths 1 to 32) are read off the bitset's 64-bit words by
+popcounts, so no indicator array is built.  The wider stages run in
+place: first every stage narrower than a cache-sized block of ``_BLOCK``
+entries, one block at a time, then the rest over the whole table.  The
+butterfly runs in int32, because every partial sum it forms is bounded by
+|E| < 2^24, and the spectrum is kept as int64.  A cube sum, up to 2^72,
+is two int64 dots per chunk that never wrap (see ``_exact_cube_sum``).
+The triangle counts of all 2^r hyperplane intersections come from two
+more transforms over E's cone sizes, all below 2^51 (see
+``triangle_counts_per_hyperplane``).
 """
 
 from __future__ import annotations
@@ -23,19 +29,21 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import HypothesisError, InternalInconsistencyError
-from .pointset import PointSet, memoized
+from .pointset import SMALL_SET_POINTS, PointSet, memoized
 
 # Entries per cache-sized block: 256 KiB of int32, 512 KiB of int64.
 _BLOCK = 1 << 16
 # Entries per chunk of the cube sum: 2^14 products of at most 2^48 sum to at most 2^62.
 _CUBE_CHUNK = 1 << 14
 
-# Bit v of _WORD_MASKS[u] is set iff u . v is odd (u, v < 64): where
-# character u is negative on the 64 words that one bitset word holds.
-_WORD_MASKS = np.array(
-    [sum(1 << v for v in range(64) if (u & v).bit_count() & 1) for u in range(64)],
-    dtype=np.uint64,
-)
+# _ODD[u, v] is 1 iff u . v is odd (u, v < 64): where character u is
+# negative on the 64 words that one bitset word holds.  Bit v of
+# _WORD_MASKS[u] is _ODD[u, v], and _SYLVESTER[u, v] = (-1)^(u . v) is the
+# Sylvester matrix H_64, whose leading k x k block is H_k for every power
+# of two k.
+_ODD = np.bitwise_count(np.bitwise_and.outer(np.arange(64), np.arange(64))) & 1
+_WORD_MASKS = np.packbits(_ODD, axis=1, bitorder="little").view("<u8")[:, 0]
+_SYLVESTER = 1 - 2 * _ODD.astype(np.int64)
 
 
 def _butterfly(a: np.ndarray, h: int) -> None:
@@ -49,22 +57,35 @@ def _butterfly(a: np.ndarray, h: int) -> None:
 
 
 def fwht_inplace(a: np.ndarray, width: int = 1) -> np.ndarray:
-    """Size-doubling butterfly, in place; a.size must be a power of two.
+    """Walsh–Hadamard transform, in place; a.size must be a power of two.
 
-    Runs the stages of width ``width``, 2*width, ..., a.size/2, so a
-    caller that has already run the narrower stages passes the first
-    width left.  Stages narrower than ``_BLOCK`` entries run one block at
-    a time, so that each block stays in cache across them; the wider
-    stages then run over the whole array.  From width 1, applying it
-    twice multiplies the input by a.size.
+    Runs the butterfly stages of width ``width``, 2*width, ..., a.size/2,
+    so a caller that has already run the narrower stages passes the first
+    width left.  From width 1, applying it twice multiplies the input by
+    a.size.
+
+    A table of at most ``SMALL_SET_POINTS`` entries runs all those stages
+    as one product: with k = a.size / width, they are H_k ⊗ I_width, the
+    leading k x k block of ``_SYLVESTER`` applied to a.reshape(k, width).
+    Below that size one product costs less than the stages' numpy calls;
+    above it the product's k multiply-adds per entry cost more than the
+    butterfly.  A larger table runs the stages one by one: those narrower
+    than ``_BLOCK`` entries one block at a time, so that each block stays
+    in cache across them, then the wider ones over the whole array.
 
     After the stage of width h, each entry is a signed sum of 2h input
     entries, so on a 0/1 indicator of a set E every value formed is
     bounded by 2|E| in magnitude (a stage doubles y before it forms
-    x - y), and int32 is exact for |E| < 2^30.  Other input wraps like
-    its dtype, so the result is exact whenever it fits.
+    x - y), and int32 is exact for |E| < 2^30.  The product forms its sums
+    in int64 and stores them in a's dtype.  Other input wraps like its
+    dtype, so the result is exact whenever it fits.
     """
     n = a.size
+    if n <= SMALL_SET_POINTS:
+        k = n // width
+        b = a.reshape(k, width)
+        b[...] = _SYLVESTER[:k, :k] @ b
+        return a
     block = min(n, _BLOCK)
     if width < block:
         for b in a.reshape(-1, block):
@@ -110,38 +131,39 @@ class Spectrum:
 def walsh_hadamard(E: PointSet) -> Spectrum:
     """Exact transform of the indicator of E over all 2^r characters.
 
-    The first min(r, 6) stages come from the bitset's little-endian 64-bit
-    words w_j: after them, entry 64j + u is the sum of (-1)^(u . v) over
-    the members 64j + v that w_j holds, which is |w_j| - 2|w_j & M_u| with
-    M_u = ``_WORD_MASKS[u]``.  Below r = 6 the one word has no bit at or
-    above 2^r, so only the low 2^r bits of each mask count and the first
-    2^r entries are the whole transform.  ``fwht_inplace`` runs the
-    stages from width 64.  The butterfly runs in int32, exact since
-    |E| < 2^24 bounds every partial sum, in the upper half of the int64
-    table that it is then widened into, one block at a time, so the two
-    tables never take more than the int64 one's memory.  In int64,
-    squares are exact and cubes wrap (see ``_exact_cube_sum``).
+    In the one-word ambient (2^r <= ``SMALL_SET_POINTS``) the int64
+    indicator goes to ``fwht_inplace``, which transforms it by one
+    Sylvester product.  From r = 7 the first six stages come from the
+    bitset's little-endian 64-bit words w_j: after them, entry 64j + u is
+    the sum of (-1)^(u . v) over the members 64j + v that w_j holds, which
+    is |w_j| - 2|w_j & M_u| with M_u = ``_WORD_MASKS[u]``.
+    ``fwht_inplace`` runs the stages from width 64.  The butterfly runs in
+    int32, exact since |E| < 2^24 bounds every partial sum, in the upper
+    half of the int64 table that it is then widened into, one block at a
+    time, so the two tables never take more than the int64 one's memory.
+    In int64, squares are exact and cubes wrap (see ``_exact_cube_sum``).
     """
     n = 1 << E.rank
+    if n <= SMALL_SET_POINTS:
+        return Spectrum(E.rank, fwht_inplace(E.indicator().astype(np.int64)), E.size)
     words = E.words()
-    out = np.empty(64 * words.size, dtype=np.int64)
+    out = np.empty(n, dtype=np.int64)
     # The int32 table is the upper half of the int64 one.  Widened front to
-    # back, int64 entry i covers int32 entries 2i - N and 2i - N + 1 (N =
-    # out.size), which are at most i and so read by then; taken a block at
-    # a time, any temporary numpy makes stays block-sized.
-    a = out.view(np.int32)[out.size :].reshape(-1, 64)
+    # back, int64 entry i covers int32 entries 2i - n and 2i - n + 1, which
+    # are at most i and so read by then; taken a block at a time, any
+    # temporary numpy makes stays block-sized.
+    a = out.view(np.int32)[n:].reshape(-1, 64)
     step = max(_BLOCK >> 6, 1)
     for j in range(0, words.size, step):
         w = words[j : j + step]
         rows = a[j : j + step]
         np.multiply(np.bitwise_count(w[:, None] & _WORD_MASKS), -2, out=rows, dtype=np.int32)
         rows += np.bitwise_count(w)[:, None]
-    a = a.reshape(-1)[:n]
+    a = a.reshape(-1)
     fwht_inplace(a, 64)
-    coeffs = out[:n]
     for i in range(0, n, _BLOCK):
-        coeffs[i : i + _BLOCK] = a[i : i + _BLOCK]
-    return Spectrum(E.rank, coeffs, E.size)
+        out[i : i + _BLOCK] = a[i : i + _BLOCK]
+    return Spectrum(E.rank, out, E.size)
 
 
 def _exact_cube_sum(c: np.ndarray) -> int:

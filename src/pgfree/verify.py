@@ -172,6 +172,23 @@ _CHECKS = {
 }
 ALL_CHECKS = tuple(_CHECKS)
 
+
+def _inapplicable(check: str, rank: int, level: int) -> Optional[str]:
+    """Why the row ``check`` does not apply to sweeps at (rank, level), or None."""
+    if check in ("lemma-2.4", "lemma-2.5") and level < 3:
+        return f"{check} needs level >= 3"
+    if check == "thm-4.1" and level != 3:
+        return "thm-4.1 is a level-3 statement"
+    if check == "gs" and rank < level + 2:
+        return "gs needs rank >= level + 2"
+    return None
+
+
+def applicable_checks(rank: int, level: int) -> tuple[str, ...]:
+    """The rows of ``ALL_CHECKS`` that apply to sweeps at (rank, level), in order."""
+    return tuple(c for c in ALL_CHECKS if not _inapplicable(c, rank, level))
+
+
 _SAMPLE_STRIDE = 1 << 48
 _MAX_REJECTIONS = 4096
 
@@ -205,13 +222,10 @@ class SweepConfig:
             raise ConfigError("at least one check is required")
         if len(set(self.checks)) != len(self.checks):
             raise ConfigError(f"each check may be named once, got {list(self.checks)}")
-        for c in ("lemma-2.4", "lemma-2.5"):
-            if c in self.checks and self.level < 3:
-                raise ConfigError(f"{c} needs level >= 3")
-        if "thm-4.1" in self.checks and self.level != 3:
-            raise ConfigError("thm-4.1 is a level-3 statement")
-        if "gs" in self.checks and self.rank < self.level + 2:
-            raise ConfigError("gs needs rank >= level + 2")
+        for c in self.checks:
+            reason = _inapplicable(c, self.rank, self.level)
+            if reason:
+                raise ConfigError(reason)
 
     def universe_size(self) -> int:
         if self.mode == "exhaustive":

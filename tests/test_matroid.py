@@ -85,6 +85,28 @@ def test_full_rank_without_a_bit_length_falls_back_to_elimination(r):
     _assert_rank_certified(section)
 
 
+def _bose_burton_8_3_minus_seeded_points():
+    # bose_burton(8, 3) minus k seeded points, k = 1..22: words of bit
+    # lengths 7 and 8 only, so the bit-length certificate never applies
+    full = bose_burton(8, 3)
+    pts = full.points
+    for i in range(128):
+        drop = set(random.Random(f"7/{i}").sample(pts, 1 + i % (full.size // 8)))
+        yield PointSet.from_points(8, [p for p in pts if p not in drop])
+
+
+def test_elimination_stops_at_full_rank_with_the_rank_of_all_words():
+    seeded = [sample_pointset(r, 13, i) for r in range(1, 13) for i in range(3)]
+    for e in [*_bose_burton_8_3_minus_seeded_points(), *seeded]:
+        for s in (e, e.complement()):
+            assert matroid_rank(PointSet(s.rank, s.bits)) == rank_of(s.points)
+    e = next(_bose_burton_8_3_minus_seeded_points())
+    assert not _spans_by_bit_lengths(e)
+    read = []
+    assert rank_of((read.append(w) or w for w in e.points), e.rank) == 8
+    assert len(read) < e.size // 2
+
+
 def test_is_pg_free_examples():
     plane = PointSet.full(3)
     w = is_pg_free(plane, 3)

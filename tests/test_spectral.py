@@ -133,6 +133,42 @@ def test_transforms_match_copying_butterfly_at_any_block_size(r, block, monkeypa
     _assert_transforms_match_copying_butterfly(r, np.random.default_rng(100 * r + block))
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+@pytest.mark.parametrize("r", range(7))
+def test_sylvester_product_matches_copying_butterfly_from_any_width(r, dtype):
+    # the stages from width w are the copying butterfly on every column of
+    # the table read as (2^r / w) rows of w; int32 sums of 64 entries below
+    # 2^20 in magnitude fit
+    n = 1 << r
+    rng = np.random.default_rng(r)
+    for width in [1 << j for j in range(max(r, 1))]:
+        a = rng.integers(-(1 << 20), 1 << 20, n).astype(dtype)
+        expect = a.astype(np.int64).reshape(n // width, width)
+        for column in expect.T:
+            column[:] = copying_fwht(column.copy())
+        got = fwht_inplace(a, width)
+        assert got is a and got.dtype == dtype
+        assert np.array_equal(got, expect.reshape(-1))
+
+
+@pytest.mark.parametrize("r", range(1, 8))
+def test_butterfly_runs_only_above_one_word(r, monkeypatch):
+    import pgfree.spectral as spectral
+
+    stages = []
+    real = spectral._butterfly
+    monkeypatch.setattr(spectral, "_butterfly", lambda a, h: stages.append(h) or real(a, h))
+    e = sample_pointset(r, 19, 0)
+    triangle_counts_per_hyperplane(e)
+    # a table of at most 64 entries is one Sylvester product; from r = 7 the
+    # transform's stages from width 64 and both cone-size transforms' stages
+    # from width 1 run the butterfly
+    if r <= 6:
+        assert stages == []
+    else:
+        assert sorted(stages) == sorted([64] + 2 * [1 << j for j in range(r)])
+
+
 def test_uniformity_affine_and_empty():
     r, g = 4, 0b0101
     e = PointSet.from_points(r, [x for x in range(1, 16) if (x & g).bit_count() & 1])

@@ -70,18 +70,22 @@ def _sha256(text: str) -> str:
 
 
 @pytest.mark.parametrize(
-    "level, checks, digest",
+    "level, checks, digest, rank",
     [
         (2, ("bose-burton", "thm-3.1", "thm-1.1", "cor-1.3", "reconcile"),
-         "521bc921f54729c9501e47091cd811cf72e2c39c2e43a8ee28a103a24e1f96f7"),
+         "521bc921f54729c9501e47091cd811cf72e2c39c2e43a8ee28a103a24e1f96f7", 3),
         (3, ("bose-burton", "lemma-2.4", "lemma-2.5", "thm-3.1", "thm-4.1", "thm-1.1",
              "cor-1.3", "reconcile"),
-         "7a499899d2d37ba8856a07054fce182925b088cd2de2773963af794e6117e019"),
+         "7a499899d2d37ba8856a07054fce182925b088cd2de2773963af794e6117e019", 3),
+        # every subset of PG(3,2): the sweep the benchmark's exhaustive workload pins
+        (3, ("bose-burton", "lemma-2.4", "lemma-2.5", "thm-3.1", "thm-4.1", "thm-1.1",
+             "cor-1.3", "reconcile"),
+         "68681873c77fd83770dd0707361a92866e9d4d68833bd2bdd6f59032e22a0160", 4),
     ],
 )
-def test_exhaustive_sweep_r3_json_is_pinned(level, checks, digest):
-    # every check the level admits at rank 3 (gs needs rank >= level + 2)
-    out = run_sweep(SweepConfig(rank=3, level=level, mode="exhaustive", checks=checks))
+def test_exhaustive_sweep_r3_json_is_pinned(level, checks, digest, rank):
+    # every check the level admits at the rank (gs needs rank >= level + 2)
+    out = run_sweep(SweepConfig(rank=rank, level=level, mode="exhaustive", checks=checks))
     assert _sha256(out.to_canonical_json()) == digest
 
 
@@ -599,6 +603,38 @@ def test_cli_verify_default_checks_stdout_is_pinned(capsys):
     assert code == 0
     assert json.loads(out)["config"]["checks"] == list(ALL_CHECKS)
     assert _sha256(out) == "ebfb3e685b9aa105fde63363bf320a051a811472815baa0b47a95d18b14414a8"
+
+
+@pytest.mark.parametrize(
+    "argv, inapplicable, digest",
+    [
+        # the exhaustive r=4 sweep that the pinned row of
+        # test_exhaustive_sweep_r3_json_is_pinned runs
+        (["--rank", "4", "--level", "3", "--mode", "exhaustive"], {"gs"},
+         "68681873c77fd83770dd0707361a92866e9d4d68833bd2bdd6f59032e22a0160"),
+        (["--rank", "6", "--level", "4", "--mode", "random", "--samples", "3"], {"thm-4.1"},
+         None),
+        (["--rank", "3", "--level", "2", "--mode", "exhaustive"],
+         {"gs", "lemma-2.4", "lemma-2.5", "thm-4.1"}, None),
+    ],
+)
+def test_cli_verify_defaults_to_the_checks_the_config_admits(argv, inapplicable, digest, capsys):
+    code, out, _ = run_cli(["verify", *argv], capsys=capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["checks"] == [c for c in ALL_CHECKS if c not in inapplicable]
+    assert digest is None or _sha256(out.rstrip("\n")) == digest
+    # naming an inapplicable row is still refused, with the rule's reason
+    for check in inapplicable:
+        code, _, err = run_cli(["verify", *argv, "--checks", f"bose-burton,{check}"], capsys=capsys)
+        assert (code, err) == (1, f"error: {_REFUSALS[check]}\n")
+
+
+_REFUSALS = {
+    "gs": "gs needs rank >= level + 2",
+    "lemma-2.4": "lemma-2.4 needs level >= 3",
+    "lemma-2.5": "lemma-2.5 needs level >= 3",
+    "thm-4.1": "thm-4.1 is a level-3 statement",
+}
 
 
 def test_readme_check_table_lists_all_checks():
