@@ -12,18 +12,20 @@ generators g_1 < ... < g_d with span S are fixed, a point extends them to
 a flat inside E iff it lies in E_S, the intersection of E + s over s in S
 and s = 0.  E_S is a bitset, and g_{d+1} = q takes it to E_S ∩ (E_S + q),
 one ``xor_translate``.  The walk tries only the least point of each coset
-of S above g_d, and cuts a branch with too few of them left to finish a
-flat.  ``max_flat_rank_inside`` (behind the critical number) walks to the
+of S above g_d, read off a pool bitset in ascending order, and cuts a
+branch with too few of them left to finish a flat.
+``max_flat_rank_inside`` (behind the critical number) walks to the
 largest rank, ``is_pg_free`` to rank n for the least generating tuple.
 
 In an ambient of rank r <= 6 the whole geometry is one 64-bit word, and the
 subgeometry search is one lookup in a table of all rank-n flats, built once
 per (r, n) and sorted by each flat's least generating tuple.  Above, the
-walk fixes the first generators and the cone lemma decides the last three:
-an apex x completes the span S iff the cone of E_S at x holds a pair, which
-a batched kernel tests for a block of apexes at once on the 64-bit words of
-E_S, translated by gathers from their 64 in-word XOR permutations as in the
-triangle count; the least apex with a hit is the one the walk fixes.  The
+walk fixes every generator itself.  Only the choice of g_{n-2} out of a
+large pool is helped: by the cone lemma, an apex x completes the span S
+iff the cone of E_S at x holds a pair, which a batched kernel tests for a
+block of pool points at once on the 64-bit words of E_S, translated by
+gathers from their 64 in-word XOR permutations as in the triangle count.
+The walk skips to the least pool point with a hit and completes it.  The
 witness keeps the generators and spans its flat only when it is read.
 """
 
@@ -105,9 +107,8 @@ class FreenessWitness:
         }
 
 
-# Elements of one a ^ K block in the pair search, of one apex or pair block in
-# the apex search, and of one gather block in the triangle count: bounds their
-# memory at any rank.
+# Elements of one apex or pair block in the apex kernel and of one gather
+# block in the triangle count: bounds their memory at any rank.
 _PAIR_BLOCK_ELEMENTS = 1 << 14
 
 
@@ -178,14 +179,14 @@ def _dfs_generators(E: PointSet, n: int) -> Optional[list[int]]:
     """The least generating tuple of a rank-n flat inside E, by a DFS.
 
     A node holds the cone K = E_S of the generators g_1 .. g_d and its
-    pool (see ``_cone_step``).  The least tuple is its flat's least
-    generating tuple, so each later generator is in a pool, and the pool
-    of a node holds one point of each of the 2^(n-d) - 1 cosets of S in
-    such a flat from g_{d+1} on: the loop stops when fewer are left.  At
-    the nodes of g_{n-2} and g_{n-1}, a pool of more than SMALL_SET_POINTS
-    points goes to the vectorised searches, which return the least
-    completion in K; smaller pools stay in the loop, whose per-call cost
-    is lower.
+    pool (see ``_cone_step``), and reads the pool's points off its bitset
+    in ascending order.  The least tuple is its flat's least generating
+    tuple, so each later generator is in a pool, and the pool of a node
+    holds one point of each of the 2^(n-d) - 1 cosets of S in such a flat
+    from g_{d+1} on: the loop stops when fewer are left.  At the node of
+    g_{n-2}, a pool of more than SMALL_SET_POINTS points whose least point
+    fails skips ahead to the least apex ``_least_apex`` finds in the rest,
+    which the walk then completes.
     """
     r = E.rank
     gens: list[int] = []
@@ -194,20 +195,24 @@ def _dfs_generators(E: PointSet, n: int) -> Optional[list[int]]:
         d = len(gens)
         if d == n:
             return True
-        if n - 3 <= d <= n - 2 and pool.bit_count() > SMALL_SET_POINTS:
-            search = _least_pair if d == n - 2 else _least_triple
-            found = search(PointSet(r, cone), gens[-1] if gens else 0)
-            if found is None:
-                return False
-            gens.extend(found)
-            return True
-        pts = PointSet(r, pool).points
         need = (1 << (n - d)) - 1
-        for i in range(len(pts) - need + 1):
-            gens.append(pts[i])
-            if dfs(*_cone_step(cone, pool, pts[i], r)):
+        rest, left = pool, pool.bit_count()
+        skip = d == n - 3 and left > SMALL_SET_POINTS
+        while left >= need:
+            q = (rest & -rest).bit_length() - 1
+            gens.append(q)
+            if dfs(*_cone_step(cone, pool, q, r)):
                 return True
             gens.pop()
+            rest ^= 1 << q
+            left -= 1
+            if skip:
+                skip = False
+                x = _least_apex(cone, rest, r)
+                if x is None:
+                    return False
+                rest = rest >> x << x
+                left = rest.bit_count()
         return False
 
     return gens if dfs(E.bits, E.bits) else None
@@ -227,43 +232,31 @@ def _cone_step(cone: int, pool: int, q: int, rank: int) -> tuple[int, int]:
     return cone & moved, (pool & moved & low) >> (q + 1) << (q + 1)
 
 
-def _least_triple(K: PointSet, lo: int) -> Optional[tuple[int, int, int]]:
-    """Least apex x > lo of the cone K = E_S with its least pair a < b.
+def _least_apex(cone: int, pool: int, rank: int) -> Optional[int]:
+    """Least point x of the pool whose cone C_x = K ∩ (K + x) holds a pair.
 
-    By the cone lemma (Lemma 2.5), x has a completion iff its cone
-    C_x = K ∩ (K + x), above x, holds a pair a < b with a ^ b in C_x: a
-    nonzero word of C_x ∩ (K + a) ∩ (K + a ^ x) above x for some a in it.
-    So the least apex with a hit is the DFS's g_{n-2}, and ``_least_pair``
-    above it returns the DFS's last two.
+    K = E_S is the cone of the walk's node of g_{n-2}.  By the cone lemma
+    (Lemma 2.5), x has a completion iff C_x, above x, holds a pair a < b
+    with a ^ b in C_x: a nonzero word of C_x ∩ (K + a) ∩ (K + a ^ x) above
+    x for some a in it.  So the least such x is the walk's g_{n-2}, and
+    the walk's own loop finds g_{n-1} and g_n from it.
 
-    The least apex goes to ``_least_pair`` at once, so a set that holds a
-    witness there pays nothing more.  The others are tested in ascending
-    blocks that double from two apexes, on K's bitset words, translated by
-    gathers from their 64 in-word XOR permutations.  Apex blocks and the
-    pair rows of their gathers hold at most _PAIR_BLOCK_ELEMENTS words (a
-    single row may hold more above rank 20).
+    The pool is tested in ascending blocks that double from two apexes, on
+    K's bitset words, translated by gathers from their 64 in-word XOR
+    permutations.  Apex blocks and the pair rows of their gathers hold at
+    most _PAIR_BLOCK_ELEMENTS words (a single row may hold more above rank
+    20).
     """
-    apexes = K.points_array[K.points_array > lo]
-    if apexes.size == 0:
-        return None
-
-    def completion(x: int) -> Optional[tuple[int, int, int]]:
-        pair = _least_pair(PointSet(K.rank, K.bits & xor_translate(K.bits, x, K.rank)), x)
-        return None if pair is None else (x, *pair)
-
-    found = completion(int(apexes[0]))
-    if found is not None or apexes.size == 1:
-        return found
-    words = K.words()
+    apexes = PointSet(rank, pool).points_array
+    words = PointSet(rank, cone).words()
     perms = _xor_permutations(words).ravel()
-    nw = words.size
-    cap = max(1, _PAIR_BLOCK_ELEMENTS // nw)
-    i0, size = 1, min(2, cap)
+    cap = max(1, _PAIR_BLOCK_ELEMENTS // words.size)
+    i0, size = 0, min(2, cap)
     while i0 < apexes.size:
         block = apexes[i0:i0 + size]
         hit = _first_apex_with_pair(words, perms, block)
         if hit is not None:
-            return completion(int(block[hit]))
+            return int(block[hit])
         i0 += size
         size = min(2 * size, cap)
     return None
@@ -300,38 +293,6 @@ def _first_apex_with_pair(words: np.ndarray, perms: np.ndarray, xs: np.ndarray) 
         hit = pair.any(axis=1)
         if hit.any():
             return int(rows[p][hit.argmax()])
-    return None
-
-
-def _least_pair(K: PointSet, lo: int) -> Optional[tuple[int, int]]:
-    """Lexicographically least pair lo < a < b of the cone K = E_S with a ^ b in K.
-
-    Those are exactly the DFS conditions for the last two generators, so
-    this is the pair the DFS finds first: that a and b lie outside the
-    spans of S and S + a needs no test, since a in S, b in S or b = a ^ s
-    would put 0 in E.  For n = 2, K = E and this is the least triangle.
-
-    The table a ^ K is evaluated in row blocks, earliest rows first, that
-    double from one row up to _PAIR_BLOCK_ELEMENTS entries (one row wider
-    than that is split into column chunks), stopping at the first hit.
-    """
-    mem = K.membership
-    cands = K.points_array[K.points_array > lo]
-    k = int(cands.size)
-    i0, rows = 0, 1
-    while i0 < k - 1:
-        i1 = min(i0 + rows, k - 1)
-        a = cands[i0:i1, None]
-        for j0 in range(i0 + 1, k, _PAIR_BLOCK_ELEMENTS):
-            j1 = min(j0 + _PAIR_BLOCK_ELEMENTS, k)
-            hit = mem[a ^ cands[None, j0:j1]]
-            hit &= np.arange(j0, j1) > np.arange(i0, i1)[:, None]
-            first = int(hit.argmax())
-            if hit.flat[first]:
-                row, col = divmod(first, j1 - j0)
-                return int(cands[i0 + row]), int(cands[j0 + col])
-        i0 = i1
-        rows = max(1, min(2 * rows, _PAIR_BLOCK_ELEMENTS // max(1, k - 1 - i0)))
     return None
 
 
@@ -452,7 +413,8 @@ def max_flat_rank_inside(C: PointSet) -> int:
     """Largest rank of a flat all of whose points lie in C.
 
     The walk of ``_dfs_generators`` over every flat's least generating
-    tuple reaches each flat inside C once.  A branch is cut when its pool
+    tuple, which reads each pool off its bitset in ascending order, reaches
+    each flat inside C once.  A branch is cut when the rest of its pool
     cannot supply enough coset minima to beat the incumbent.
     """
     best = 0
@@ -460,11 +422,12 @@ def max_flat_rank_inside(C: PointSet) -> int:
     def dfs(cone: int, pool: int, depth: int) -> None:
         nonlocal best
         best = max(best, depth)
-        pts = PointSet(C.rank, pool).points
-        for i, q in enumerate(pts):
-            if depth + (len(pts) - i + 1).bit_length() - 1 <= best:
-                return
+        rest, left = pool, pool.bit_count()
+        while depth + (left + 1).bit_length() - 1 > best:
+            q = (rest & -rest).bit_length() - 1
             dfs(*_cone_step(cone, pool, q, C.rank), depth + 1)
+            rest ^= 1 << q
+            left -= 1
 
     dfs(C.bits, C.bits, 0)
     return best

@@ -26,8 +26,10 @@ def check_rank(rank: int) -> None:
         raise RankCapError(f"ambient rank must be an integer in 1..{RANK_CAP}, got {rank!r}")
 
 
-# Sets and search pools of at most this many points are walked by Python
-# loops, larger ones by numpy.
+# Sets of at most this many points are listed by a Python loop, larger ones
+# by numpy; an ambient of at most this many words is one bitset word.  The
+# freeness walk reads pools of any size off their bitsets, and hands only
+# a larger pool of g_{n-2} to the apex kernel.
 SMALL_SET_POINTS = 64
 
 
@@ -131,6 +133,8 @@ class PointSet:
 
     @cached
     def membership(self) -> np.ndarray:
+        """The indicator as a bool array, built once per set: the one-word
+        spectrum and the per-hyperplane triangle counts both read it."""
         return self.indicator().astype(bool)
 
     @cached

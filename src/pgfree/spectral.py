@@ -131,12 +131,13 @@ class Spectrum:
 def walsh_hadamard(E: PointSet) -> Spectrum:
     """Exact transform of the indicator of E over all 2^r characters.
 
-    In the one-word ambient (2^r <= ``SMALL_SET_POINTS``) the int64
-    indicator goes to ``fwht_inplace``, which transforms it by one
-    Sylvester product.  From r = 7 the first six stages come from the
-    bitset's little-endian 64-bit words w_j: after them, entry 64j + u is
-    the sum of (-1)^(u . v) over the members 64j + v that w_j holds, which
-    is |w_j| - 2|w_j & M_u| with M_u = ``_WORD_MASKS[u]``.
+    In the one-word ambient (2^r <= ``SMALL_SET_POINTS``) the set's
+    ``membership`` table, widened to int64, goes to ``fwht_inplace``,
+    which transforms it by one Sylvester product.  From r = 7 the first
+    six stages come from the bitset's little-endian 64-bit words w_j:
+    after them, entry 64j + u is the sum of (-1)^(u . v) over the members
+    64j + v that w_j holds, which is |w_j| - 2|w_j & M_u| with
+    M_u = ``_WORD_MASKS[u]``.
     ``fwht_inplace`` runs the stages from width 64.  The butterfly runs in
     int32, exact since |E| < 2^24 bounds every partial sum, in the upper
     half of the int64 table that it is then widened into, one block at a
@@ -145,7 +146,7 @@ def walsh_hadamard(E: PointSet) -> Spectrum:
     """
     n = 1 << E.rank
     if n <= SMALL_SET_POINTS:
-        return Spectrum(E.rank, fwht_inplace(E.indicator().astype(np.int64)), E.size)
+        return Spectrum(E.rank, fwht_inplace(E.membership.astype(np.int64)), E.size)
     words = E.words()
     out = np.empty(n, dtype=np.int64)
     # The int32 table is the upper half of the int64 one.  Widened front to
@@ -208,7 +209,8 @@ def triangle_counts_per_hyperplane(E: PointSet) -> np.ndarray:
     of E as often as its cone size d(x) = |E ∩ (E + x)|, gives
     T(E ∩ W_gamma) = (T + 3 A_gamma)/4, with A the transform of d on E
     (zero off E).  A_0 = T, so entry 0 is T of E itself.  d is the
-    self-convolution of the indicator, WHT(c^2) / 2^r, read on E.
+    self-convolution of the indicator, WHT(c^2) / 2^r, read on E through
+    its ``membership`` table.
 
     int64 is exact at every rank: the transform of c^2 forms partial sums
     bounded by 2 sum(c^2) = 2^(r+1) |E|, and that of d ones bounded by
@@ -222,7 +224,7 @@ def triangle_counts_per_hyperplane(E: PointSet) -> np.ndarray:
     if int(np.bitwise_or.reduce(d)) & ((1 << r) - 1):
         raise InternalInconsistencyError("self-convolution is not divisible by 2^r")
     d >>= r
-    d *= E.indicator()
+    d *= E.membership
     a = fwht_inplace(d)
     t = int(a[0])
     a *= 3

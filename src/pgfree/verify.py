@@ -404,11 +404,14 @@ def _merge_stats(parts: list[dict[str, _CheckStats]], checks) -> dict[str, _Chec
 
 
 def worker_count() -> int:
+    """PGFREE_WORKERS (default 1), capped at the CPUs this process may use."""
     text = os.environ.get("PGFREE_WORKERS", "1")
     try:
-        return max(1, int(text))
+        wanted = int(text)
     except ValueError:
         raise ConfigError(f"PGFREE_WORKERS must be an integer, got {text!r}") from None
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(wanted, cpus))
 
 
 def run_sweep(cfg: SweepConfig, workers: Optional[int] = None) -> SweepOutcome:

@@ -206,6 +206,22 @@ def fano_free_below(r, low, mid, rng, keep=0.9):
     return PointSet.from_points(r, sorted(low) + sorted(mid) + high)
 
 
+def spy_on_kernel(monkeypatch):
+    """Record the arguments of every apex-kernel call."""
+    import pgfree.matroid as matroid
+
+    calls = []
+    kernel = matroid._first_apex_with_pair
+    monkeypatch.setattr(matroid, "_first_apex_with_pair", lambda *a: calls.append(a) or kernel(*a))
+    return calls
+
+
+def least_apex_of_dfs(e, n):
+    """The first generator the plain DFS oracle fixes, or None."""
+    gens = dfs_least_generators(e.points, n)
+    return gens[0] if gens else None
+
+
 def test_apex_kernel_decides_later_apexes(monkeypatch):
     # The kernel must find completions in some blocks and none in others,
     # and agree with the plain DFS: at n = 3 on sets whose first fano apex
@@ -229,7 +245,7 @@ def test_apex_kernel_decides_later_apexes(monkeypatch):
         for _ in range(6):
             low = [w for w in flipped if rng.random() < rng.random()]
             e = fano_free_below(r, low, rng.sample(kept, 2), rng)
-            assert matroid._least_triple(e, 0) == dfs_least_generators(e.points, 3)
+            assert matroid._least_apex(e.bits, e.bits, r) == least_apex_of_dfs(e, 3)
             assert_matches_dfs(e, 3)
         for density in (0.45, 0.55):
             for _ in range(4):
@@ -240,10 +256,8 @@ def test_apex_kernel_decides_later_apexes(monkeypatch):
 
 
 def test_is_pg_free_small_blocks_split_rows_and_columns(monkeypatch):
-    # A tiny block cap makes every row span several column chunks, splits
-    # the apex blocks down to single apexes and the pair rows of the apex
-    # kernel down to single rows, and exercises the row-block mask between
-    # them.
+    # A tiny block cap splits the apex blocks down to single apexes and the
+    # pair rows of the apex kernel down to single rows.
     import pgfree.matroid as matroid
 
     rng = random.Random(31)
@@ -263,19 +277,86 @@ def test_is_pg_free_small_blocks_split_rows_and_columns(monkeypatch):
             assert got.to_json_obj() == want.to_json_obj(), (e.to_compact(), n, cap)
 
 
-def test_apex_kernel_first_hit_at_word_boundary():
+def test_apex_kernel_first_hit_at_word_boundary(monkeypatch):
     # The least point of a fano is 63, which ends a 64-bit word, so all of
-    # its completions lie in later words.  With one point below it, it is
-    # the first apex of the kernel's first block.
+    # its completions lie in later words.  With one point below it, which
+    # the walk tries itself, it is the first apex of the kernel's first
+    # block.
     import pgfree.matroid as matroid
 
+    calls = spy_on_kernel(monkeypatch)
     rng = random.Random(41)
     flipped = [w for w in range(1, 63) if w & 3 in (1, 2)]
     for low in (flipped, flipped[:1]):
         e = fano_free_below(8, low, [63], rng)
         assert dfs_least_generators(e.points, 3)[0] == 63
-        assert matroid._least_triple(e, 0) == dfs_least_generators(e.points, 3)
+        rest = e.bits & (e.bits - 1)
+        assert matroid._least_apex(e.bits, rest, 8) == least_apex_of_dfs(e, 3)
+        calls.clear()
         assert_matches_dfs(e, 3)
+    assert int(calls[0][2][0]) == 63
+
+
+def test_walk_completes_a_least_apex_without_the_kernel(monkeypatch):
+    # Each set holds the flat spanned by 1, 2, 4 (and 8), so the least
+    # point of every pool the walk meets completes: the kernel never runs,
+    # even where the pool of g_{n-2} holds more than 64 points.
+    calls = spy_on_kernel(monkeypatch)
+    rng = random.Random(61)
+    for r in (8, 9):
+        sets = [PointSet.full(r)]
+        for density in (0.5, 0.8):
+            pts = [w for w in range(1, 1 << r) if rng.random() < density]
+            sets.append(PointSet.from_points(r, pts + list(range(1, 16))))
+        for e in sets:
+            for n in (3, 4):
+                assert is_pg_free(e, n).subspace.basis == (1, 2, 4, 8)[:n]
+    assert calls == []
+
+
+def test_apex_kernel_sees_only_pool_points_at_n4(monkeypatch):
+    # At n = 4 the kernel runs at the walk's node of g_2 with cone
+    # K = E ∩ (E + g_1).  Every apex it tests must be in that node's pool:
+    # a point of K above g_1 with bit hb(g_1) clear.
+    from pgfree.pointset import xor_translate
+
+    calls = spy_on_kernel(monkeypatch)
+    rng = random.Random(67)
+    # bose_burton(8, 4) is PG(3,2)-free, so the kernel scans every pool
+    free = bose_burton(8, 4).without_point(rng.randrange(32, 256))
+    assert not is_pg_free(free, 4).found
+    sets, scanned = [free], 0
+    for density in (0.45, 0.55):
+        for _ in range(4):
+            e = PointSet.from_points(8, [w for w in range(1, 256) if rng.random() < density])
+            assert_matches_dfs(e, 4)
+            sets.append(e)
+    for e in sets:
+        calls.clear()
+        is_pg_free(PointSet(8, e.bits), 4)
+        for words, _, xs in calls:
+            cone = int.from_bytes(words.tobytes(), "little")
+            # the pools of the nodes of g_2 whose cone this is
+            pools = [
+                {w for w in range(g + 1, 256) if cone >> w & 1 and not w >> (g.bit_length() - 1) & 1}
+                for g in e.points
+                if e.bits & xor_translate(e.bits, g, 8) == cone
+            ]
+            assert any(pool.issuperset(xs.tolist()) for pool in pools), e.to_compact()
+        scanned += len(calls)
+    assert scanned
+
+
+def test_apex_kernel_never_runs_at_n1_or_n2(monkeypatch):
+    calls = spy_on_kernel(monkeypatch)
+    rng = random.Random(71)
+    for r in (7, 8, 9):
+        sets = [PointSet.full(r), bose_burton(r, 2), affine_set(r, (1 << r) - 1)]
+        sets.append(PointSet.from_points(r, [w for w in range(1, 1 << r) if rng.random() < 0.6]))
+        for e in sets:
+            for n in (1, 2):
+                assert_matches_dfs(e, n)
+    assert calls == []
 
 
 def lift(a, rank, seed):
@@ -484,7 +565,7 @@ def test_flat_table_replaces_the_dfs_up_to_rank_6(monkeypatch):
     import pgfree.matroid as matroid
 
     calls = []
-    for name in ("_least_triple", "_least_pair", "_dfs_generators"):
+    for name in ("_least_apex", "_first_apex_with_pair", "_dfs_generators"):
         real = getattr(matroid, name)
         monkeypatch.setattr(matroid, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
     rng = random.Random(47)
@@ -495,10 +576,11 @@ def test_flat_table_replaces_the_dfs_up_to_rank_6(monkeypatch):
             for n in range(1, r + 1):
                 is_pg_free(e, n)
     assert calls == []
-    # at r = 7 a pool of more than 64 points reaches the vectorised searches
-    full = PointSet.full(7)
-    assert is_pg_free(full, 3).found and is_pg_free(full, 4).found
-    assert set(calls) == {"_least_triple", "_least_pair", "_dfs_generators"}
+    # at r = 7 the walk runs, and a pool of more than 64 points whose least
+    # point fails reaches the apex kernel
+    assert is_pg_free(PointSet.full(7), 3).found
+    assert not is_pg_free(bose_burton(7, 3), 3).found
+    assert set(calls) == {"_least_apex", "_first_apex_with_pair", "_dfs_generators"}
 
 
 def test_is_pg_free_rejects_bad_n():

@@ -305,6 +305,40 @@ def test_worker_count_env_var(monkeypatch):
     assert run_sweep(cfg).to_canonical_json() == base
 
 
+class RecordingPool:
+    """Stands in for multiprocessing.Pool: records its size, forks nothing."""
+
+    sizes = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, fn, args):
+        return [fn(*a) for a in args]
+
+
+def test_worker_count_env_var_is_capped_at_usable_cpus(monkeypatch):
+    import multiprocessing
+    import os
+
+    cfg = SweepConfig(rank=3, level=2, mode="exhaustive", checks=("thm-1.1",))
+    base = run_sweep(cfg).to_canonical_json()
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    RecordingPool.sizes.clear()
+    monkeypatch.setenv("PGFREE_WORKERS", "100000")
+    assert run_sweep(cfg).to_canonical_json() == base
+    # an explicit worker count is not capped
+    assert run_sweep(cfg, workers=7).to_canonical_json() == base
+    assert RecordingPool.sizes == [3, 7]
+
+
 def test_sweep_determinism_across_workers():
     cfg = SweepConfig(
         rank=4,
