@@ -22,9 +22,7 @@ from .geometry import (
     Flat,
     closure,
     dot,
-    enumerate_flats,
     flat_points,
-    gaussian_binomial,
     hyperplane_of,
     rank_of,
 )

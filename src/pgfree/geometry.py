@@ -10,7 +10,7 @@ lowest set bit of a row, rows mutually reduced, sorted by pivot).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -146,49 +146,3 @@ def kernel_basis(ambient_rank: int, dual_rows: Sequence[int]) -> tuple[int, ...]
                 v ^= 1 << p
         out.append(v)
     return echelon_basis(out)
-
-
-def gaussian_binomial(n: int, k: int) -> int:
-    """Number of k-dimensional subspaces of GF(2)^n (product formula)."""
-    if k < 0 or k > n:
-        return 0
-    num = 1
-    den = 1
-    for i in range(k):
-        num *= (1 << (n - i)) - 1
-        den *= (1 << (i + 1)) - 1
-    assert num % den == 0
-    return num // den
-
-
-def _echelon_dual_bases(ambient_rank: int, c: int) -> Iterator[tuple[int, ...]]:
-    """All reduced-echelon bases of c-dimensional subspaces, unordered."""
-    from itertools import combinations, product
-
-    for pivots in combinations(range(ambient_rank), c):
-        pivot_set = set(pivots)
-        free = [[j for j in range(p + 1, ambient_rank) if j not in pivot_set] for p in pivots]
-        choices = [range(1 << len(fr)) for fr in free]
-        for combo in product(*choices):
-            rows = []
-            for i, p in enumerate(pivots):
-                v = 1 << p
-                for bit_idx, j in enumerate(free[i]):
-                    if (combo[i] >> bit_idx) & 1:
-                        v ^= 1 << j
-                rows.append(v)
-            yield tuple(rows)
-
-
-def enumerate_flats(ambient_rank: int, corank: int) -> Iterator[Flat]:
-    """Every corank-c flat exactly once, ordered by its canonical dual basis.
-
-    The order is lexicographic on the reduced-echelon basis of the dual
-    (normal) space; for corank 1 this is simply gamma = 1, 2, 3, ...
-    """
-    check_rank(ambient_rank)
-    if not 0 <= corank <= ambient_rank:
-        raise GeometryError(f"corank must be in 0..{ambient_rank}, got {corank}")
-    bases = sorted(_echelon_dual_bases(ambient_rank, corank))
-    for rows in bases:
-        yield Flat(ambient_rank, kernel_basis(ambient_rank, rows))

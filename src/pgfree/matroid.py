@@ -16,10 +16,13 @@ of S above g_d, read off a pool bitset in ascending order, and cuts a
 branch with too few of them left to finish a flat.
 ``max_flat_rank_inside`` (behind the critical number) walks to the
 largest rank, ``is_pg_free`` to rank n for the least generating tuple.
+Over the whole ambient the walk lists every flat once,
+``_least_generating_tuples``, for the table below and the exhaustive flat
+search of ``search``.
 
 In an ambient of rank r <= 6 the whole geometry is one 64-bit word, and the
 subgeometry search is one lookup in a table of all rank-n flats, built once
-per (r, n) and sorted by each flat's least generating tuple.  Above, the
+per (r, n) in the walk's order of least generating tuples.  Above, the
 walk fixes every generator itself.  Only the choice of g_{n-2} out of a
 large pool is helped: by the cone lemma, an apex x completes the span S
 iff the cone of E_S at x holds a pair, which a batched kernel tests for a
@@ -39,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import GeometryError, HypothesisError
-from .geometry import Flat, closure, echelon_basis, enumerate_flats, flat_points, kernel_basis, rank_of
+from .geometry import Flat, closure, echelon_basis, kernel_basis, rank_of
 from .pointset import SMALL_SET_POINTS, PointSet, coordinate_masks, memoized, xor_translate
 from .pointset import pointset_from_mask, pointset_from_words
 
@@ -155,24 +158,43 @@ def _flat_table(r: int, n: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]
     """Every rank-n flat of the rank-r ambient, for 2^r <= SMALL_SET_POINTS.
 
     Row i holds the flat's points as one uint64 mask and its least
-    generating tuple: g_1 is its least point and each later g_i its least
-    point outside the span of the earlier ones.  That tuple is ascending
-    and the least ascending tuple that generates the flat, so the rows,
-    sorted by it, put first the flat inside E whose tuple the DFS finds:
-    the lexicographically least generating tuple over all flats inside E.
+    generating tuple, the tuples ascending as the walk lists them, so the
+    first row whose flat lies inside E holds the tuple the DFS finds: the
+    least generating tuple over all flats inside E.
     """
-    rows = []
-    for f in enumerate_flats(r, r - n):
-        mask = flat_points(f).bits
-        gens, span, rest = [], [0], mask
-        while rest:
-            g = (rest & -rest).bit_length() - 1
-            gens.append(g)
-            span += [s ^ g for s in span]
-            rest &= ~sum(1 << w for w in span)
-        rows.append((tuple(gens), mask))
-    rows.sort()
+    full = (1 << (1 << r)) - 2
+    rows = [(gens, full ^ cone) for gens, cone, _ in _least_generating_tuples(r, n)]
     return np.array([m for _, m in rows], dtype=np.uint64), tuple(g for g, _ in rows)
+
+
+def _least_generating_tuples(r: int, d: int):
+    """Every rank-d flat of the rank-r ambient once, as its least generating
+    tuple with the cone and the pool of its leaf, the tuples ascending.
+
+    The walk of ``_dfs_generators`` over the whole ambient, whose cone at a
+    leaf is the complement of the tuple's span S.  The leaf's pool holds
+    the points q above g_d that are the least of their coset of S: those
+    for which (g_1, ..., g_d, q) is again a least generating tuple.
+    """
+    gens: list[int] = []
+
+    def walk(cone: int, pool: int):
+        k = len(gens)
+        if k == d:
+            yield tuple(gens), cone, pool
+            return
+        need = (1 << (d - k)) - 1
+        rest, left = pool, pool.bit_count()
+        while left >= need:
+            q = (rest & -rest).bit_length() - 1
+            gens.append(q)
+            yield from walk(*_cone_step(cone, pool, q, r))
+            gens.pop()
+            rest ^= 1 << q
+            left -= 1
+
+    full = (1 << (1 << r)) - 2
+    return walk(full, full)
 
 
 def _dfs_generators(E: PointSet, n: int) -> Optional[list[int]]:

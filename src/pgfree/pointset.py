@@ -22,7 +22,9 @@ RANK_CAP = 24
 
 
 def check_rank(rank: int) -> None:
-    if not isinstance(rank, int) or not 1 <= rank <= RANK_CAP:
+    if not isinstance(rank, int) or rank < 1:
+        raise GeometryError(f"ambient rank must be an integer >= 1, got {rank!r}")
+    if rank > RANK_CAP:
         raise RankCapError(f"ambient rank must be an integer in 1..{RANK_CAP}, got {rank!r}")
 
 
@@ -254,6 +256,9 @@ class PointSet:
                 obj = json.loads(stripped)
             except json.JSONDecodeError as exc:
                 raise PointSetParseError(f"invalid JSON: {exc.msg}", f"{where}:{exc.lineno}:{exc.colno}") from None
+            except (ValueError, RecursionError) as exc:
+                # an integer past Python's digit limit, or arrays nested too deep
+                raise PointSetParseError(f"invalid JSON: {exc}", where) from None
             return cls.from_json_obj(obj, where)
         return cls.from_compact(stripped, where)
 

@@ -5,25 +5,29 @@ the one-step case of the iterated cone that ``matroid``'s flat searches
 walk.  A hyperplane intersection is one AND with ``hyperplane_mask``.
 
 The headline operation finds a triangle-free corank-(n-2) flat inside a
-dense PG(n-1,2)-free set, either by the descent or by exhaustively
-scanning all flats of the target corank.  The descent follows the paper's
-recursion on n: one hyperplane step restricts E to a PG(n-2,2)-free
-intersection, the descent recurses from level n-1 there, and the flat it
-finds is lifted back through that hyperplane (``lift_flat``).
+dense PG(n-1,2)-free set, either by the descent or by an exhaustive scan
+that reads every flat of the target corank off one walk over the spaces
+of normals, with one per-hyperplane triangle count per leaf.  The descent
+follows the paper's recursion on n: one hyperplane step restricts E to a
+PG(n-2,2)-free intersection, the descent recurses from level n-1 there,
+and the flat it finds is lifted back through that hyperplane
+(``lift_flat``).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import reduce
 from typing import Optional
 
 import numpy as np
 
 from .errors import GeometryError, InternalInconsistencyError
-from .geometry import Flat, closure, enumerate_flats, flat_points, hyperplane_of
+from .geometry import Flat, closure, echelon_basis, hyperplane_of, kernel_basis
 from .matroid import (
     _dense,
     _dense_free,
+    _least_generating_tuples,
     is_pg_free,
     lift_flat,
     matroid_rank,
@@ -191,24 +195,37 @@ def _result_for(flat: Optional[Flat], intersection_size: int) -> StructureResult
 
 
 def _exhaustive_flat_search(E: PointSet, n: int) -> StructureResult:
-    """Scan every corank-(n-2) flat for a triangle-free intersection,
-    keeping the one of maximum |E ∩ K| (first in canonical order on ties)."""
-    best_flat, best_size = None, -1
-    if n == 3:
-        # corank-1 scan: intersection sizes come straight off the spectrum
-        free = np.flatnonzero(~_hyperplanes_holding_pg(E, 3)) + 1
-        if free.size:
-            sizes = (E.size + walsh_hadamard(E).coeffs[free]) >> 1
-            at = int(np.argmax(sizes))  # first index on ties: least gamma
-            best_flat = hyperplane_of(E.rank, int(free[at]))
-            best_size = int(sizes[at])
-    else:
-        for f in enumerate_flats(E.rank, n - 2):
-            inter = E.intersection(flat_points(f))
-            if inter.size > best_size and not is_pg_free(inter, 2).found:
-                best_flat = f
-                best_size = inter.size
-    return _result_for(best_flat, best_size)
+    """The triangle-free corank-(n-2) flat K of maximum |E ∩ K|, ties going
+    to the least reduced-echelon basis of its normal space.
+
+    Level 2 has one such flat, the whole ambient.  Above, each space of
+    normals is read once, as a leaf D of ``_least_generating_tuples`` at
+    rank n-3 and a word delta of its pool: the per-hyperplane triangle
+    counts and the spectrum c of E ∩ K_D, K_D the flat orthogonal to D,
+    give every flat K_D ∩ W_delta at once, of size (|E ∩ K_D| + c_delta)/2.
+    """
+    r = E.rank
+    if n == 2:
+        whole = None if is_pg_free(E, 2).found else closure(r, [1 << i for i in range(r)])
+        return _result_for(whole, E.size)
+    best_size, best_dual = -1, None
+    for D, _, pool in _least_generating_tuples(r, n - 3):
+        EK = reduce(hyperplane_intersection, D, E)
+        if EK.size < best_size:  # no flat inside K_D can reach the best
+            continue
+        free = np.flatnonzero(PointSet(r, pool).membership & (triangle_counts_per_hyperplane(EK) == 0))
+        if not free.size:
+            continue
+        sizes = (EK.size + walsh_hadamard(EK).coeffs[free]) >> 1
+        top = int(sizes.max())
+        if top < best_size:
+            continue
+        ties = free[sizes == top].tolist()
+        # a lone normal is its own reduced-echelon basis
+        dual = min(echelon_basis((*D, delta)) for delta in ties) if D else (ties[0],)
+        if top > best_size or dual < best_dual:
+            best_size, best_dual = top, dual
+    return _result_for(None if best_dual is None else Flat(r, kernel_basis(r, best_dual)), best_size)
 
 
 def _descend(

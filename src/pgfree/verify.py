@@ -213,6 +213,9 @@ class SweepConfig:
             raise ConfigError(f"rng_seed must be an integer in 0..2^128-1, got {self.rng_seed}")
         if self.mode == "random" and self.sample_count < 1:
             raise ConfigError("random mode needs sample_count >= 1")
+        df = self.density_filter
+        if df is not None and df >= 1 - Fraction(1, 1 << self.rank):
+            raise ConfigError(f"no set of rank {self.rank} is denser than the filter {df}")
         if not 2 <= self.level <= self.rank:
             raise ConfigError(f"level must be in 2..rank, got {self.level}")
         unknown = [c for c in self.checks if c not in ALL_CHECKS]

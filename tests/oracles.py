@@ -69,6 +69,40 @@ def brute_chi(point_words, r: int) -> int:
     return r - best
 
 
+def reduced_echelon(words) -> tuple[int, ...]:
+    """The reduced-echelon basis of the span of the words: each row's pivot
+    is its lowest set bit, no other row has that bit, rows sorted by pivot."""
+    rows: list[int] = []
+    for v in words:
+        for row in rows:
+            if (v >> (row & -row).bit_length() - 1) & 1:
+                v ^= row
+        if v:
+            low = v & -v
+            rows = [row ^ v if row & low else row for row in rows] + [v]
+    return tuple(sorted(rows, key=lambda row: row & -row))
+
+
+def best_triangle_free_flat(point_words, r: int, n: int):
+    """(points, |E ∩ K|) of the corank-(n-2) flat K whose intersection with
+    the set has no triangle and the most points, ties going to the least
+    reduced-echelon basis of K's normals; None if every such flat meets a
+    triangle of the set."""
+    pts = set(point_words)
+    best = None
+    for f in all_flats(r):
+        if flat_rank(f) != r - n + 2:
+            continue
+        inter = f & pts
+        if any(x ^ y in inter for x in inter for y in inter):
+            continue
+        normals = [g for g in range(1, 1 << r) if all(popcount_parity(g & x) == 0 for x in f)]
+        key = (-len(inter), reduced_echelon(normals))
+        if best is None or key < best[0]:
+            best = (key, f)
+    return None if best is None else (best[1], -best[0][0])
+
+
 def brute_triangle_count(point_words) -> int:
     """Ordered triples (x, y, z) with x ^ y ^ z == 0, by full triple loop."""
     pts = list(point_words)

@@ -10,14 +10,12 @@ from pgfree.geometry import (
     closure,
     dot,
     echelon_basis,
-    enumerate_flats,
     flat_points,
-    gaussian_binomial,
     hyperplane_of,
     rank_of,
 )
 
-from oracles import all_flats, qbinom_recurrence, span_points
+from oracles import span_points
 
 
 def test_dot_examples():
@@ -68,46 +66,6 @@ def test_hyperplane_count_and_size(r):
         assert all(dot(x, gamma) == 0 for x in pts)
         seen.add(pts.bits)
     assert len(seen) == (1 << r) - 1
-
-
-def test_enumerate_flats_counts():
-    assert len(list(enumerate_flats(3, 1))) == 7
-    assert len(list(enumerate_flats(4, 2))) == 35
-    assert qbinom_recurrence(4, 2) == 35
-    full = list(enumerate_flats(4, 0))
-    assert len(full) == 1
-    assert flat_points(full[0]).size == 15
-
-
-@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
-def test_enumerate_flats_against_independent_count(r):
-    for c in range(r + 1):
-        flats = list(enumerate_flats(r, c))
-        assert len(flats) == qbinom_recurrence(r, c)
-        assert len(flats) == gaussian_binomial(r, c)
-        assert len({f.basis for f in flats}) == len(flats)
-        for f in flats[: min(8, len(flats))]:
-            assert f.corank == c
-            assert rank_of(flat_points(f)) == f.rank
-
-
-def test_enumerate_flats_matches_brute_force_flats():
-    r = 4
-    brute = {f for f in all_flats(r) if f}
-    mine = set()
-    for c in range(r):
-        for f in enumerate_flats(r, c):
-            mine.add(frozenset(flat_points(f)))
-    assert mine == brute
-
-
-def test_hyperplane_enumeration_order_is_gamma_ascending():
-    for r in range(1, 9):
-        flats = list(enumerate_flats(r, 1))
-        expected = [hyperplane_of(r, g).basis for g in range(1, 1 << r)]
-        assert [f.basis for f in flats] == expected
-        # corank 0 is the whole ambient
-        assert list(enumerate_flats(r, 0)) == [closure(r, [1 << i for i in range(r)])]
 
 
 def test_flat_points_examples():

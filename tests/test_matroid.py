@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from pgfree.constructions import affine_set, bose_burton
 from pgfree.errors import GeometryError, HypothesisError
-from pgfree.geometry import closure, flat_points, gaussian_binomial, hyperplane_of, rank_of
+from pgfree.geometry import closure, flat_points, hyperplane_of, rank_of
 from pgfree.matroid import (
     _NAIVE_PYTHON_CUTOFF,
     _spans_by_bit_lengths,
@@ -26,11 +26,14 @@ from pgfree.spectral import walsh_hadamard
 from pgfree.verify import sample_pointset
 
 from oracles import (
+    all_flats,
     brute_chi,
     brute_is_pg_free,
     brute_triangle_count,
     dfs_least_generators,
+    flat_rank,
     loop_triangle_count,
+    qbinom_recurrence,
     span_points,
 )
 
@@ -520,7 +523,7 @@ def test_flat_table_lists_every_flat_once_by_least_generators(r):
     for n in range(1, r + 1):
         masks, generators = matroid._flat_table(r, n)
         assert masks.dtype == np.uint64
-        assert len(masks) == len(generators) == gaussian_binomial(r, n)
+        assert len(masks) == len(generators) == qbinom_recurrence(r, n)
         assert list(generators) == sorted(set(generators))
         for mask, gens in zip(masks.tolist(), generators):
             assert mask.bit_count() == (1 << n) - 1
@@ -531,6 +534,25 @@ def test_flat_table_lists_every_flat_once_by_least_generators(r):
                 span = flat_points(closure(r, gens[:i])).bits if i else 0
                 rest = mask & ~span
                 assert g == (rest & -rest).bit_length() - 1
+
+
+@pytest.mark.parametrize("r", range(1, 5))
+def test_least_generating_tuples_list_every_flat_once(r):
+    import pgfree.matroid as matroid
+
+    everything = (1 << (1 << r)) - 1
+    for d in range(r + 1):
+        leaves = list(matroid._least_generating_tuples(r, d))
+        assert [gens for gens, _, _ in leaves] == sorted({gens for gens, _, _ in leaves})
+        flats = [span_points(gens) for gens, _, _ in leaves]
+        assert sorted(flats, key=sorted) == sorted((f for f in all_flats(r) if flat_rank(f) == d), key=sorted)
+        for (gens, cone, pool), flat in zip(leaves, flats):
+            # each generator is the least point of the flat outside the span of the earlier ones
+            assert all(g == min(flat - span_points(gens[:i])) for i, g in enumerate(gens))
+            assert cone == everything & ~sum(1 << w for w in flat | {0})
+            # the pool holds the points that extend the tuple to a least generating tuple
+            above = [q for q in range(1, 1 << r) if q not in flat and q > max(gens, default=0)]
+            assert pool == sum(1 << q for q in above if q == min(span_points(gens + (q,)) - flat))
 
 
 def _assert_table_witness_is_dfs_tuple(e):

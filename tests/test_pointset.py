@@ -17,7 +17,7 @@ def test_pointset_basics():
     assert PointSet.full(3).size == 7
     assert PointSet.empty(3).size == 0
     assert e.complement().size == 4
-    with pytest.raises(RankCapError):
+    with pytest.raises(GeometryError):
         PointSet(0, 0)
     with pytest.raises(RankCapError):
         PointSet.full(25)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pgfree.errors import GeometryError
-from pgfree.constructions import bose_burton, m_k5
+from pgfree.constructions import affine_set, bose_burton, m_k5
 from pgfree.geometry import flat_points, hyperplane_of
 from pgfree.matroid import is_pg_free, restrict_to_flat, triangle_count_naive
 from pgfree.pointset import PointSet
@@ -19,7 +19,7 @@ from pgfree.search import (
     reconcile_hyperplane,
 )
 
-from oracles import brute_cone, popcount_parity
+from oracles import best_triangle_free_flat, brute_cone, popcount_parity
 
 
 def test_cone_examples():
@@ -301,6 +301,61 @@ def test_descent_on_every_dense_subset_of_pg32_is_pinned():
                 line = json.dumps([res.to_json_obj(), trace.to_json_obj()])
                 digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == "ac581853cf8adf52fd5c1050f3b834c6981ca8465cd5b76290779d67bf0b4ead"
+
+
+def _exhaustive_digest(cases) -> str:
+    digest = hashlib.sha256()
+    for e, level in cases:
+        res, _ = find_triangle_free_flat(e, level, "exhaustive")
+        digest.update(json.dumps(res.to_json_obj()).encode() + b"\n")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "level, expected",
+    [
+        (3, "72e3f9f6030a3e56ef793b551e07cc841631db9bb840bf696bdfc26026a3450c"),
+        (4, "e376ad6a651abb1f89116d7fdb4134b345d6fcbbd1551129ebc21f94b6833d12"),
+    ],
+)
+def test_exhaustive_flat_on_every_dense_subset_of_pg32_is_pinned(level, expected):
+    # every subset of PG(3,2) with at least 11 points (1,941 sets)
+    sets = [PointSet(4, s << 1) for s in range(1 << 15) if s.bit_count() >= 11]
+    assert _exhaustive_digest((e, level) for e in sets) == expected
+
+
+@pytest.mark.parametrize(
+    "r, expected",
+    [
+        (7, "4d464e470b2e97b8c093ce28dbf62e74752c28462e8ed86871441c82d27c08f6"),
+        (8, "2a81b19631c63bac977736ff7a0f343575735f2e9797657de6fa534648f5716e"),
+        (9, "4cdb4971e7d887f37a6bcdf5b293ff61532a0a8a7c5b1c860395a53b5bb6bb8d"),
+    ],
+)
+def test_exhaustive_level_four_flat_on_bose_burton_minus_a_point_is_pinned(r, expected):
+    bb = bose_burton(r, 4)
+    cases = [(bb.without_point(random.Random(s).choice(bb.points)), 4) for s in (1, 2)]
+    assert _exhaustive_digest(cases) == expected
+
+
+def test_exhaustive_flat_matches_brute_force_oracle_at_rank_5():
+    r = 5
+    rng = random.Random(62)
+    # sparse sets tie many flats, so the tie rule decides their answer
+    sets = [PointSet.empty(r), PointSet.full(r), affine_set(r, 1), bose_burton(r, 3), bose_burton(r, 4)]
+    sets += [PointSet.from_points(r, [w]) for w in (5, 31)]
+    sets += [PointSet.from_points(r, [w for w in range(1, 1 << r) if rng.random() < p])
+             for p in (0.1, 0.1, 0.2, 0.2, 0.3, 0.5, 0.7, 0.9)]
+    for e in sets:
+        for n in range(2, r + 1):
+            res, _ = find_triangle_free_flat(e, n, "exhaustive")
+            best = best_triangle_free_flat(e.points, r, n)
+            assert res.found == (best is not None), (e.to_compact(), n)
+            if best is not None:
+                points, size = best
+                assert frozenset(flat_points(res.flat)) == points, (e.to_compact(), n)
+                assert res.flat.corank == n - 2
+                assert res.intersection_size == size
 
 
 def test_reconcile_hyperplane():

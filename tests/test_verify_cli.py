@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import hashlib
 import importlib
 import io
@@ -8,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pgfree import cli
 from pgfree.constructions import affine_set, bose_burton, m_k5
@@ -47,6 +49,11 @@ def test_sweep_config_validation():
         SweepConfig(rank=4, level=3, mode="bogus")
     with pytest.raises(ConfigError):
         SweepConfig(rank=3, level=2, mode="exhaustive", checks=("bose-burton", "bose-burton"))
+    # a set has at most 2^r - 1 points, so it never passes a filter of 1 - 1/2^r or more
+    for df in (Fraction(15, 16), Fraction(1), Fraction(2)):
+        with pytest.raises(ConfigError, match="denser than the filter"):
+            SweepConfig(rank=4, level=3, mode="random", sample_count=1, density_filter=df, checks=("thm-1.1",))
+    SweepConfig(rank=4, level=3, mode="random", sample_count=1, density_filter=Fraction(7, 8), checks=("thm-1.1",))
 
 
 def test_exhaustive_sweep_r3_is_clean():
@@ -519,6 +526,76 @@ def test_cli_rank_cap_exit_3(capsys):
         ["construct", "--kind", "affine", "--rank", "30", "--gamma", "1"], capsys=capsys
     )
     assert code == 3 and "resource cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["construct", "--kind", "bose-burton", "--rank", "-1", "--level", "2"], 1),
+        (["construct", "--kind", "bose-burton", "--rank", "0", "--level", "2"], 1),
+        (["construct", "--kind", "bose-burton", "--rank", "25", "--level", "2"], 3),
+        (["verify", "--rank", "4", "--level", "3", "--mode", "random", "--samples", "1",
+          "--density-filter", "2"], 1),
+        (["verify", "--rank", "4", "--level", "3", "--mode", "random", "--samples", "1",
+          "--density-filter", "15/16"], 1),
+    ],
+)
+def test_cli_rank_and_density_filter_exit_codes(argv, code, capsys):
+    assert run_cli(argv, capsys=capsys)[0] == code
+
+
+# Near-valid point sets reach the parser's later checks; their ranks stay
+# small so that a set that does parse is analyzed in milliseconds.
+_fuzz_compact = st.one_of(
+    st.builds(lambda r, bits: f"{r}:{bits % (1 << (1 << r)) & ~1:X}", st.integers(1, 6), st.integers(0, 1 << 64)),
+    st.builds(
+        "{}:{}".format,
+        st.one_of(st.integers(-2, 6), st.sampled_from([25, 99]), st.text(max_size=3)),
+        st.one_of(st.integers(0, 1 << 70).map("{:X}".format), st.text(max_size=4)),
+    ),
+)
+_fuzz_json = st.builds(
+    json.dumps,
+    st.dictionaries(
+        st.sampled_from(["rank", "points", "other"]),
+        st.one_of(
+            st.integers(-2, 6),
+            st.lists(st.one_of(st.integers(-2, 70), st.booleans(), st.floats(), st.text(max_size=2))),
+            st.none(),
+            st.text(max_size=3),
+        ),
+    ),
+)
+
+
+@given(
+    text=st.one_of(st.text(), _fuzz_compact, _fuzz_json),
+    command=st.sampled_from([["analyze"], ["find-flat", "--level", "3"],
+                             ["find-flat", "--level", "4", "--strategy", "exhaustive"]]),
+)
+def test_cli_fuzzed_input_exits_0_or_1_with_one_line(tmp_path_factory, text, command):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-input.txt"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*command, "--in", str(path)])
+    if code == 0:
+        assert err.getvalue() == "" and json.loads(out.getvalue())
+    else:
+        assert code == 1, (text, err.getvalue())
+        assert len(err.getvalue().splitlines()) == 1 and "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"rank": 4, "points": [' + "1" * 5000 + "]}", '{"rank": ' + "[" * 100000 + "]" * 100000 + "}"],
+    ids=["digits", "depth"],
+)
+def test_cli_json_past_the_digit_or_depth_limit_exits_1(text, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = run_cli(["analyze", "--in", str(path)], capsys=capsys)
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
 
 
 def test_cli_spectrum(monkeypatch, capsys):
