@@ -157,7 +157,7 @@ def _build_parser() -> _Parser:
     v.add_argument("--checks", default=None,
                    help="comma-separated rows to run (default: every row the rank and level admit)")
     v.add_argument("--density-filter", default=None,
-                   help="keep only samples with |E|/2^r above NUM/DEN")
+                   help="random mode: keep only samples with |E|/2^r above NUM/DEN")
     v.add_argument("--out", default=None, help="write outcome JSON here instead of stdout")
     v.add_argument("--csv", default=None, help="write extremal-record CSV here")
     return p

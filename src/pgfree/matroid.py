@@ -3,9 +3,10 @@
 A set E inside the rank-r geometry represents the simple binary matroid
 obtained by restricting the geometry to E.  This module measures that
 matroid: its rank, whether it contains a projective subgeometry of a given
-rank (with a witness), its triangle count by summing |E ∩ (E + x)| over the
-points x (independently of the Fourier transform), and its critical number
-(the least corank of a flat of the ambient geometry disjoint from E).
+rank (with a witness), its triangle count by intersecting E with its
+translates E + x, each triangle counted once from its least point
+(independently of the Fourier transform), and its critical number (the
+least corank of a flat of the ambient geometry disjoint from E).
 
 Both searches for a flat inside a set walk the iterated cone: once
 generators g_1 < ... < g_d with span S are fixed, a point extends them to
@@ -111,7 +112,8 @@ class FreenessWitness:
 
 
 # Elements of one apex or pair block in the apex kernel and of one gather
-# block in the triangle count: bounds their memory at any rank.
+# block in the triangle count, whose levels of more words than this (from
+# r = 22) are split into column chunks: bounds their memory at any rank.
 _PAIR_BLOCK_ELEMENTS = 1 << 14
 
 
@@ -331,6 +333,9 @@ def _dense_free(E: PointSet, n: int) -> bool:
 # Below this many points the triangle count's Python pair loop is cheaper
 # than the translation kernel's fixed cost; near 28 points the two are equal.
 _NAIVE_PYTHON_CUTOFF = 28
+# Bitset words of the triangle count's base term: its points below 2^9 are
+# counted in one gather, and only higher levels are counted per level.
+_BASE_WORDS = 8
 # Butterfly stage s of ``_xor_permutations`` swaps adjacent 2^s-bit blocks.
 _SWAP_MASKS = tuple(
     np.uint64(m)
@@ -359,8 +364,16 @@ def triangle_count_naive(E: PointSet) -> int:
     b ^ (x & 63) of word j ^ (x >> 6) of W, so each translate is a gather
     from the 64 in-word XOR permutations of W, ANDed with W and summed by
     popcount.  The permutation table takes 8 * 2^r bytes, as much as one
-    int64 transform table; the gather runs in blocks of at most
-    _PAIR_BLOCK_ELEMENTS words, so its memory is bounded at any rank.
+    int64 transform table.
+
+    Each triangle {a < b < c} is counted once, from its least point: if t
+    is the top bit of c, then b also has bit t and a < 2^t.  So with
+    H_k = E ∩ [2^k, 2^(k+1)), T(E) = T(E ∩ [0, 2^k0)) + 3 * sum over
+    k >= k0 and points x < 2^k of |H_k ∩ (H_k + x)|.  The base term, for
+    k0 = min(r, 9), runs the full gather on the low _BASE_WORDS words (all
+    of them at r <= 9), and level k gathers only H_k's words
+    [2^(k-6), 2^(k-5)) for the points below 2^k: on a set of even density,
+    about a third of the words of the full count.
     """
     m = E.size
     if m < 3:
@@ -378,15 +391,36 @@ def triangle_count_naive(E: PointSet) -> int:
     words = E.words()
     nw = words.size
     perms = _xor_permutations(words).ravel()
-    key = _translation_keys(E.points_array, nw)
-    rows = max(1, _PAIR_BLOCK_ELEMENTS // nw)
-    cols = min(nw, _PAIR_BLOCK_ELEMENTS)
+    xs = E.points_array
+    key = _translation_keys(xs, nw)
+    # key[:end]: the points below 64 w, the base's points and then the least
+    # points of the triangles whose other two lie in words w .. 2w - 1
+    w = min(nw, _BASE_WORDS)
+    end = xs.searchsorted(64 * w)
+    total = _translation_popcount(perms, key[:end], words, 0, w)
+    while w < nw:
+        total += 3 * _translation_popcount(perms, key[:end], words, w, 2 * w)
+        w *= 2
+        end = xs.searchsorted(64 * w)
+    return total
+
+
+def _translation_popcount(perms: np.ndarray, keys: np.ndarray, words: np.ndarray, j0: int, j1: int) -> int:
+    """Sum over the translation keys of y of |W ∩ (W + y)| on words j0 .. j1 - 1.
+
+    Each j ^ (y >> 6) must stay in that range.  The gather runs in column
+    chunks and row blocks of at most _PAIR_BLOCK_ELEMENTS words, so its
+    memory is bounded at any rank.
+    """
+    cols = min(j1 - j0, _PAIR_BLOCK_ELEMENTS)
+    rows = max(1, _PAIR_BLOCK_ELEMENTS // cols)
     total = 0
-    for j0 in range(0, nw, cols):
-        j = np.arange(j0, min(j0 + cols, nw))
-        w = words[j0:j0 + cols]
-        for i0 in range(0, m, rows):
-            block = perms[key[i0:i0 + rows, None] ^ j]
+    for c0 in range(j0, j1, cols):
+        c1 = min(c0 + cols, j1)
+        j = np.arange(c0, c1)
+        w = words[c0:c1]
+        for i0 in range(0, keys.size, rows):
+            block = perms[keys[i0:i0 + rows, None] ^ j]
             block &= w
             total += int(np.bitwise_count(block).sum())
     return total

@@ -214,6 +214,8 @@ class SweepConfig:
         if self.mode == "random" and self.sample_count < 1:
             raise ConfigError("random mode needs sample_count >= 1")
         df = self.density_filter
+        if df is not None and self.mode == "exhaustive":
+            raise ConfigError("exhaustive mode sweeps every subset and takes no density filter")
         if df is not None and df >= 1 - Fraction(1, 1 << self.rank):
             raise ConfigError(f"no set of rank {self.rank} is denser than the filter {df}")
         if not 2 <= self.level <= self.rank:

@@ -22,7 +22,7 @@ from pgfree.matroid import (
     triangle_count_naive,
 )
 from pgfree.pointset import PointSet
-from pgfree.spectral import walsh_hadamard
+from pgfree.spectral import triangle_count_spectral, walsh_hadamard
 from pgfree.verify import sample_pointset
 
 from oracles import (
@@ -683,16 +683,92 @@ def test_triangle_count_translation_kernel_matches_loop_oracle(r):
 
 
 def test_triangle_count_small_blocks_split_translates(monkeypatch):
-    # A block cap below the word count splits one translate E + x into
+    # A block cap below a level's word count splits one translate E + x into
     # several gathers; a cap of one or two words also gives one-point blocks.
+    # At r = 12 caps of 3 and 5 split the base and the levels of 8, 16 and
+    # 32 words into column chunks of one row, the last chunk a short one.
     import pgfree.matroid as matroid
 
     rng = random.Random(47)
     for cap in (1, 2, 3, 5):
         monkeypatch.setattr(matroid, "_PAIR_BLOCK_ELEMENTS", cap)
-        for r in (6, 7, 8, 10):
+        for r in (6, 7, 8, 10) + ((12,) if cap >= 3 else ()):
             for e in _triangle_count_cases(r, rng):
                 assert triangle_count_naive(e) == loop_triangle_count(e.points, r)
+
+
+def _level_split_cases(r, rng):
+    """Sets that stress the split of the triangle count into a base term and
+    levels of points by their top bit."""
+    half = 1 << (r - 1)
+    low = [w for w in range(1, half) if rng.random() < 0.6]
+    high = [w for w in range(half, 1 << r) if rng.random() < 0.6]
+    word0 = list(range(1, 64))
+    return {
+        # the top level holds no pairs
+        "low": PointSet.from_points(r, low),
+        # x ^ y < 2^(r-1) for two points at or above it, so T = 0
+        "high": PointSet.from_points(r, high),
+        "high-full": PointSet.from_points(r, range(half, 1 << r)),
+        # a full first word plus a few high points, some of them in triangles
+        "word0-plus-high": PointSet.from_points(r, word0 + [half + 5, half + 9, half + 12, (1 << r) - 1]),
+        "word0-plus-one-per-level": PointSet.from_points(r, word0 + [1 << k for k in range(6, r)]),
+        "mixed": PointSet.from_points(r, low[::3] + high[::2]),
+    }
+
+
+@pytest.mark.parametrize("r", [9, 10, 11, 12])
+def test_triangle_count_level_split_matches_loop_oracle(r):
+    # r = 9 is the 8-word base alone; from r = 10 the levels start
+    rng = random.Random(900 + r)
+    for name, e in _level_split_cases(r, rng).items():
+        t = triangle_count_naive(e)
+        assert t == loop_triangle_count(e.points, r), name
+        assert (t == 0) == name.startswith("high"), name
+
+
+def test_triangle_count_level_split_matches_spectral_at_rank_16():
+    e = sample_pointset(16, 7, 3)
+    assert triangle_count_naive(e) == triangle_count_spectral(e)
+
+
+def test_triangle_count_gathers_a_third_of_the_words(monkeypatch):
+    # Every word the count gathers is popcounted once: the spy sums them.
+    # Up to r = 9 the base term is the whole count, m * nw words in one block.
+    import pgfree.matroid as matroid
+
+    real = np.bitwise_count
+    for r in (8, 9, 12):
+        e = sample_pointset(r, 1, 0)
+        m, nw = e.size, e.words().size
+        blocks = []
+
+        def spy(block, *args, **kwargs):
+            blocks.append(block.size)
+            return real(block, *args, **kwargs)
+
+        monkeypatch.setattr(matroid.np, "bitwise_count", spy)
+        t = triangle_count_naive(e)
+        monkeypatch.undo()
+        assert t == loop_triangle_count(e.points, r)
+        assert max(blocks) <= matroid._PAIR_BLOCK_ELEMENTS
+        if r <= 9:
+            assert blocks == [m * nw]
+        else:
+            assert sum(blocks) <= 0.4 * m * nw
+
+
+@given(
+    st.integers(7, 11).flatmap(
+        lambda r: st.tuples(
+            st.just(r),
+            st.lists(st.one_of(st.integers(1, 63), st.integers(1, (1 << r) - 1)), max_size=400),
+        )
+    )
+)
+def test_triangle_count_matches_loop_oracle_on_random_word_lists(case):
+    r, words = case
+    assert triangle_count_naive(PointSet.from_points(r, words)) == loop_triangle_count(set(words), r)
 
 
 def test_critical_number_examples():

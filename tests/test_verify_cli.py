@@ -544,6 +544,20 @@ def test_cli_rank_and_density_filter_exit_codes(argv, code, capsys):
     assert run_cli(argv, capsys=capsys)[0] == code
 
 
+def test_exhaustive_mode_rejects_a_density_filter(capsys):
+    # exhaustive mode sweeps every subset, so a recorded filter would be a lie
+    with pytest.raises(ConfigError, match="no density filter"):
+        SweepConfig(rank=3, level=2, mode="exhaustive", density_filter=Fraction(1, 2),
+                    checks=("bose-burton",))
+    code, out, err = run_cli(
+        ["verify", "--rank", "3", "--level", "2", "--mode", "exhaustive",
+         "--checks", "bose-burton", "--density-filter", "1/2"],
+        capsys=capsys,
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: exhaustive mode sweeps every subset and takes no density filter\n"
+
+
 # Near-valid point sets reach the parser's later checks; their ranks stay
 # small so that a set that does parse is analyzed in milliseconds.
 _fuzz_compact = st.one_of(
