@@ -294,9 +294,13 @@ def hyperplane_mask(rank: int, gamma: int) -> int:
     return mask
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def coordinate_masks(rank: int) -> tuple[int, ...]:
-    """L_i = the bitset of the words with bit i clear, for i < rank."""
+    """L_i = the bitset of the words with bit i clear, for i < rank.
+
+    Only the last rank's masks are kept: at r = 24 they take 48 MiB, and
+    callers work at one rank at a time.
+    """
     return tuple(hyperplane_mask(rank, 1 << i) for i in range(rank))
 
 

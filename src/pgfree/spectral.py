@@ -11,10 +11,15 @@ calls per stage.  Larger tables run the size-doubling butterfly, whose
 stages cost O(1) per entry against the product's O(k).  Its six narrowest
 stages (widths 1 to 32) are read off the bitset's 64-bit words by
 popcounts, so no indicator array is built.  The wider stages run in
-place: first every stage narrower than a cache-sized block of ``_BLOCK``
-entries, one block at a time, then the rest over the whole table.  The
-butterfly runs in int32, because every partial sum it forms is bounded by
-|E| < 2^24, and the spectrum is kept as int64.  A cube sum, up to 2^72,
+place, two per pass (radix 4): first every stage narrower than a
+cache-sized block of ``_BLOCK`` entries, one block at a time, then the
+rest over the whole table, with one plain stage when a group's count is
+odd.  numpy runs a strided view whose rows are shorter than about 4096
+entries through its buffered iterator, several times slower per entry,
+so the narrow stages cost mostly per pass; a pass's temporaries are
+pieces of at most a quarter block, so they stay small at every width.
+The butterfly runs in int32, because every value it forms is bounded by
+2|E| < 2^25, and the spectrum is kept as int64.  A cube sum, up to 2^72,
 is two int64 dots per chunk that never wrap (see ``_exact_cube_sum``).
 The triangle counts of all 2^r hyperplane intersections come from two
 more transforms over E's cone sizes, all below 2^51 (see
@@ -56,6 +61,44 @@ def _butterfly(a: np.ndarray, h: int) -> None:
     y += x
 
 
+def _radix4(a: np.ndarray, h: int) -> None:
+    """The stages of widths h and 2h in one pass, in place.
+
+    Each run of 4h entries holds the quarters p, q, s, t; with
+    s0, d0 = p + q, p - q and s1, d1 = s + t, s - t (the stage of width h),
+    the stage of width 2h writes s0 + s1, d0 + d1, s0 - s1, d0 - d1.  The
+    runs go in pieces of at most a quarter of ``_BLOCK`` entries per
+    quarter: whole runs while they are that short, column chunks of one
+    run beyond, so the four temporaries stay that small at every width.
+    """
+    b = a.reshape(-1, 4, h)
+    piece = max(_BLOCK >> 2, 1)
+    cols = min(h, piece)
+    rows = max(piece // h, 1)
+    for i in range(0, b.shape[0], rows):
+        for j in range(0, h, cols):
+            c = b[i : i + rows, :, j : j + cols]
+            p, q, s, t = c[:, 0], c[:, 1], c[:, 2], c[:, 3]
+            s0, d0, s1, d1 = p + q, p - q, s + t, s - t
+            np.add(s0, s1, out=p)
+            np.add(d0, d1, out=q)
+            np.subtract(s0, s1, out=s)
+            np.subtract(d0, d1, out=t)
+            # freed before the next piece's four are made
+            del s0, d0, s1, d1
+
+
+def _stages(a: np.ndarray, h: int) -> None:
+    """The stages of width h, 2h, ..., a.size/2: radix-4 passes, and one
+    plain stage last when their number is odd."""
+    n = a.size
+    while 4 * h <= n:
+        _radix4(a, h)
+        h *= 4
+    if h < n:
+        _butterfly(a, h)
+
+
 def fwht_inplace(a: np.ndarray, width: int = 1) -> np.ndarray:
     """Walsh–Hadamard transform, in place; a.size must be a power of two.
 
@@ -69,16 +112,24 @@ def fwht_inplace(a: np.ndarray, width: int = 1) -> np.ndarray:
     leading k x k block of ``_SYLVESTER`` applied to a.reshape(k, width).
     Below that size one product costs less than the stages' numpy calls;
     above it the product's k multiply-adds per entry cost more than the
-    butterfly.  A larger table runs the stages one by one: those narrower
-    than ``_BLOCK`` entries one block at a time, so that each block stays
-    in cache across them, then the wider ones over the whole array.
+    butterfly.  A larger table runs the stages two at a time, as radix-4
+    passes (``_radix4``): those narrower than ``_BLOCK`` entries one block
+    at a time, so that each block stays in cache across them, then the
+    wider ones over the whole array; when a group has an odd number of
+    stages, one plain stage runs its last.  A stage narrower than about
+    4096 entries is a strided view of short rows, which numpy sends
+    through its buffered iterator at several times the cost per entry of
+    a long row, so halving the number of passes over the table saves
+    most where those stages are.  A pass's temporaries hold at most a
+    quarter of ``_BLOCK`` entries each, at every width.
 
     After the stage of width h, each entry is a signed sum of 2h input
     entries, so on a 0/1 indicator of a set E every value formed is
-    bounded by 2|E| in magnitude (a stage doubles y before it forms
-    x - y), and int32 is exact for |E| < 2^30.  The product forms its sums
-    in int64 and stores them in a's dtype.  Other input wraps like its
-    dtype, so the result is exact whenever it fits.
+    bounded by 2|E| in magnitude: a radix-4 pass forms only stage values,
+    bounded by |E|, and a plain stage doubles y before it forms x - y.
+    int32 is exact for |E| < 2^30.  The product forms its sums in int64
+    and stores them in a's dtype.  Other input wraps like its dtype, so
+    the result is exact whenever it fits.
     """
     n = a.size
     if n <= SMALL_SET_POINTS:
@@ -89,14 +140,8 @@ def fwht_inplace(a: np.ndarray, width: int = 1) -> np.ndarray:
     block = min(n, _BLOCK)
     if width < block:
         for b in a.reshape(-1, block):
-            h = width
-            while h < block:
-                _butterfly(b, h)
-                h *= 2
-    h = max(width, block)
-    while h < n:
-        _butterfly(a, h)
-        h *= 2
+            _stages(b, width)
+    _stages(a, max(width, block))
     return a
 
 
@@ -139,9 +184,10 @@ def walsh_hadamard(E: PointSet) -> Spectrum:
     64j + v that w_j holds, which is |w_j| - 2|w_j & M_u| with
     M_u = ``_WORD_MASKS[u]``.
     ``fwht_inplace`` runs the stages from width 64.  The butterfly runs in
-    int32, exact since |E| < 2^24 bounds every partial sum, in the upper
-    half of the int64 table that it is then widened into, one block at a
-    time, so the two tables never take more than the int64 one's memory.
+    int32, exact since every value it forms is at most 2|E| < 2^25, in
+    the upper half of the int64 table that it is then widened into, one
+    block at a time, so the two tables never take more than the int64
+    one's memory.
     In int64, squares are exact and cubes wrap (see ``_exact_cube_sum``).
     """
     n = 1 << E.rank

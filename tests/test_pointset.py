@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pgfree.errors import GeometryError, PointSetParseError, RankCapError
-from pgfree.pointset import PointSet, pointset_from_mask, xor_translate
+from pgfree.pointset import PointSet, coordinate_masks, pointset_from_mask, xor_translate
 
 
 def test_pointset_basics():
@@ -98,6 +98,21 @@ def test_xor_translate_matches_a_loop_over_the_words():
         xs = [1, 1 << (r - 1), (1 << r) - 1, *e.points[:2]] + [rng.randrange(1, 1 << r) for _ in range(4)]
         for x in xs:
             assert xor_translate(e.bits, x, r) == loop_translate(e, x), (r, x)
+
+
+def test_xor_translate_across_ranks_keeps_one_rank_of_masks():
+    # Only the last rank's masks are kept, so alternating ranks rebuilds
+    # them; every translate still matches the loop.
+    rng = random.Random(62)
+    sets = {r: PointSet(r, rng.getrandbits(1 << r) & ~1) for r in (3, 7, 10)}
+    for r in (3, 7, 10, 7, 3, 10, 10):
+        e = sets[r]
+        for x in (1, (1 << r) - 1, rng.randrange(1, 1 << r)):
+            assert xor_translate(e.bits, x, r) == loop_translate(e, x), (r, x)
+        assert coordinate_masks.cache_info().currsize == 1
+        assert coordinate_masks(r) == tuple(
+            sum(1 << w for w in range(1 << r) if not w >> i & 1) for i in range(r)
+        )
 
 
 def test_json_roundtrip():

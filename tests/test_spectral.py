@@ -15,7 +15,9 @@ from pgfree.spectral import (
     Spectrum,
     _BLOCK,
     _CUBE_CHUNK,
+    _butterfly,
     _exact_cube_sum,
+    _radix4,
     claim_quantities,
     counting_bound_check,
     fwht_inplace,
@@ -151,22 +153,81 @@ def test_sylvester_product_matches_copying_butterfly_from_any_width(r, dtype):
         assert np.array_equal(got, expect.reshape(-1))
 
 
-@pytest.mark.parametrize("r", range(1, 8))
-def test_butterfly_runs_only_above_one_word(r, monkeypatch):
+def test_int64_transform_temporaries_stay_within_a_few_quarter_blocks():
+    # The per-hyperplane counts transform int64 tables from width 1.  Each
+    # radix-4 pass makes four temporaries of at most a quarter block at
+    # every width, freed piece by piece; numpy's buffered iterator adds at
+    # most about one more on the short-row stages.
+    import tracemalloc
+
+    a = np.random.default_rng(20).integers(-(1 << 20), 1 << 20, 1 << 20)
+    expect = copying_fwht(a.copy())
+    tracemalloc.start()
+    try:
+        fwht_inplace(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * (_BLOCK >> 2) * a.itemsize
+    assert np.array_equal(a, expect)
+
+
+def _checked_kernel_calls(r, monkeypatch):
+    """Kernel calls of each transform in triangle_counts_per_hyperplane at
+    rank r, as (stage widths, table size) pairs, checked to run every
+    stage from the transform's first width to n/2 exactly once over the
+    whole table: in one call, or one per block."""
     import pgfree.spectral as spectral
 
-    stages = []
-    real = spectral._butterfly
-    monkeypatch.setattr(spectral, "_butterfly", lambda a, h: stages.append(h) or real(a, h))
-    e = sample_pointset(r, 19, 0)
-    triangle_counts_per_hyperplane(e)
-    # a table of at most 64 entries is one Sylvester product; from r = 7 the
-    # transform's stages from width 64 and both cone-size transforms' stages
-    # from width 1 run the butterfly
-    if r <= 6:
-        assert stages == []
-    else:
-        assert sorted(stages) == sorted([64] + 2 * [1 << j for j in range(r)])
+    transforms = []
+
+    def fwht(a, width=1):
+        transforms.append((a.size, width, []))
+        return fwht_inplace(a, width)
+
+    def radix4(a, h):
+        transforms[-1][2].append(((h, 2 * h), a.size))
+        _radix4(a, h)
+
+    def butterfly(a, h):
+        transforms[-1][2].append(((h,), a.size))
+        _butterfly(a, h)
+
+    monkeypatch.setattr(spectral, "fwht_inplace", fwht)
+    monkeypatch.setattr(spectral, "_radix4", radix4)
+    monkeypatch.setattr(spectral, "_butterfly", butterfly)
+    triangle_counts_per_hyperplane(sample_pointset(r, 19, 0))
+    # the spectrum's stages from width 64 (from width 1 at r <= 6) and
+    # both cone-size transforms' stages from width 1
+    first = 64 if r > 6 else 1
+    assert [(n, w) for n, w, _ in transforms] == [(1 << r, first), (1 << r, 1), (1 << r, 1)]
+    out = []
+    for n, width, calls in transforms:
+        covered = {}
+        for widths, size in calls:
+            for h in widths:
+                covered[h] = covered.get(h, 0) + size
+        # a table of at most 64 entries is one Sylvester product, no kernel
+        expect = {} if n <= 64 else {1 << j: n for j in range(width.bit_length() - 1, r)}
+        assert covered == expect, (n, width)
+        out += calls
+    return out
+
+
+@pytest.mark.parametrize("r", range(1, 8))
+def test_butterfly_runs_only_above_one_word(r, monkeypatch):
+    calls = _checked_kernel_calls(r, monkeypatch)
+    assert (calls == []) == (r <= 6)
+
+
+def test_small_blocks_leave_one_plain_stage_and_split_wide_passes(monkeypatch):
+    # Under 16-entry blocks, quarter-block pieces of 4 entries, ranks 7-12
+    # run both rare paths: an odd stage count ends in one plain stage, and
+    # a pass wider than a piece goes in column chunks.
+    monkeypatch.setattr("pgfree.spectral._BLOCK", 16)
+    calls = [c for r in range(7, 13) for c in _checked_kernel_calls(r, monkeypatch)]
+    assert any(len(widths) == 1 for widths, _ in calls)
+    assert any(len(widths) == 2 and widths[0] > 4 for widths, _ in calls)
 
 
 def test_uniformity_affine_and_empty():
