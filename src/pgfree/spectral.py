@@ -9,18 +9,22 @@ there numpy's fixed cost per call, not arithmetic, sets the time, and one
 product of at most 64 x 64 costs less than the butterfly's handful of
 calls per stage.  Larger tables run the size-doubling butterfly, whose
 stages cost O(1) per entry against the product's O(k).  Its six narrowest
-stages (widths 1 to 32) are read off the bitset's 64-bit words by
-popcounts, so no indicator array is built.  The wider stages run in
-place, two per pass (radix 4): first every stage narrower than a
-cache-sized block of ``_BLOCK`` entries, one block at a time, then the
-rest over the whole table, with one plain stage when a group's count is
-odd.  numpy runs a strided view whose rows are shorter than about 4096
-entries through its buffered iterator, several times slower per entry,
-so the narrow stages cost mostly per pass; a pass's temporaries are
-pieces of at most a quarter block, so they stay small at every width.
-The butterfly runs in int32, because every value it forms is bounded by
-2|E| < 2^25, and the spectrum is kept as int64.  A cube sum, up to 2^72,
-is two int64 dots per chunk that never wrap (see ``_exact_cube_sum``).
+stages (widths 1 to 32) are read off the bitset's bytes: each 64-bit
+word's 64 entries after them are the sum of eight int8 rows of
+``_BYTE_ROWS``, one per byte, so no indicator array is built.  The wider
+stages run in place, two per pass (radix 4): those narrower than a
+cache-sized block of ``_BLOCK`` entries right after the block's rows are
+written, while it is in cache, then the rest over the whole table, with
+one plain stage when a group's count is odd.  numpy runs a strided view
+whose rows are shorter than about 4096 entries through its buffered
+iterator, several times slower per entry, so the narrow stages cost
+mostly per pass; a pass's temporaries are pieces of at most a quarter
+block, so they stay small at every width.  The butterfly runs in int32,
+because every value it forms is bounded by 2|E| < 2^25, and the spectrum
+is kept as int64.  ``Spectrum`` walks the finished table once, a block at
+a time: it checks c[0] = |E|, |c| <= |E| and Parseval, and keeps the
+nontrivial extremes and the exact cube sum, up to 2^72, which
+``uniformity`` and ``triangle_count_spectral`` read (see ``_moments``).
 The triangle counts of all 2^r hyperplane intersections come from two
 more transforms over E's cone sizes, all below 2^51 (see
 ``triangle_counts_per_hyperplane``).
@@ -28,7 +32,7 @@ more transforms over E's cone sizes, all below 2^51 (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -36,19 +40,26 @@ import numpy as np
 from .errors import HypothesisError, InternalInconsistencyError
 from .pointset import SMALL_SET_POINTS, PointSet, memoized
 
-# Entries per cache-sized block: 256 KiB of int32, 512 KiB of int64.
+# Entries per cache-sized block: 256 KiB of int32, 512 KiB of int64.  The
+# moments pass sums cubes of at most 2^45 over a block, at most 2^61.
 _BLOCK = 1 << 16
-# Entries per chunk of the cube sum: 2^14 products of at most 2^48 sum to at most 2^62.
+# Entries per chunk of a cube sum past 2^15: 2^14 products of at most 2^48 sum to at most 2^62.
 _CUBE_CHUNK = 1 << 14
 
-# _ODD[u, v] is 1 iff u . v is odd (u, v < 64): where character u is
-# negative on the 64 words that one bitset word holds.  Bit v of
-# _WORD_MASKS[u] is _ODD[u, v], and _SYLVESTER[u, v] = (-1)^(u . v) is the
-# Sylvester matrix H_64, whose leading k x k block is H_k for every power
-# of two k.
+# _ODD[u, v] is 1 iff u . v is odd (u, v < 64), and _SYLVESTER[u, v] =
+# (-1)^(u . v) is the Sylvester matrix H_64, whose leading k x k block is
+# H_k for every power of two k.
 _ODD = np.bitwise_count(np.bitwise_and.outer(np.arange(64), np.arange(64))) & 1
-_WORD_MASKS = np.packbits(_ODD, axis=1, bitorder="little").view("<u8")[:, 0]
 _SYLVESTER = 1 - 2 * _ODD.astype(np.int64)
+# _BYTE_ROWS[k, b] is the transform over one 64-bit word, by the first six
+# stages, of the word whose only nonzero byte is byte k, equal to b.  Since
+# (8i + j) . (8k + l) = i . k + j . l, its entry 8i + j is H_8[k, i] times
+# the 8-entry transform of b at j.  Each entry is at most 8 in magnitude,
+# so a word's eight rows sum to at most 64 and int8 holds the sum.
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+_BYTE_ROWS = (
+    _SYLVESTER[:8, None, :8, None] * (_BYTE_BITS @ _SYLVESTER[:8, :8])[None, :, None, :]
+).reshape(8, 256, 64).astype(np.int8)
 
 
 def _butterfly(a: np.ndarray, h: int) -> None:
@@ -145,27 +156,87 @@ def fwht_inplace(a: np.ndarray, width: int = 1) -> np.ndarray:
     return a
 
 
+def _split_cube_sum(d: np.ndarray, sq: np.ndarray) -> tuple[int, int]:
+    """(sum(d^2), sum(d^3)) of an int64 array with |d| <= 2^24, given sq = d * d.
+
+    Split sq = h 2^24 + l with 0 <= h, l <= 2^24; then
+    sum(d^3) = 2^24 sum(d h) + sum(d l).  Over a chunk of ``_CUBE_CHUNK``
+    entries each of the two int64 dots, and the sum of sq, is at most
+    2^14 2^48 = 2^62 in magnitude, so none wraps, and the chunks' sums
+    are added as Python integers.
+    """
+    squares = cubes = 0
+    for i in range(0, d.size, _CUBE_CHUNK):
+        x = d[i : i + _CUBE_CHUNK]
+        s = sq[i : i + _CUBE_CHUNK]
+        squares += int(s.sum())
+        cubes += (int(np.dot(x, s >> 24)) << 24) + int(np.dot(x, s & 0xFFFFFF))
+    return squares, cubes
+
+
+def _moments(c: np.ndarray) -> tuple[int, int, int, int]:
+    """(min, max, sum(c^2), sum(c^3)) of a nonempty int64 array with |c| <= 2^24,
+    exactly, in one pass of ``_BLOCK``-sized pieces.
+
+    A piece whose greatest |c| is at most 2^15 has cubes of at most 2^45,
+    so one int64 dot of d with d * d sums its at most 2^16 of them to at
+    most 2^61; any other piece goes through ``_split_cube_sum``.  One
+    piece of squares is live at a time, plus the split's chunk-sized
+    temporaries.
+    """
+    lo = hi = int(c[0])
+    squares = cubes = 0
+    for i in range(0, c.size, _BLOCK):
+        d = c[i : i + _BLOCK]
+        d_lo, d_hi = int(d.min()), int(d.max())
+        lo, hi = min(lo, d_lo), max(hi, d_hi)
+        sq = d * d
+        if max(d_hi, -d_lo) <= 1 << 15:
+            squares += int(sq.sum())
+            cubes += int(np.dot(d, sq))
+        else:
+            s2, s3 = _split_cube_sum(d, sq)
+            squares += s2
+            cubes += s3
+        # freed before the next piece's squares are made
+        del sq
+    return lo, hi, squares, cubes
+
+
 @dataclass(frozen=True)
 class Spectrum:
-    """All 2^r Fourier coefficients of an indicator, plus the set size."""
+    """All 2^r Fourier coefficients of an indicator, plus the set size.
+
+    Construction walks the table once (``_moments``) and refuses it unless
+    c[0] = |E|, every |c| <= |E| and Parseval's sum(c^2) = 2^r |E| hold.
+    The same pass keeps the least and greatest nontrivial coefficient
+    (gamma != 0) and the exact sum of cubes, which ``uniformity`` and
+    ``triangle_count_spectral`` read instead of walking the table again.
+    The table is int64, so squares are exact and it is read-only.
+    """
 
     ambient_rank: int
     coeffs: np.ndarray
     set_size: int
+    nontrivial_min: int = field(init=False)
+    nontrivial_max: int = field(init=False)
+    cube_sum: int = field(init=False)
 
     def __post_init__(self):
         c = self.coeffs
-        n = 1 << self.ambient_rank
-        if c.shape != (n,):
+        m = self.set_size
+        if c.shape != (1 << self.ambient_rank,):
             raise InternalInconsistencyError("coefficient table has the wrong length")
-        if int(c[0]) != self.set_size:
+        if int(c[0]) != m:
             raise InternalInconsistencyError("coeff at 0 must equal the set size")
-        if c.min() < -self.set_size or c.max() > self.set_size:
+        lo, hi, squares, cubes = _moments(c[1:])
+        if lo < -m or hi > m:
             raise InternalInconsistencyError("coefficient exceeds the set size in magnitude")
-        # Parseval, exactly: sum of squares == 2^r * |E|.  Squares fit int64
-        # since the true total is at most 2^48 at the rank cap.
-        if int(np.dot(c, c)) != self.set_size << self.ambient_rank:
+        if squares + m * m != m << self.ambient_rank:
             raise InternalInconsistencyError("Parseval identity failed")
+        object.__setattr__(self, "nontrivial_min", lo)
+        object.__setattr__(self, "nontrivial_max", hi)
+        object.__setattr__(self, "cube_sum", cubes + m**3)
         c.flags.writeable = False
 
     def __getitem__(self, gamma: int) -> int:
@@ -178,58 +249,42 @@ def walsh_hadamard(E: PointSet) -> Spectrum:
 
     In the one-word ambient (2^r <= ``SMALL_SET_POINTS``) the set's
     ``membership`` table, widened to int64, goes to ``fwht_inplace``,
-    which transforms it by one Sylvester product.  From r = 7 the first
-    six stages come from the bitset's little-endian 64-bit words w_j:
-    after them, entry 64j + u is the sum of (-1)^(u . v) over the members
-    64j + v that w_j holds, which is |w_j| - 2|w_j & M_u| with
-    M_u = ``_WORD_MASKS[u]``.
-    ``fwht_inplace`` runs the stages from width 64.  The butterfly runs in
-    int32, exact since every value it forms is at most 2|E| < 2^25, in
-    the upper half of the int64 table that it is then widened into, one
-    block at a time, so the two tables never take more than the int64
-    one's memory.
-    In int64, squares are exact and cubes wrap (see ``_exact_cube_sum``).
+    which transforms it by one Sylvester product.  From r = 7 the table
+    is built one cache-sized block at a time.  The first six stages of
+    the bitset's 64-bit word w come from its bytes: they are linear, so
+    entry 64j + u after them is the sum over the eight bytes b_k of w_j
+    of ``_BYTE_ROWS[k, b_k]`` at u, eight row gathers and seven int8 adds
+    per block.  The block's in-block stages, from width 64, run at once,
+    while it is still in cache, and ``fwht_inplace`` runs the stages from
+    the block's width over the whole table.  The butterfly runs in int32,
+    exact since every value it forms is at most 2|E| < 2^25, in the upper
+    half of the int64 table that it is then widened into, one block at a
+    time, so the two tables never take more than the int64 one's memory.
     """
     n = 1 << E.rank
     if n <= SMALL_SET_POINTS:
         return Spectrum(E.rank, fwht_inplace(E.membership.astype(np.int64)), E.size)
-    words = E.words()
     out = np.empty(n, dtype=np.int64)
     # The int32 table is the upper half of the int64 one.  Widened front to
     # back, int64 entry i covers int32 entries 2i - n and 2i - n + 1, which
     # are at most i and so read by then; taken a block at a time, any
     # temporary numpy makes stays block-sized.
-    a = out.view(np.int32)[n:].reshape(-1, 64)
-    step = max(_BLOCK >> 6, 1)
-    for j in range(0, words.size, step):
-        w = words[j : j + step]
-        rows = a[j : j + step]
-        np.multiply(np.bitwise_count(w[:, None] & _WORD_MASKS), -2, out=rows, dtype=np.int32)
-        rows += np.bitwise_count(w)[:, None]
-    a = a.reshape(-1)
-    fwht_inplace(a, 64)
+    a = out.view(np.int32)[n:]
+    block = min(n, max(_BLOCK, 64))
+    words = block >> 6
+    acc = np.empty((words, 64), dtype=np.int8)
+    row = np.empty_like(acc)
+    for b, w in zip(a.reshape(-1, block), E.words().view(np.uint8).reshape(-1, words, 8)):
+        np.take(_BYTE_ROWS[0], w[:, 0], axis=0, out=acc)
+        for k in range(1, 8):
+            np.take(_BYTE_ROWS[k], w[:, k], axis=0, out=row)
+            acc += row
+        b.reshape(words, 64)[...] = acc
+        _stages(b, 64)
+    fwht_inplace(a, block)
     for i in range(0, n, _BLOCK):
         out[i : i + _BLOCK] = a[i : i + _BLOCK]
     return Spectrum(E.rank, out, E.size)
-
-
-def _exact_cube_sum(c: np.ndarray) -> int:
-    """sum(c^3) over an int64 array with |c| <= 2^24, exactly, as a Python integer.
-
-    Split c^2 = h 2^24 + l with 0 <= h, l <= 2^24; then
-    sum(c^3) = 2^24 sum(c h) + sum(c l).  Over a chunk of ``_CUBE_CHUNK``
-    entries each of the two int64 dots is at most 2^14 2^48 = 2^62 in
-    magnitude, so neither wraps, and the chunks' dots are added as Python integers.  A
-    spectrum of E has |c| <= |E| < 2^24.
-    """
-    total = 0
-    for i in range(0, c.size, _CUBE_CHUNK):
-        d = c[i : i + _CUBE_CHUNK]
-        sq = d * d
-        low = sq & 0xFFFFFF
-        sq >>= 24
-        total += (int(np.dot(d, sq)) << 24) + int(np.dot(d, low))
-    return total
 
 
 @memoized
@@ -237,9 +292,10 @@ def triangle_count_spectral(E: PointSet) -> int:
     """Number of ordered triples in E^3 summing to zero, via the spectrum.
 
     The triple-convolution identity gives 2^r * T = sum of cubed
-    coefficients, summed exactly by ``_exact_cube_sum`` at every rank.
+    coefficients, which ``Spectrum`` sums exactly at every rank as it
+    checks the table.
     """
-    total = _exact_cube_sum(walsh_hadamard(E).coeffs)
+    total = walsh_hadamard(E).cube_sum
     if total % (1 << E.rank):
         raise InternalInconsistencyError("cube sum is not divisible by 2^r")
     return total >> E.rank
@@ -299,18 +355,20 @@ def uniformity(E: PointSet) -> UniformityReport:
     (|E| - eps*2^r)/2 <= |E ∩ H| <= (|E| + eps*2^r)/2.  The witness is the
     least gamma of greatest |coeff|.
     """
-    c = walsh_hadamard(E).coeffs[1:]
-    # np.argmax and np.argmin copy a read-only table, so the extremes come
-    # from reductions and each witness from a boolean array; argmax of a
-    # boolean array is its first True
-    top, bottom = int(c.max()), -int(c.min())
-    m = max(top, bottom)
-    hi = int(np.argmax(c == m)) if top == m else c.size
-    lo = int(np.argmax(c == -m)) if bottom == m else c.size
+    spec = walsh_hadamard(E)
+    m = max(spec.nontrivial_max, -spec.nontrivial_min)
+    # The least nontrivial gamma with |coeff| = m, a block at a time from
+    # gamma = 1: argmax of a boolean array is its first True.
+    c = spec.coeffs[1:]
+    for i in range(0, c.size, _BLOCK):
+        hit = np.abs(c[i : i + _BLOCK]) == m
+        j = int(np.argmax(hit))
+        if hit[j]:
+            break
     return UniformityReport(
         alpha=E.density,
         epsilon_min=Fraction(m, 1 << E.rank),
-        worst_gamma=min(hi, lo) + 1,
+        worst_gamma=i + j + 1,
     )
 
 

@@ -168,6 +168,19 @@ def copying_fwht(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def word_transform(words) -> np.ndarray:
+    """The first six butterfly stages on each 64-bit word, one row of 64
+    per word: entry u is the sum of (-1)^(u . v) over the bits v of w,
+    which is |w| - 2|w & M_u| with M_u the mask of the v < 64 with u . v
+    odd."""
+    masks = np.array(
+        [sum(1 << v for v in range(64) if popcount_parity(u & v)) for u in range(64)],
+        dtype=np.uint64,
+    )
+    w = np.asarray(words, dtype=np.uint64)
+    return np.bitwise_count(w)[:, None].astype(np.int64) - 2 * np.bitwise_count(w[:, None] & masks)
+
+
 def python_cube_sum(coeffs: np.ndarray) -> int:
     """Sum of cubed coefficients accumulated in Python integers."""
     return sum(v * v * v for v in coeffs.tolist())

@@ -14,9 +14,10 @@ from pgfree.search import hyperplane_intersection
 from pgfree.spectral import (
     Spectrum,
     _BLOCK,
+    _BYTE_ROWS,
     _CUBE_CHUNK,
     _butterfly,
-    _exact_cube_sum,
+    _moments,
     _radix4,
     claim_quantities,
     counting_bound_check,
@@ -35,6 +36,7 @@ from oracles import (
     copying_fwht,
     direct_walsh,
     python_cube_sum,
+    word_transform,
 )
 
 
@@ -66,15 +68,21 @@ def test_parseval_is_enforced_at_construction():
     e = PointSet.from_points(3, [1, 2, 4, 7])
     spec = walsh_hadamard(e)
     assert int(np.dot(spec.coeffs, spec.coeffs)) == e.size << 3
-    bad = spec.coeffs.copy()
-    bad[3] += 2
-    with pytest.raises(InternalInconsistencyError):
-        Spectrum(3, bad, e.size)
-    for gamma, value in ((5, e.size + 1), (5, -e.size - 1)):
-        bad = spec.coeffs.copy()
-        bad[gamma] = value
-        with pytest.raises(InternalInconsistencyError, match="exceeds the set size"):
-            Spectrum(3, bad, e.size)
+    # each fault in the first block of a one-block table, and in the last
+    # entry of an r = 17 table, two blocks past the first
+    big = sample_pointset(17, 4, 0)
+    for e, gamma in ((e, 3), (big, -1)):
+        good = walsh_hadamard(e).coeffs
+        r = e.rank
+        bad = good.copy()
+        bad[gamma] += 2
+        with pytest.raises(InternalInconsistencyError, match="Parseval"):
+            Spectrum(r, bad, e.size)
+        for value in (e.size + 1, -e.size - 1):
+            bad = good.copy()
+            bad[gamma] = value
+            with pytest.raises(InternalInconsistencyError, match="exceeds the set size"):
+                Spectrum(r, bad, e.size)
 
 
 def test_involution_recovers_indicator():
@@ -85,6 +93,20 @@ def test_involution_recovers_indicator():
         fwht_inplace(a)
         fwht_inplace(a)
         assert np.array_equal(a, e.indicator().astype(np.int64) << r)
+
+
+def test_byte_rows_are_the_first_six_stages_of_their_word():
+    bytes_ = np.arange(256, dtype=np.uint64)
+    for k in range(8):
+        assert np.array_equal(_BYTE_ROWS[k], word_transform(bytes_ << np.uint64(8 * k)))
+    # a word's first six stages are the sum of its eight bytes' rows
+    rng = np.random.default_rng(64)
+    words = rng.integers(0, 1 << 64, 200, dtype=np.uint64, endpoint=False)
+    words[:2] = 0, (1 << 64) - 1
+    by = words.view(np.uint8).reshape(-1, 8)
+    rows = sum(_BYTE_ROWS[k][by[:, k]].astype(np.int64) for k in range(8))
+    assert np.array_equal(rows, word_transform(words))
+    assert int(abs(rows).max()) == 64
 
 
 def _assert_transforms_match_copying_butterfly(r, rng):
@@ -179,10 +201,15 @@ def _checked_kernel_calls(r, monkeypatch):
     whole table: in one call, or one per block."""
     import pgfree.spectral as spectral
 
-    transforms = []
+    # the spectrum's in-block stages run before its one fwht_inplace call,
+    # so its entry is open from the start and that call joins it
+    transforms = [(1 << r, 64 if r > 6 else 1, [])]
+    fwht_calls = []
 
     def fwht(a, width=1):
-        transforms.append((a.size, width, []))
+        if fwht_calls:
+            transforms.append((a.size, width, []))
+        fwht_calls.append(width)
         return fwht_inplace(a, width)
 
     def radix4(a, h):
@@ -198,9 +225,11 @@ def _checked_kernel_calls(r, monkeypatch):
     monkeypatch.setattr(spectral, "_butterfly", butterfly)
     triangle_counts_per_hyperplane(sample_pointset(r, 19, 0))
     # the spectrum's stages from width 64 (from width 1 at r <= 6) and
-    # both cone-size transforms' stages from width 1
+    # both cone-size transforms' stages from width 1, each transform one
+    # fwht_inplace call
     first = 64 if r > 6 else 1
     assert [(n, w) for n, w, _ in transforms] == [(1 << r, first), (1 << r, 1), (1 << r, 1)]
+    assert len(fwht_calls) == 3
     out = []
     for n, width, calls in transforms:
         covered = {}
@@ -256,6 +285,27 @@ def test_uniformity_witness_is_least_gamma_of_greatest_magnitude():
             if True in signs and False in signs:
                 orders.add(signs[0])
     assert orders == {True, False}
+
+
+@pytest.mark.parametrize("g", [_BLOCK, _BLOCK + 1])
+def test_uniformity_witness_tie_across_a_block_boundary(g):
+    # E = {x : x . g = s, x . h = 1 - s} has coefficients of magnitude
+    # 2^r / 4 at exactly g, h and g ^ h, signed -, + and - when s = 1 and
+    # +, - and - when s = 0.  The scan runs over gamma = 1, 2, ... in
+    # blocks, and g is the last gamma of the first block or the first of
+    # the second, with h and g ^ h after it.
+    r = 18
+    h = g | 1 << (r - 1)
+    x = np.arange(1 << r)
+    dot_g, dot_h = np.bitwise_count(x & g) & 1, np.bitwise_count(x & h) & 1
+    for s in (0, 1):
+        e = pointset_from_mask(r, (dot_g == s) & (dot_h == 1 - s))
+        c = walsh_hadamard(e).coeffs
+        top = 1 << (r - 2)
+        assert [int(c[v]) for v in (g, h, g ^ h)] == [top - 2 * s * top, 2 * s * top - top, -top]
+        rep = uniformity(e)
+        assert rep.epsilon_min == Fraction(1, 4)
+        assert rep.worst_gamma == g
 
 
 def test_uniformity_matches_hyperplane_loop():
@@ -381,16 +431,17 @@ def test_cube_sum_matches_python_integers_above_rank_20(r):
         _bose_burton_by_mask(r, 3),
     )
     for e in sets:
-        c = walsh_hadamard(e).coeffs
-        total = python_cube_sum(c)
-        assert _exact_cube_sum(c) == total
+        spec = walsh_hadamard(e)
+        total = python_cube_sum(spec.coeffs)
+        assert spec.cube_sum == total
         assert triangle_count_spectral(e) == total >> r
 
 
 def test_spectral_closed_forms_at_the_rank_cap():
     r, top = 24, 1 << 24
     full = PointSet.full(r)
-    c = walsh_hadamard(full).coeffs
+    spec = walsh_hadamard(full)
+    c = spec.coeffs
     # |c[0]| = 2^24 - 1 is the largest value the int32 butterfly forms
     assert int(c[0]) == top - 1
     assert int(c[1:].min()) == int(c[1:].max()) == -1
@@ -398,7 +449,8 @@ def test_spectral_closed_forms_at_the_rank_cap():
     # c[0]^3 is near 2^72, so a plain int64 sum of cubes wraps
     cube_sum = (top - 1) ** 3 - (top - 1)
     assert int(np.dot(c * c, c)) != cube_sum
-    assert _exact_cube_sum(c) == cube_sum
+    assert spec.cube_sum == cube_sum
+    assert (spec.nontrivial_min, spec.nontrivial_max) == (-1, -1)
     assert triangle_count_spectral(full) == (top - 1) * (top - 2)
     assert triangle_count_spectral(affine_set(r, 1)) == 0
 
@@ -457,29 +509,35 @@ _CUBE_SUM_BASES = [
 @pytest.mark.parametrize("base", _CUBE_SUM_BASES)
 @pytest.mark.parametrize("tail", [[], [1], [-1], [2], [-2], [1, 1], [-1, -1]])
 def test_exact_cube_sum_across_int64_boundaries(base, tail):
-    c = np.array(base + tail, dtype=np.int64)
-    assert _exact_cube_sum(c) == sum(v**3 for v in base + tail)
+    values = base + tail
+    c = np.array(values, dtype=np.int64)
+    assert _moments(c) == (
+        min(values),
+        max(values),
+        sum(v * v for v in values),
+        sum(v**3 for v in values),
+    )
 
 
 @pytest.mark.parametrize("base", _CUBE_SUM_BASES)
 def test_exact_cube_sum_across_chunk_boundaries(base):
-    # lengths that are not a multiple of the chunk, with the extremes split
-    # every way across the first chunk boundary
+    # lengths that are not a multiple of the piece, with the extremes split
+    # every way across the first piece boundary
     rng = np.random.default_rng(len(base))
     for n in (_BLOCK + 3, 2 * _BLOCK + 1):
         for split in range(len(base) + 1):
             c = rng.integers(-(1 << 12), 1 << 12, n, endpoint=True)
             c[_BLOCK - split : _BLOCK - split + len(base)] = base
-            assert _exact_cube_sum(c) == python_cube_sum(c)
+            assert _moments(c)[3] == python_cube_sum(c)
 
 
 def test_exact_cube_sum_on_long_wide_arrays():
     rng = np.random.default_rng(12)
     for n in (1 << 10, 1 << 16):
         c = rng.integers(-(1 << 24), 1 << 24, n, endpoint=True)
-        assert _exact_cube_sum(c) == python_cube_sum(c)
+        assert _moments(c)[3] == python_cube_sum(c)
         c[: n // 2] = np.abs(c[: n // 2])
-        assert _exact_cube_sum(c) == python_cube_sum(c)
+        assert _moments(c)[3] == python_cube_sum(c)
 
 
 def test_exact_cube_sum_on_full_chunks_at_the_bound():
@@ -487,9 +545,73 @@ def test_exact_cube_sum_on_full_chunks_at_the_bound():
     top = 1 << 24
     for v in (top, -top):
         c = np.full(3 * _CUBE_CHUNK, v, dtype=np.int64)
-        assert _exact_cube_sum(c) == c.size * v**3
+        assert _moments(c) == (v, v, c.size * v**2, c.size * v**3)
     c[:_CUBE_CHUNK] = top
-    assert _exact_cube_sum(c) == -_CUBE_CHUNK * top**3
+    assert _moments(c)[3] == -_CUBE_CHUNK * top**3
+
+
+def _split_pieces(monkeypatch):
+    """The list that each piece ``_moments`` sends to ``_split_cube_sum``
+    is appended to, in order."""
+    import pgfree.spectral as spectral
+
+    pieces = []
+    split_cube_sum = spectral._split_cube_sum
+
+    def split(d, sq):
+        pieces.append(d)
+        return split_cube_sum(d, sq)
+
+    monkeypatch.setattr(spectral, "_split_cube_sum", split)
+    return pieces
+
+
+@pytest.mark.parametrize("peak", [1 << 15, (1 << 15) + 1])
+def test_moments_split_only_pieces_past_two_to_the_fifteen(peak, monkeypatch):
+    # one int64 dot of d with d * d serves a piece up to |c| = 2^15, even
+    # a whole piece at that bound (2^16 cubes of 2^45 sum to 2^61)
+    split = _split_pieces(monkeypatch)
+    rng = np.random.default_rng(peak)
+    c = rng.integers(-(1 << 12), 1 << 12, 3 * _BLOCK + 5, endpoint=True)
+    c[_BLOCK : 2 * _BLOCK] = -peak
+    c[2 * _BLOCK + 7] = peak
+    squares = sum(v * v for v in c.tolist())
+    assert _moments(c) == (-peak, peak, squares, python_cube_sum(c))
+    if peak == 1 << 15:
+        assert split == []
+    else:
+        assert [d.size for d in split] == [_BLOCK, _BLOCK]
+        assert split[0][0] == -peak and split[1][7] == peak
+
+
+def test_moments_leave_out_the_large_coefficient_at_zero(monkeypatch):
+    # c[0] = |E| is past 2^15 but in no piece, so no piece is split
+    split = _split_pieces(monkeypatch)
+    e = sample_pointset(17, 5, 0)
+    spec = walsh_hadamard(e)
+    c = spec.coeffs
+    assert spec[0] > 1 << 15 >= int(abs(c[1:]).max())
+    assert spec.cube_sum == python_cube_sum(c)
+    assert (spec.nontrivial_min, spec.nontrivial_max) == (int(c[1:].min()), int(c[1:].max()))
+    assert split == []
+
+
+def test_moments_pass_temporaries_stay_within_a_few_blocks():
+    # the checks and moments of an r = 18 spectrum, four blocks long, keep
+    # one block of squares and chunk-sized splits of it, never a
+    # table-sized temporary
+    import tracemalloc
+
+    r = 18
+    e = sample_pointset(r, 6, 0)
+    c = walsh_hadamard(e).coeffs.copy()
+    tracemalloc.start()
+    try:
+        Spectrum(r, c, e.size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * _BLOCK * c.itemsize == c.nbytes // 2
 
 
 def test_spectral_results_are_remembered_per_instance():
