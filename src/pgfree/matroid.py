@@ -8,23 +8,24 @@ translates E + x, each triangle counted once from its least point
 (independently of the Fourier transform), and its critical number (the
 least corank of a flat of the ambient geometry disjoint from E).
 
-Both searches for a flat inside a set walk the iterated cone: once
-generators g_1 < ... < g_d with span S are fixed, a point extends them to
-a flat inside E iff it lies in E_S, the intersection of E + s over s in S
-and s = 0.  E_S is a bitset, and g_{d+1} = q takes it to E_S ∩ (E_S + q),
-one ``xor_translate``.  The walk tries only the least point of each coset
-of S above g_d, read off a pool bitset in ascending order, and cuts a
-branch with too few of them left to finish a flat.
-``max_flat_rank_inside`` (behind the critical number) walks to the
-largest rank, ``is_pg_free`` to rank n for the least generating tuple.
-Over the whole ambient the walk lists every flat once,
-``_least_generating_tuples``, for the table below and the exhaustive flat
-search of ``search``.
+Every search for a flat inside a set is one walk of the iterated cone,
+``_walk``: once generators g_1 < ... < g_d with span S are fixed, a point
+extends them to a flat inside E iff it lies in E_S, the intersection of
+E + s over s in S and s = 0.  E_S is a bitset, and g_{d+1} = q takes it
+to E_S ∩ (E_S + q), one ``xor_translate``.  The walk tries only the least
+point of each coset of S above g_d, read off a pool bitset in ascending
+order, and cuts a branch with too few of them left to finish a flat.  It
+yields every flat of the asked rank inside the set once, as its least
+generating tuple: ``is_pg_free`` takes the first flat inside E, the
+critical number asks for flats inside the complement, and over the whole
+ambient the walk lists every flat, for the table below and the exhaustive
+flat search of ``search``.
 
 In an ambient of rank r <= 6 the whole geometry is one 64-bit word, and the
 subgeometry search is one lookup in a table of all rank-n flats, built once
-per (r, n) in the walk's order of least generating tuples.  Above, the
-walk fixes every generator itself.  Only the choice of g_{n-2} out of a
+per (r, n) in the walk's order of least generating tuples.  Above, a
+triangle-free set is free at n = 2 by its triangle count, and otherwise
+the walk fixes every generator itself.  Only the choice of g_{n-2} out of a
 large pool is helped: by the cone lemma, an apex x completes the span S
 iff the cone of E_S at x holds a pair, which a batched kernel tests for a
 block of pool points at once on the 64-bit words of E_S, translated by
@@ -125,9 +126,9 @@ def is_pg_free(E: PointSet, n: int) -> FreenessWitness:
     of points of E, each g_i outside the span S of the earlier ones with
     g_i ^ s in E for every s in S: at r <= 6 the first row of
     ``_flat_table(r, n)`` whose flat lies inside E, above it the first
-    leaf of ``_dfs_generators``.  The answer is remembered in E.memo, once
-    per n.  Its flat is spanned from the generators when ``subspace`` is
-    first read, not by the search.
+    leaf of ``_walk``.  The answer is remembered in E.memo, once per n.
+    Its flat is spanned from the generators when ``subspace`` is first
+    read, not by the search.
     """
     if n < 1:
         raise GeometryError("subgeometry rank must be >= 1")
@@ -140,19 +141,22 @@ def is_pg_free(E: PointSet, n: int) -> FreenessWitness:
 def _search_subgeometry(E: PointSet, n: int) -> FreenessWitness:
     """The least generating tuple of a rank-n flat inside E, as a witness:
     off the table of flats of an ambient of one bitset word (at most
-    SMALL_SET_POINTS words), else by ``_dfs_generators``."""
+    SMALL_SET_POINTS words), else the first leaf of ``_walk``.  A set with
+    no triangle (its count is memoized) is free at n = 2 with no walk."""
     if n > E.rank or E.size < (1 << n) - 1:
         return FreenessWitness(False, None)
     if (1 << E.rank) <= SMALL_SET_POINTS:
         masks, generators = _flat_table(E.rank, n)
         missing = masks & np.uint64(E.bits ^ 0xFFFFFFFFFFFFFFFF)
         i = int(missing.argmin())
-        gens = None if missing[i] else list(generators[i])
+        gens = None if missing[i] else generators[i]
+    elif n == 2 and triangle_count_naive(E) == 0:
+        gens = None
     else:
-        gens = _dfs_generators(E, n)
+        gens = next(_walk(E.bits, E.bits, E.rank, n), (None,))[0]
     if gens is None:
         return FreenessWitness(False, None)
-    return FreenessWitness._spanned_by(E.rank, gens)
+    return FreenessWitness._spanned_by(E.rank, list(gens))
 
 
 @lru_cache(maxsize=None)
@@ -161,85 +165,60 @@ def _flat_table(r: int, n: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]
 
     Row i holds the flat's points as one uint64 mask and its least
     generating tuple, the tuples ascending as the walk lists them, so the
-    first row whose flat lies inside E holds the tuple the DFS finds: the
-    least generating tuple over all flats inside E.
+    first row whose flat lies inside E holds the tuple the walk of E finds:
+    the least generating tuple over all flats inside E.
     """
     full = (1 << (1 << r)) - 2
-    rows = [(gens, full ^ cone) for gens, cone, _ in _least_generating_tuples(r, n)]
+    rows = [(gens, full ^ cone) for gens, cone, _ in _walk(full, full, r, n)]
     return np.array([m for _, m in rows], dtype=np.uint64), tuple(g for g, _ in rows)
 
 
-def _least_generating_tuples(r: int, d: int):
-    """Every rank-d flat of the rank-r ambient once, as its least generating
-    tuple with the cone and the pool of its leaf, the tuples ascending.
+def _walk(cone: int, pool: int, rank: int, d: int):
+    """Every rank-d flat inside the set whose bitset is ``cone``, once, as
+    its least generating tuple with the cone and the pool of its leaf, the
+    tuples ascending.
 
-    The walk of ``_dfs_generators`` over the whole ambient, whose cone at a
-    leaf is the complement of the tuple's span S.  The leaf's pool holds
-    the points q above g_d that are the least of their coset of S: those
-    for which (g_1, ..., g_d, q) is again a least generating tuple.
+    A node holds the cone K = E_S of the generators g_1 .. g_k and its
+    pool (see ``_cone_step``), and reads the pool's points off its bitset
+    in ascending order.  Each later generator of a least generating tuple
+    is in a pool, and the pool of a node holds one point of each of the
+    2^(d-k) - 1 cosets of S in such a flat from g_{k+1} on: the loop stops
+    when fewer are left.  At the node of g_{d-2}, a pool of more than
+    SMALL_SET_POINTS points whose least point yields no leaf skips ahead
+    to the least apex ``_least_apex`` finds in the rest: the points it
+    passes over have no leaf.  Over the whole ambient a leaf's cone is the
+    complement of the span, and its pool holds the points q above g_d for
+    which (g_1, ..., g_d, q) is again a least generating tuple.
     """
     gens: list[int] = []
+    leaves = 0
 
     def walk(cone: int, pool: int):
+        nonlocal leaves
         k = len(gens)
-        if k == d:
-            yield tuple(gens), cone, pool
-            return
         need = (1 << (d - k)) - 1
         rest, left = pool, pool.bit_count()
+        skip, seen = k == d - 3 and left > SMALL_SET_POINTS, leaves
         while left >= need:
             q = (rest & -rest).bit_length() - 1
             gens.append(q)
-            yield from walk(*_cone_step(cone, pool, q, r))
+            if k + 1 < d:
+                yield from walk(*_cone_step(cone, pool, q, rank))
+            else:
+                leaves += 1
+                yield tuple(gens), *_cone_step(cone, pool, q, rank)
             gens.pop()
             rest ^= 1 << q
             left -= 1
-
-    full = (1 << (1 << r)) - 2
-    return walk(full, full)
-
-
-def _dfs_generators(E: PointSet, n: int) -> Optional[list[int]]:
-    """The least generating tuple of a rank-n flat inside E, by a DFS.
-
-    A node holds the cone K = E_S of the generators g_1 .. g_d and its
-    pool (see ``_cone_step``), and reads the pool's points off its bitset
-    in ascending order.  The least tuple is its flat's least generating
-    tuple, so each later generator is in a pool, and the pool of a node
-    holds one point of each of the 2^(n-d) - 1 cosets of S in such a flat
-    from g_{d+1} on: the loop stops when fewer are left.  At the node of
-    g_{n-2}, a pool of more than SMALL_SET_POINTS points whose least point
-    fails skips ahead to the least apex ``_least_apex`` finds in the rest,
-    which the walk then completes.
-    """
-    r = E.rank
-    gens: list[int] = []
-
-    def dfs(cone: int, pool: int) -> bool:
-        d = len(gens)
-        if d == n:
-            return True
-        need = (1 << (n - d)) - 1
-        rest, left = pool, pool.bit_count()
-        skip = d == n - 3 and left > SMALL_SET_POINTS
-        while left >= need:
-            q = (rest & -rest).bit_length() - 1
-            gens.append(q)
-            if dfs(*_cone_step(cone, pool, q, r)):
-                return True
-            gens.pop()
-            rest ^= 1 << q
-            left -= 1
-            if skip:
-                skip = False
-                x = _least_apex(cone, rest, r)
+            if skip and leaves == seen:
+                x = _least_apex(cone, rest, rank)
                 if x is None:
-                    return False
+                    return
                 rest = rest >> x << x
                 left = rest.bit_count()
-        return False
+            skip = False
 
-    return gens if dfs(E.bits, E.bits) else None
+    return walk(cone, pool) if d else iter([((), cone, pool)])
 
 
 def _cone_step(cone: int, pool: int, q: int, rank: int) -> tuple[int, int]:
@@ -465,39 +444,17 @@ def _image(words: np.ndarray, functionals) -> PointSet:
     return pointset_from_words(len(functionals), new)
 
 
-def max_flat_rank_inside(C: PointSet) -> int:
-    """Largest rank of a flat all of whose points lie in C.
-
-    The walk of ``_dfs_generators`` over every flat's least generating
-    tuple, which reads each pool off its bitset in ascending order, reaches
-    each flat inside C once.  A branch is cut when the rest of its pool
-    cannot supply enough coset minima to beat the incumbent.
-    """
-    best = 0
-
-    def dfs(cone: int, pool: int, depth: int) -> None:
-        nonlocal best
-        best = max(best, depth)
-        rest, left = pool, pool.bit_count()
-        while depth + (left + 1).bit_length() - 1 > best:
-            q = (rest & -rest).bit_length() - 1
-            dfs(*_cone_step(cone, pool, q, C.rank), depth + 1)
-            rest ^= 1 << q
-            left -= 1
-
-    dfs(C.bits, C.bits, 0)
-    return best
-
-
 @memoized
 def critical_number(E: PointSet) -> int:
     """Least corank of a flat of the ambient geometry disjoint from E.
 
-    Computed as r minus the maximum rank of a flat inside the complement,
-    after first quotienting out the stabilizer subspace of E (read off the
-    Fourier support) so that structured sets collapse to a small ambient.
-    A support with a word of each bit length spans, so nothing is quotiented
-    out and no basis of it is built.
+    A flat is disjoint from E iff it lies inside the complement C, and the
+    flats inside C are closed under taking subflats, so the largest rank
+    of one is the last d, counted up from 1, for which
+    ``is_pg_free(C, d)`` finds a flat.  First the stabilizer subspace of E
+    (read off the Fourier support) is quotiented out, so that structured
+    sets collapse to a small ambient.  A support with a word of each bit
+    length spans, so nothing is quotiented out and no basis of it is built.
     """
     if E.size == 0:
         return 0
@@ -513,7 +470,11 @@ def critical_number(E: PointSet) -> int:
             # E is a union of cosets of the (r-d)-dimensional subspace orthogonal
             # to its d-dimensional support: its rank-d image has the same chi
             E = _image(E.points_array, support_basis)
-    return E.rank - max_flat_rank_inside(E.complement())
+    C = E.complement()
+    d = 0
+    while is_pg_free(C, d + 1).found:
+        d += 1
+    return E.rank - d
 
 
 def check_corollary_1_3(E: PointSet, n: int) -> bool:

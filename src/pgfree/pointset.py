@@ -170,12 +170,15 @@ class PointSet:
         return PointSet(self.rank, PointSet.full(self.rank).bits & ~self.bits)
 
     def with_point(self, word: int) -> "PointSet":
-        if not 0 < word < (1 << self.rank):
-            raise GeometryError(f"{word} is not a point of a rank-{self.rank} geometry")
-        return PointSet(self.rank, self.bits | (1 << word))
+        return PointSet(self.rank, self.bits | self._point_bit(word))
 
     def without_point(self, word: int) -> "PointSet":
-        return PointSet(self.rank, self.bits & ~(1 << word))
+        return PointSet(self.rank, self.bits & ~self._point_bit(word))
+
+    def _point_bit(self, word: int) -> int:
+        if not 0 < word < (1 << self.rank):
+            raise GeometryError(f"{word} is not a point of a rank-{self.rank} geometry")
+        return 1 << word
 
     def issubset(self, other: "PointSet") -> bool:
         self._same_rank(other)

@@ -27,7 +27,7 @@ from .geometry import Flat, closure, echelon_basis, hyperplane_of, kernel_basis
 from .matroid import (
     _dense,
     _dense_free,
-    _least_generating_tuples,
+    _walk,
     is_pg_free,
     lift_flat,
     matroid_rank,
@@ -199,8 +199,8 @@ def _exhaustive_flat_search(E: PointSet, n: int) -> StructureResult:
     to the least reduced-echelon basis of its normal space.
 
     Level 2 has one such flat, the whole ambient.  Above, each space of
-    normals is read once, as a leaf D of ``_least_generating_tuples`` at
-    rank n-3 and a word delta of its pool: the per-hyperplane triangle
+    normals is read once, as a leaf D of the ``_walk`` of the whole ambient
+    at rank n-3 and a word delta of its pool: the per-hyperplane triangle
     counts and the spectrum c of E ∩ K_D, K_D the flat orthogonal to D,
     give every flat K_D ∩ W_delta at once, of size (|E ∩ K_D| + c_delta)/2.
     """
@@ -209,7 +209,8 @@ def _exhaustive_flat_search(E: PointSet, n: int) -> StructureResult:
         whole = None if is_pg_free(E, 2).found else closure(r, [1 << i for i in range(r)])
         return _result_for(whole, E.size)
     best_size, best_dual = -1, None
-    for D, _, pool in _least_generating_tuples(r, n - 3):
+    full = (1 << (1 << r)) - 2
+    for D, _, pool in _walk(full, full, r, n - 3):
         EK = reduce(hyperplane_intersection, D, E)
         if EK.size < best_size:  # no flat inside K_D can reach the best
             continue

@@ -17,7 +17,6 @@ from pgfree.matroid import (
     is_pg_free,
     lift_flat,
     matroid_rank,
-    max_flat_rank_inside,
     restrict_to_flat,
     triangle_count_naive,
 )
@@ -541,8 +540,9 @@ def test_least_generating_tuples_list_every_flat_once(r):
     import pgfree.matroid as matroid
 
     everything = (1 << (1 << r)) - 1
+    full = everything - 1
     for d in range(r + 1):
-        leaves = list(matroid._least_generating_tuples(r, d))
+        leaves = list(matroid._walk(full, full, r, d))
         assert [gens for gens, _, _ in leaves] == sorted({gens for gens, _, _ in leaves})
         flats = [span_points(gens) for gens, _, _ in leaves]
         assert sorted(flats, key=sorted) == sorted((f for f in all_flats(r) if flat_rank(f) == d), key=sorted)
@@ -553,6 +553,39 @@ def test_least_generating_tuples_list_every_flat_once(r):
             # the pool holds the points that extend the tuple to a least generating tuple
             above = [q for q in range(1, 1 << r) if q not in flat and q > max(gens, default=0)]
             assert pool == sum(1 << q for q in above if q == min(span_points(gens + (q,)) - flat))
+
+
+def test_walk_of_a_set_is_the_ambient_walk_filtered_to_its_flats(monkeypatch):
+    # The walk of E lists exactly the flats of the ambient's walk that lie
+    # inside E, in the same order, and each leaf's cone is E_S, the points
+    # x of E whose coset x + S lies in E.  On these sets the apex skip at
+    # the node of g_{d-2} fires, both with a hit and with none.
+    import pgfree.matroid as matroid
+
+    apexes = []
+    least_apex = matroid._least_apex
+    monkeypatch.setattr(matroid, "_least_apex", lambda *a: apexes.append(least_apex(*a)) or apexes[-1])
+    rng = random.Random(71)
+    for r in (7, 8):
+        full = (1 << (1 << r)) - 2
+        bb = bose_burton(r, 3)
+        flipped = [w for w in range(1, 1 << (r - 2)) if w & 3 in (1, 2)]
+        kept = [w for w in range(4, 1 << (r - 2)) if w & 3 in (0, 3)]
+        sets = [bb.without_point(rng.choice(bb.points)), fano_free_below(r, flipped[:3], rng.sample(kept, 2), rng)]
+        sets += [PointSet.from_points(r, [w for w in range(1, 1 << r) if rng.random() < p]) for p in (0.45, 0.6)]
+        for d in (3, 4):
+            ambient = [(gens, full ^ cone, pool) for gens, cone, pool in matroid._walk(full, full, r, d)]
+            for e in sets:
+                want = [(gens, pool) for gens, flat, pool in ambient if flat & ~e.bits == 0]
+                leaves = list(matroid._walk(e.bits, e.bits, r, d))
+                assert [gens for gens, _, _ in leaves] == [gens for gens, _ in want], (e.to_compact(), d)
+                for (gens, cone, pool), (_, ambient_pool) in zip(leaves, want):
+                    span = span_points(gens)
+                    e_s = [x for x in e.points if all(x ^ s in e for s in span)]
+                    assert cone == sum(1 << x for x in e_s)
+                    assert pool == ambient_pool & cone
+    assert None in apexes
+    assert any(x is not None for x in apexes)
 
 
 def _assert_table_witness_is_dfs_tuple(e):
@@ -586,8 +619,11 @@ def test_table_witness_is_dfs_tuple_on_seeded_sets(r):
 def test_flat_table_replaces_the_dfs_up_to_rank_6(monkeypatch):
     import pgfree.matroid as matroid
 
+    for r in range(1, 7):  # the tables are built by the walk, once
+        for n in range(1, r + 1):
+            matroid._flat_table(r, n)
     calls = []
-    for name in ("_least_apex", "_first_apex_with_pair", "_dfs_generators"):
+    for name in ("_least_apex", "_first_apex_with_pair", "_walk"):
         real = getattr(matroid, name)
         monkeypatch.setattr(matroid, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
     rng = random.Random(47)
@@ -602,7 +638,7 @@ def test_flat_table_replaces_the_dfs_up_to_rank_6(monkeypatch):
     # point fails reaches the apex kernel
     assert is_pg_free(PointSet.full(7), 3).found
     assert not is_pg_free(bose_burton(7, 3), 3).found
-    assert set(calls) == {"_least_apex", "_first_apex_with_pair", "_dfs_generators"}
+    assert set(calls) == {"_least_apex", "_first_apex_with_pair", "_walk"}
 
 
 def test_is_pg_free_rejects_bad_n():
@@ -615,6 +651,26 @@ def test_freeness_matches_triangle_count():
     for _ in range(40):
         e = PointSet.from_points(4, rng.sample(range(1, 16), rng.randint(0, 10)))
         assert (not is_pg_free(e, 2).found) == (triangle_count_naive(e) == 0)
+
+
+def test_triangle_free_set_is_free_at_n2_with_no_walk(monkeypatch):
+    # From r = 7 a set with no triangle is free at n = 2 by its count alone;
+    # a set with one keeps the walk's least pair as its witness.
+    import pgfree.matroid as matroid
+
+    calls = []
+    walk = matroid._walk
+    monkeypatch.setattr(matroid, "_walk", lambda *a: calls.append(a) or walk(*a))
+    for r in (7, 10):
+        for g in (1, 5, (1 << r) - 1):
+            e = affine_set(r, g)
+            assert triangle_count_naive(e) == 0
+            assert not is_pg_free(e, 2).found
+        assert calls == []
+        e = affine_set(r, 1).with_point(2)
+        assert_matches_dfs(e, 2)
+        assert len(calls) == 1
+        calls.clear()
 
 
 def test_freeness_monotone_under_subsets():
@@ -790,12 +846,34 @@ def test_critical_number_against_oracle_random():
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
-def test_chi_and_largest_flat_inside_match_oracle_on_every_set(r):
+def test_chi_matches_oracle_on_every_set(r):
     for bits in range(0, 1 << (1 << r), 2):
         e = PointSet(r, bits)
         assert critical_number(e) == brute_chi(e.points, r)
-        # a flat lies inside E iff it is disjoint from the complement
-        assert max_flat_rank_inside(e) == r - brute_chi(e.complement().points, r)
+
+
+@pytest.mark.parametrize("r", [5, 6])
+def test_chi_matches_oracle_off_the_table_of_flats(monkeypatch, r):
+    # Random sets whose Fourier support spans, so that no quotient runs and
+    # chi is read off the tables of flats of the full ambient, with no walk.
+    import pgfree.matroid as matroid
+
+    for n in range(1, r + 1):
+        matroid._flat_table(r, n)
+    calls = []
+    walk = matroid._walk
+    monkeypatch.setattr(matroid, "_walk", lambda *a: calls.append(a) or walk(*a))
+    rng = random.Random(90 + r)
+    chis = set()
+    for _ in range(12):
+        e = PointSet.from_points(r, [w for w in range(1, 1 << r) if rng.random() < rng.random()])
+        support = np.nonzero(walsh_hadamard(e).coeffs[1:])[0] + 1
+        assert rank_of(support.tolist()) == r
+        chi = critical_number(e)
+        assert chi == brute_chi(e.points, r)
+        chis.add(chi)
+    assert len(chis) > 1
+    assert calls == []
 
 
 def test_critical_number_structured_set_uses_quotient():

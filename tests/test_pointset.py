@@ -55,6 +55,17 @@ def test_set_algebra():
         a.union(PointSet.from_points(4, [1]))
 
 
+def test_adding_or_removing_a_word_outside_the_geometry_raises():
+    full = PointSet.full(4)
+    for word in (-1, 0, 16, 99):
+        for step in (full.with_point, full.without_point):
+            with pytest.raises(GeometryError):
+                step(word)
+    # a point of the geometry that is not in the set is removed as a no-op
+    a = PointSet.from_points(4, [1, 2])
+    assert a.without_point(5) == a and a.with_point(2) == a
+
+
 def test_indicator_roundtrip():
     e = PointSet.from_points(4, [1, 7, 14])
     ind = e.indicator()
