@@ -141,8 +141,11 @@ def is_pg_free(E: PointSet, n: int) -> FreenessWitness:
 def _search_subgeometry(E: PointSet, n: int) -> FreenessWitness:
     """The least generating tuple of a rank-n flat inside E, as a witness:
     off the table of flats of an ambient of one bitset word (at most
-    SMALL_SET_POINTS words), else the first leaf of ``_walk``.  A set with
-    no triangle (its count is memoized) is free at n = 2 with no walk."""
+    SMALL_SET_POINTS words), else the first leaf of ``_walk``.  At n = 2
+    the least point's subtree comes first, one cone step: its least pair
+    is the first leaf.  Past it, a set with no triangle (its count is
+    memoized) is free with no walk, and any other set is walked without
+    its least point."""
     if n > E.rank or E.size < (1 << n) - 1:
         return FreenessWitness(False, None)
     if (1 << E.rank) <= SMALL_SET_POINTS:
@@ -150,8 +153,15 @@ def _search_subgeometry(E: PointSet, n: int) -> FreenessWitness:
         missing = masks & np.uint64(E.bits ^ 0xFFFFFFFFFFFFFFFF)
         i = int(missing.argmin())
         gens = None if missing[i] else generators[i]
-    elif n == 2 and triangle_count_naive(E) == 0:
-        gens = None
+    elif n == 2:
+        q = (E.bits & -E.bits).bit_length() - 1
+        pool = _cone_step(E.bits, E.bits, q, E.rank)[1]
+        if pool:
+            gens = q, (pool & -pool).bit_length() - 1
+        elif triangle_count_naive(E) == 0:
+            gens = None
+        else:
+            gens = next(_walk(E.bits, E.bits ^ 1 << q, E.rank, 2), (None,))[0]
     else:
         gens = next(_walk(E.bits, E.bits, E.rank, n), (None,))[0]
     if gens is None:

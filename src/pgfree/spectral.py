@@ -19,14 +19,18 @@ one plain stage when a group's count is odd.  numpy runs a strided view
 whose rows are shorter than about 4096 entries through its buffered
 iterator, several times slower per entry, so the narrow stages cost
 mostly per pass; a pass's temporaries are pieces of at most a quarter
-block, so they stay small at every width.  The butterfly runs in int32,
-because every value it forms is bounded by 2|E| < 2^25, and the spectrum
-is kept as int64.  ``Spectrum`` walks the finished table once, a block at
-a time: it checks c[0] = |E|, |c| <= |E| and Parseval, and keeps the
-nontrivial extremes and the exact cube sum, up to 2^72, which
-``uniformity`` and ``triangle_count_spectral`` read (see ``_moments``).
-The triangle counts of all 2^r hyperplane intersections come from two
-more transforms over E's cone sizes, all below 2^51 (see
+block, so they stay small at every width.  After the stage of width h an
+entry is a signed sum of 2h indicator bits, so the stages narrower than
+``_INT16_TOP`` (2^14) form values of at most 2^14 and run in an int16
+copy of the block, half the bytes per pass; the rest run in int32, which
+holds every value the butterfly forms, at most 2|E| < 2^25.  The spectrum
+is that int32 table: every |c| <= |E| < 2^24.  ``Spectrum`` walks it
+once, a block at a time, widening each block to int64: it checks
+c[0] = |E|, |c| <= |E| and Parseval, and keeps the nontrivial extremes
+and the exact cube sum, up to 2^72, which ``uniformity`` and
+``triangle_count_spectral`` read (see ``_moments``).  The triangle counts
+of all 2^r hyperplane intersections come from two more transforms over
+E's cone sizes, in int64, all below 2^51 (see
 ``triangle_counts_per_hyperplane``).
 """
 
@@ -43,6 +47,9 @@ from .pointset import SMALL_SET_POINTS, PointSet, memoized
 # Entries per cache-sized block: 256 KiB of int32, 512 KiB of int64.  The
 # moments pass sums cubes of at most 2^45 over a block, at most 2^61.
 _BLOCK = 1 << 16
+# The in-block stages narrower than this run in int16: they form values of
+# at most 2^14 (see ``fwht_inplace``).
+_INT16_TOP = 1 << 14
 # Entries per chunk of a cube sum past 2^15: 2^14 products of at most 2^48 sum to at most 2^62.
 _CUBE_CHUNK = 1 << 14
 
@@ -60,6 +67,9 @@ _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bito
 _BYTE_ROWS = (
     _SYLVESTER[:8, None, :8, None] * (_BYTE_BITS @ _SYLVESTER[:8, :8])[None, :, None, :]
 ).reshape(8, 256, 64).astype(np.int8)
+# Byte k of a word, plus _BYTE_OFFSETS[k], indexes its row of _BYTE_ROWS
+# read as 2048 rows.
+_BYTE_OFFSETS = np.arange(0, 8 * 256, 256, dtype=np.intp)[:, None]
 
 
 def _butterfly(a: np.ndarray, h: int) -> None:
@@ -99,15 +109,18 @@ def _radix4(a: np.ndarray, h: int) -> None:
             del s0, d0, s1, d1
 
 
-def _stages(a: np.ndarray, h: int) -> None:
-    """The stages of width h, 2h, ..., a.size/2: radix-4 passes, and one
-    plain stage last when their number is odd."""
-    n = a.size
-    while 4 * h <= n:
+def _stages(a: np.ndarray, h: int, top: int | None = None) -> int:
+    """The stages of width h, 2h, ... narrower than top (a.size by
+    default): radix-4 passes, and one plain stage last when their number is
+    odd.  Returns the width of the first stage not run."""
+    top = a.size if top is None else top
+    while 4 * h <= top:
         _radix4(a, h)
         h *= 4
-    if h < n:
+    if h < top:
         _butterfly(a, h)
+        h *= 2
+    return h
 
 
 def fwht_inplace(a: np.ndarray, width: int = 1) -> np.ndarray:
@@ -135,12 +148,14 @@ def fwht_inplace(a: np.ndarray, width: int = 1) -> np.ndarray:
     quarter of ``_BLOCK`` entries each, at every width.
 
     After the stage of width h, each entry is a signed sum of 2h input
-    entries, so on a 0/1 indicator of a set E every value formed is
-    bounded by 2|E| in magnitude: a radix-4 pass forms only stage values,
-    bounded by |E|, and a plain stage doubles y before it forms x - y.
-    int32 is exact for |E| < 2^30.  The product forms its sums in int64
-    and stores them in a's dtype.  Other input wraps like its dtype, so
-    the result is exact whenever it fits.
+    entries, so on a 0/1 indicator of a set E it is at most min(|E|, 2h)
+    in magnitude.  A radix-4 pass from width h forms only stage values,
+    at most min(|E|, 4h), and a plain stage at width h doubles y before it
+    forms x - y, so it forms values of at most min(2|E|, 2h).  int32 is
+    exact for |E| < 2^30, and int16 for the stages narrower than 2^14,
+    which form values of at most 2^14.  The product forms its sums in
+    int64 and stores them in a's dtype.  Other input wraps like its dtype,
+    so the result is exact whenever it fits.
     """
     n = a.size
     if n <= SMALL_SET_POINTS:
@@ -157,7 +172,8 @@ def fwht_inplace(a: np.ndarray, width: int = 1) -> np.ndarray:
 
 
 def _split_cube_sum(d: np.ndarray, sq: np.ndarray) -> tuple[int, int]:
-    """(sum(d^2), sum(d^3)) of an int64 array with |d| <= 2^24, given sq = d * d.
+    """(sum(d^2), sum(d^3)) of an integer array with |d| <= 2^24, given its
+    int64 squares sq.
 
     Split sq = h 2^24 + l with 0 <= h, l <= 2^24; then
     sum(d^3) = 2^24 sum(d h) + sum(d l).  Over a chunk of ``_CUBE_CHUNK``
@@ -175,14 +191,15 @@ def _split_cube_sum(d: np.ndarray, sq: np.ndarray) -> tuple[int, int]:
 
 
 def _moments(c: np.ndarray) -> tuple[int, int, int, int]:
-    """(min, max, sum(c^2), sum(c^3)) of a nonempty int64 array with |c| <= 2^24,
-    exactly, in one pass of ``_BLOCK``-sized pieces.
+    """(min, max, sum(c^2), sum(c^3)) of a nonempty int32 or int64 array
+    with |c| <= 2^24, exactly, in one pass of ``_BLOCK``-sized pieces.
 
-    A piece whose greatest |c| is at most 2^15 has cubes of at most 2^45,
-    so one int64 dot of d with d * d sums its at most 2^16 of them to at
-    most 2^61; any other piece goes through ``_split_cube_sum``.  One
-    piece of squares is live at a time, plus the split's chunk-sized
-    temporaries.
+    Each piece's squares are formed in int64, widening it as they are
+    read.  A piece whose greatest |c| is at most 2^15 has cubes of at most
+    2^45, so its squares, multiplied by the piece in place, sum its at
+    most 2^16 cubes to at most 2^61; any other piece goes through
+    ``_split_cube_sum``.  One piece of squares is live at a time, plus
+    numpy's casting buffers and the split's chunk-sized temporaries.
     """
     lo = hi = int(c[0])
     squares = cubes = 0
@@ -190,10 +207,11 @@ def _moments(c: np.ndarray) -> tuple[int, int, int, int]:
         d = c[i : i + _BLOCK]
         d_lo, d_hi = int(d.min()), int(d.max())
         lo, hi = min(lo, d_lo), max(hi, d_hi)
-        sq = d * d
+        sq = np.square(d, dtype=np.int64)
         if max(d_hi, -d_lo) <= 1 << 15:
             squares += int(sq.sum())
-            cubes += int(np.dot(d, sq))
+            sq *= d
+            cubes += int(sq.sum())
         else:
             s2, s3 = _split_cube_sum(d, sq)
             squares += s2
@@ -212,7 +230,9 @@ class Spectrum:
     The same pass keeps the least and greatest nontrivial coefficient
     (gamma != 0) and the exact sum of cubes, which ``uniformity`` and
     ``triangle_count_spectral`` read instead of walking the table again.
-    The table is int64, so squares are exact and it is read-only.
+    The table is int32 (int64 in the one-word ambient, r <= 6), exact
+    since every |c| <= |E| < 2^24, so squares and cubes of it are formed
+    in int64 or as Python integers.  It is read-only.
     """
 
     ambient_rank: int
@@ -247,44 +267,52 @@ class Spectrum:
 def walsh_hadamard(E: PointSet) -> Spectrum:
     """Exact transform of the indicator of E over all 2^r characters.
 
-    In the one-word ambient (2^r <= ``SMALL_SET_POINTS``) the set's
-    ``membership`` table, widened to int64, goes to ``fwht_inplace``,
-    which transforms it by one Sylvester product.  From r = 7 the table
-    is built one cache-sized block at a time.  The first six stages of
-    the bitset's 64-bit word w come from its bytes: they are linear, so
-    entry 64j + u after them is the sum over the eight bytes b_k of w_j
-    of ``_BYTE_ROWS[k, b_k]`` at u, eight row gathers and seven int8 adds
-    per block.  The block's in-block stages, from width 64, run at once,
-    while it is still in cache, and ``fwht_inplace`` runs the stages from
-    the block's width over the whole table.  The butterfly runs in int32,
-    exact since every value it forms is at most 2|E| < 2^25, in the upper
-    half of the int64 table that it is then widened into, one block at a
-    time, so the two tables never take more than the int64 one's memory.
+    In the one-word ambient (2^r <= ``SMALL_SET_POINTS``) the spectrum is
+    the leading 2^r x 2^r block of ``_SYLVESTER`` times the set's
+    ``membership`` table, one int64 product, as ``fwht_inplace`` forms it.
+    From r = 7 it is the int32 table of ``_int32_transform``.
     """
     n = 1 << E.rank
     if n <= SMALL_SET_POINTS:
-        return Spectrum(E.rank, fwht_inplace(E.membership.astype(np.int64)), E.size)
-    out = np.empty(n, dtype=np.int64)
-    # The int32 table is the upper half of the int64 one.  Widened front to
-    # back, int64 entry i covers int32 entries 2i - n and 2i - n + 1, which
-    # are at most i and so read by then; taken a block at a time, any
-    # temporary numpy makes stays block-sized.
-    a = out.view(np.int32)[n:]
+        return Spectrum(E.rank, _SYLVESTER[:n, :n].dot(E.membership), E.size)
+    return Spectrum(E.rank, _int32_transform(E), E.size)
+
+
+def _int32_transform(E: PointSet) -> np.ndarray:
+    """The transform of E's indicator from r = 7, as an int32 table built
+    one cache-sized block at a time.
+
+    The first six stages of the bitset's 64-bit word w come from its
+    bytes: they are linear, so entry 64j + u after them is the sum over
+    the eight bytes b_k of w_j of ``_BYTE_ROWS[k, b_k]`` at u, one gather
+    of the block's eight rows per word and one int8 sum over them (each
+    partial sum is at most 64), copied into one reused int16 block.  The
+    block's in-block stages, from width 64, run at once, while it is still
+    in cache: those narrower than ``_INT16_TOP`` in the int16 block, whose
+    values they keep at most 2^14 (see ``fwht_inplace``), the rest after
+    it is copied into its int32 slot.  ``fwht_inplace`` then runs the
+    stages from the block's width over the whole table, exact in int32
+    since every value it forms is at most 2|E| < 2^25.  The block buffers
+    are freed on return, before ``Spectrum``'s pass makes its own.
+    """
+    n = 1 << E.rank
+    a = np.empty(n, dtype=np.int32)
     block = min(n, max(_BLOCK, 64))
     words = block >> 6
+    byte_rows = _BYTE_ROWS.reshape(-1, 64)
+    index = np.empty((8, words), dtype=np.intp)
+    rows = np.empty((8, words, 64), dtype=np.int8)
     acc = np.empty((words, 64), dtype=np.int8)
-    row = np.empty_like(acc)
+    narrow = np.empty(block, dtype=np.int16)
     for b, w in zip(a.reshape(-1, block), E.words().view(np.uint8).reshape(-1, words, 8)):
-        np.take(_BYTE_ROWS[0], w[:, 0], axis=0, out=acc)
-        for k in range(1, 8):
-            np.take(_BYTE_ROWS[k], w[:, k], axis=0, out=row)
-            acc += row
-        b.reshape(words, 64)[...] = acc
-        _stages(b, 64)
-    fwht_inplace(a, block)
-    for i in range(0, n, _BLOCK):
-        out[i : i + _BLOCK] = a[i : i + _BLOCK]
-    return Spectrum(E.rank, out, E.size)
+        np.add(w.T, _BYTE_OFFSETS, out=index)
+        np.take(byte_rows, index, axis=0, out=rows)
+        np.add.reduce(rows, axis=0, out=acc)
+        narrow.reshape(words, 64)[...] = acc
+        h = _stages(narrow, 64, min(block, _INT16_TOP))
+        b[...] = narrow
+        _stages(b, h)
+    return fwht_inplace(a, block)
 
 
 @memoized
@@ -314,14 +342,15 @@ def triangle_counts_per_hyperplane(E: PointSet) -> np.ndarray:
     self-convolution of the indicator, WHT(c^2) / 2^r, read on E through
     its ``membership`` table.
 
-    int64 is exact at every rank: the transform of c^2 forms partial sums
-    bounded by 2 sum(c^2) = 2^(r+1) |E|, and that of d ones bounded by
-    2 sum(d) = 2T <= 2|E|^2, so with |E| < 2^24 every value formed,
-    T + 3A included, stays below 2^51.  The table is remembered per set,
-    so it is read-only.
+    The squares are formed in int64, since c^2 reaches 2^48 and int32
+    would wrap, and int64 is exact at every rank: the transform of c^2
+    forms partial sums bounded by 2 sum(c^2) = 2^(r+1) |E|, and that of d
+    ones bounded by 2 sum(d) = 2T <= 2|E|^2, so with |E| < 2^24 every
+    value formed, T + 3A included, stays below 2^51.  The table is
+    remembered per set, so it is read-only.
     """
     r = E.rank
-    d = fwht_inplace(walsh_hadamard(E).coeffs ** 2)
+    d = fwht_inplace(np.square(walsh_hadamard(E).coeffs, dtype=np.int64))
     # a bitwise OR over the table has a low bit set iff some entry does
     if int(np.bitwise_or.reduce(d)) & ((1 << r) - 1):
         raise InternalInconsistencyError("self-convolution is not divisible by 2^r")

@@ -655,7 +655,9 @@ def test_freeness_matches_triangle_count():
 
 def test_triangle_free_set_is_free_at_n2_with_no_walk(monkeypatch):
     # From r = 7 a set with no triangle is free at n = 2 by its count alone;
-    # a set with one keeps the walk's least pair as its witness.
+    # a set with one keeps the walk's least pair as its witness.  The least
+    # point's pairs come first: when it has one, neither the count nor the
+    # walk runs; when it has none, both do.
     import pgfree.matroid as matroid
 
     calls = []
@@ -667,10 +669,29 @@ def test_triangle_free_set_is_free_at_n2_with_no_walk(monkeypatch):
             assert triangle_count_naive(e) == 0
             assert not is_pg_free(e, 2).found
         assert calls == []
+        # the least point 1 is in the triangle {1, 2, 3}
         e = affine_set(r, 1).with_point(2)
         assert_matches_dfs(e, 2)
-        assert len(calls) == 1
+        assert calls == [] and "triangle_count_naive" not in e.memo
+        # 1 plus the even words: 1 is in no triangle, the even words hold many
+        e = affine_set(r, 1).complement().with_point(1)
+        assert_matches_dfs(e, 2)
+        assert len(calls) == 1 and e.memo["triangle_count_naive"] > 0
         calls.clear()
+
+
+@pytest.mark.parametrize("r", [7, 8, 9])
+def test_n2_witness_matches_dfs_past_the_least_point(r):
+    # sparse sets, where the least point is often in no triangle, so the
+    # search walks on past it or ends on the count
+    rng = random.Random(200 + r)
+    branches = set()
+    for density in (0.03, 0.06, 0.1, 0.2):
+        for _ in range(6):
+            e = PointSet.from_points(r, [w for w in range(1, 1 << r) if rng.random() < density])
+            assert_matches_dfs(e, 2)
+            branches.add(("triangle_count_naive" in e.memo, is_pg_free(e, 2).found))
+    assert branches == {(False, True), (True, True), (True, False)}
 
 
 def test_freeness_monotone_under_subsets():

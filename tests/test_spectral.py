@@ -115,7 +115,8 @@ def _assert_transforms_match_copying_butterfly(r, rng):
         mask[0] = False
         e = pointset_from_mask(r, mask)
         coeffs = walsh_hadamard(e).coeffs
-        assert coeffs.dtype == np.int64
+        # the one-word product stays int64; the butterfly's table is int32
+        assert coeffs.dtype == (np.int64 if r <= 6 else np.int32)
         assert np.array_equal(coeffs, copying_fwht(mask.astype(np.int64)))
     # the in-place butterfly on arbitrary int64 input, as the per-hyperplane
     # counts use it
@@ -129,10 +130,13 @@ def test_int32_transform_matches_copying_int64_butterfly(r):
     _assert_transforms_match_copying_butterfly(r, np.random.default_rng(r))
 
 
-def test_transform_widens_in_place():
-    # The int32 butterfly runs in the upper half of the int64 table, so the
-    # transform's peak is the int64 table plus block-sized temporaries, not
-    # the int32 table and the int64 one side by side (1.5 times as much).
+def test_transform_peak_is_the_int32_table_plus_a_few_blocks():
+    # The spectrum is the int32 table the butterfly writes, never widened,
+    # so the transform's peak is that table plus block-sized temporaries
+    # (the block's gathered byte rows and its int16 copy, a pass's
+    # quarter-block pieces, or the moments pass's int64 squares) and the
+    # bitset's bytes, 1/32 of the table: about 1.4 MB at r = 20, where the
+    # int64 table alone took 8 MiB.
     import tracemalloc
 
     r = 20
@@ -144,8 +148,74 @@ def test_transform_widens_in_place():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * coeffs.nbytes
+    assert coeffs.dtype == np.int32
+    assert peak < coeffs.nbytes + 4 * _BLOCK * 8
     assert np.array_equal(coeffs, copying_fwht(e.indicator().astype(np.int64)))
+
+
+def _full_and_punctured(r):
+    """PointSet.full(r), and the full set minus 2^(r-4) seeded points."""
+    mask = np.ones(1 << r, dtype=bool)
+    mask[0] = False
+    mask[np.random.default_rng(r).choice(1 << r, 1 << (r - 4), replace=False)] = False
+    return PointSet.full(r), pointset_from_mask(r, mask)
+
+
+def _stage_calls(monkeypatch):
+    """The list that each kernel call appends (stage widths, dtype, size) to."""
+    import pgfree.spectral as spectral
+
+    calls = []
+
+    def radix4(a, h):
+        calls.append(((h, 2 * h), a.dtype, a.size))
+        _radix4(a, h)
+
+    def butterfly(a, h):
+        calls.append(((h,), a.dtype, a.size))
+        _butterfly(a, h)
+
+    monkeypatch.setattr(spectral, "_radix4", radix4)
+    monkeypatch.setattr(spectral, "_butterfly", butterfly)
+    return calls
+
+
+def _assert_int16_stages_stay_narrow(calls):
+    # a stage of width h forms values of at most 2h, so int16 holds the
+    # stages narrower than 2^14, and no wider one may run there
+    narrow = [widths for widths, dtype, _ in calls if dtype == np.int16]
+    assert narrow and max(max(widths) for widths in narrow) == 1 << 13
+
+
+@pytest.mark.parametrize("r", range(14, 18))
+def test_full_sets_fill_the_int16_stages(r, monkeypatch):
+    # After the stage of width h an entry of the full set is 2h (2h - 1 in
+    # the run holding word 0), the most the width allows: the int16 stages
+    # form up to 2^14, and from r = 15 the int32 ones form 2^15 and more,
+    # which int16 would wrap.  At r = 15 the in-block stages are nine, so
+    # the last is a plain stage at width 2^14, in int32.
+    calls = _stage_calls(monkeypatch)
+    for e in _full_and_punctured(r):
+        coeffs = walsh_hadamard(e).coeffs
+        assert np.array_equal(coeffs, copying_fwht(e.indicator().astype(np.int64)))
+    _assert_int16_stages_stay_narrow(calls)
+    if r == 15:
+        assert ((1 << 14,), np.int32, 1 << 15) in calls
+
+
+@pytest.mark.parametrize("r", range(15, 18))
+def test_odd_in_block_stage_count_runs_its_plain_stage_in_int32(r, monkeypatch):
+    # Under 2^15-entry blocks every block's in-block stages from width 64
+    # are nine: four int16 passes, then a plain stage at width 2^14 that
+    # forms 2^15 on the full set, in the block's int32 slot.
+    monkeypatch.setattr("pgfree.spectral._BLOCK", 1 << 15)
+    calls = _stage_calls(monkeypatch)
+    for e in _full_and_punctured(r):
+        coeffs = walsh_hadamard(e).coeffs
+        assert np.array_equal(coeffs, copying_fwht(e.indicator().astype(np.int64)))
+    _assert_int16_stages_stay_narrow(calls)
+    plain = [c for c in calls if c == ((1 << 14,), np.int32, 1 << 15)]
+    assert len(plain) == 2 << (r - 15)
 
 
 # blocks smaller than a word's 64 entries, as large as one, and many blocks
@@ -202,12 +272,13 @@ def _checked_kernel_calls(r, monkeypatch):
     import pgfree.spectral as spectral
 
     # the spectrum's in-block stages run before its one fwht_inplace call,
-    # so its entry is open from the start and that call joins it
-    transforms = [(1 << r, 64 if r > 6 else 1, [])]
+    # so its entry is open from the start and that call joins it; a
+    # one-word spectrum is one product, with no fwht_inplace call
+    transforms = [(1 << r, 64, [])] if r > 6 else []
     fwht_calls = []
 
     def fwht(a, width=1):
-        if fwht_calls:
+        if fwht_calls or r <= 6:
             transforms.append((a.size, width, []))
         fwht_calls.append(width)
         return fwht_inplace(a, width)
@@ -224,12 +295,12 @@ def _checked_kernel_calls(r, monkeypatch):
     monkeypatch.setattr(spectral, "_radix4", radix4)
     monkeypatch.setattr(spectral, "_butterfly", butterfly)
     triangle_counts_per_hyperplane(sample_pointset(r, 19, 0))
-    # the spectrum's stages from width 64 (from width 1 at r <= 6) and
-    # both cone-size transforms' stages from width 1, each transform one
-    # fwht_inplace call
-    first = 64 if r > 6 else 1
-    assert [(n, w) for n, w, _ in transforms] == [(1 << r, first), (1 << r, 1), (1 << r, 1)]
-    assert len(fwht_calls) == 3
+    # the spectrum's stages from width 64 (none past its product at
+    # r <= 6) and both cone-size transforms' stages from width 1, each
+    # transform one fwht_inplace call
+    first = [(1 << r, 64)] if r > 6 else []
+    assert [(n, w) for n, w, _ in transforms] == first + [(1 << r, 1), (1 << r, 1)]
+    assert len(fwht_calls) == len(transforms)
     out = []
     for n, width, calls in transforms:
         covered = {}
@@ -445,6 +516,8 @@ def test_spectral_closed_forms_at_the_rank_cap():
     # |c[0]| = 2^24 - 1 is the largest value the int32 butterfly forms
     assert int(c[0]) == top - 1
     assert int(c[1:].min()) == int(c[1:].max()) == -1
+    # c[0]^2 is near 2^48, so the int32 table's own dot wraps
+    c = c.astype(np.int64)
     assert int(np.dot(c, c)) == (top - 1) << r
     # c[0]^3 is near 2^72, so a plain int64 sum of cubes wraps
     cube_sum = (top - 1) ** 3 - (top - 1)
@@ -493,6 +566,31 @@ def test_hyperplane_counts_closed_forms_at_the_rank_cap():
     del counts
     counts = triangle_counts_per_hyperplane(affine_set(22, 5))
     assert not counts.any()
+
+
+def test_hyperplane_counts_need_int64_squares_at_the_rank_cap(monkeypatch):
+    # c[0] = 2^24 - 1 of the full set squares to near 2^48; squared in the
+    # int32 table's own dtype it wraps, and the counts come out wrong
+    import pgfree.spectral as spectral
+
+    r, top = 24, 1 << 24
+    full = PointSet.full(r)
+    c = walsh_hadamard(full).coeffs
+    assert int(np.square(c[:1])[0]) != (top - 1) ** 2
+    assert int(np.square(c[:1], dtype=np.int64)[0]) == (top - 1) ** 2
+
+    class Int32Squares:
+        """numpy, except that squares keep their input's dtype"""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def square(a, dtype=None):
+            return np.square(a)
+
+    monkeypatch.setattr(spectral, "np", Int32Squares())
+    assert int(triangle_counts_per_hyperplane(full)[0]) != (top - 1) * (top - 2)
 
 
 _CUBE_SUM_BASES = [
@@ -598,8 +696,8 @@ def test_moments_leave_out_the_large_coefficient_at_zero(monkeypatch):
 
 def test_moments_pass_temporaries_stay_within_a_few_blocks():
     # the checks and moments of an r = 18 spectrum, four blocks long, keep
-    # one block of squares and chunk-sized splits of it, never a
-    # table-sized temporary
+    # one block of int64 squares, numpy's casting buffers and chunk-sized
+    # splits of it, never a table-sized temporary
     import tracemalloc
 
     r = 18
@@ -611,7 +709,8 @@ def test_moments_pass_temporaries_stay_within_a_few_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * _BLOCK * c.itemsize == c.nbytes // 2
+    assert c.dtype == np.int32
+    assert peak < 2 * _BLOCK * 8
 
 
 def test_spectral_results_are_remembered_per_instance():

@@ -631,6 +631,28 @@ def test_cli_spectrum(monkeypatch, capsys):
     assert {r.split(",")[0] for r in rows} == {"0", "1"}
 
 
+@pytest.mark.parametrize(
+    "r, digest",
+    [
+        # one block of in-block stages, all in int16
+        (7, "046c8477b3ebf1a5f9b80629c7d1669adc1fffbcd9f11d5aab71eb8bd65dcb76"),
+        (12, "3b1118227ccba1d116f4981cfa868f780523ed93829088549dda6ec61b58d9d0"),
+        # int16 and int32 in-block stages, then a wide stage over two blocks
+        (17, "98348762312c3db21769eccb02ad9eba1f75a477885c976b877c3466f5edc277"),
+    ],
+)
+def test_cli_spectrum_stdout_is_pinned(r, digest, monkeypatch, capsys):
+    code, out, _ = run_cli(
+        ["spectrum"],
+        stdin_text=sample_pointset(r, 1, 0).to_compact(),
+        monkeypatch=monkeypatch,
+        capsys=capsys,
+    )
+    assert code == 0
+    assert len(out.splitlines()) == (1 << r) + 1
+    assert _sha256(out) == digest
+
+
 def test_cli_spectrum_rejects_negative_top_before_any_output(monkeypatch, capsys):
     code, out, err = run_cli(
         ["spectrum", "--top", "-2"], stdin_text="3:AA", monkeypatch=monkeypatch, capsys=capsys
