@@ -23,15 +23,21 @@ flat search of ``search``.
 
 In an ambient of rank r <= 6 the whole geometry is one 64-bit word, and the
 subgeometry search is one lookup in a table of all rank-n flats, built once
-per (r, n) in the walk's order of least generating tuples.  Above, a
-triangle-free set is free at n = 2 by its triangle count, and otherwise
-the walk fixes every generator itself.  Only the choice of g_{n-2} out of a
-large pool is helped: by the cone lemma, an apex x completes the span S
-iff the cone of E_S at x holds a pair, which a batched kernel tests for a
-block of pool points at once on the 64-bit words of E_S, translated by
-gathers from their 64 in-word XOR permutations as in the triangle count.
-The walk skips to the least pool point with a hit and completes it.  The
-witness keeps the generators and spans its flat only when it is read.
+per (r, n) in the walk's order of least generating tuples.  Above, at
+n = 2 and 3, the least point's subtree is searched first, and when it
+holds no flat the memoized triangle counts may prove that none exists: a
+set with no triangle is free at n = 2, and a set that meets some
+hyperplane in a triangle-free set is fano-free, since a fano meets every
+hyperplane in at least a line.  By Theorem 4.1 every fano-free set of more
+than (5/8) 2^r points has such a hyperplane, so a dense free set is
+settled with no walk past its least point.  Otherwise the walk fixes every
+generator itself.  Only the choice of g_{n-2} out of a large pool is
+helped: by the cone lemma, an apex x completes the span S iff the cone of
+E_S at x holds a pair, which a batched kernel tests for a block of pool
+points at once on the 64-bit words of E_S, translated by gathers from
+their 64 in-word XOR permutations as in the triangle count.  The walk
+skips to the least pool point with a hit and completes it.  The witness
+keeps the generators and spans its flat only when it is read.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from .errors import GeometryError, HypothesisError
 from .geometry import Flat, closure, echelon_basis, kernel_basis, rank_of
 from .pointset import SMALL_SET_POINTS, PointSet, coordinate_masks, memoized, xor_translate
 from .pointset import pointset_from_mask, pointset_from_words
+from .spectral import triangle_counts_per_hyperplane, walsh_hadamard
 
 
 @memoized
@@ -126,9 +133,13 @@ def is_pg_free(E: PointSet, n: int) -> FreenessWitness:
     of points of E, each g_i outside the span S of the earlier ones with
     g_i ^ s in E for every s in S: at r <= 6 the first row of
     ``_flat_table(r, n)`` whose flat lies inside E, above it the first
-    leaf of ``_walk``.  The answer is remembered in E.memo, once per n.
-    Its flat is spanned from the generators when ``subspace`` is first
-    read, not by the search.
+    leaf of ``_walk``.  Above r = 6, at n = 2 and 3, freeness may instead
+    be proved by E's triangle counts: at n = 3 by a hyperplane that meets
+    E in no triangle, since a fano meets every hyperplane in at least a
+    line.  By Theorem 4.1 every fano-free set of more than (5/8) 2^r
+    points has such a hyperplane.  The answer is remembered in
+    E.memo, once per n.  Its flat is spanned from the generators when
+    ``subspace`` is first read, not by the search.
     """
     if n < 1:
         raise GeometryError("subgeometry rank must be >= 1")
@@ -142,10 +153,11 @@ def _search_subgeometry(E: PointSet, n: int) -> FreenessWitness:
     """The least generating tuple of a rank-n flat inside E, as a witness:
     off the table of flats of an ambient of one bitset word (at most
     SMALL_SET_POINTS words), else the first leaf of ``_walk``.  At n = 2
-    the least point's subtree comes first, one cone step: its least pair
-    is the first leaf.  Past it, a set with no triangle (its count is
-    memoized) is free with no walk, and any other set is walked without
-    its least point."""
+    and 3 the least point's subtree comes first, one cone step: a leaf
+    there is the first leaf.  Past it, a set that its memoized triangle
+    counts prove free (``_free_by_triangle_counts``: at n = 2 no triangle,
+    at n = 3 a hyperplane with none) is free with no walk, and any other
+    set is walked without its least point."""
     if n > E.rank or E.size < (1 << n) - 1:
         return FreenessWitness(False, None)
     if (1 << E.rank) <= SMALL_SET_POINTS:
@@ -153,20 +165,30 @@ def _search_subgeometry(E: PointSet, n: int) -> FreenessWitness:
         missing = masks & np.uint64(E.bits ^ 0xFFFFFFFFFFFFFFFF)
         i = int(missing.argmin())
         gens = None if missing[i] else generators[i]
-    elif n == 2:
+    elif n in (2, 3):
         q = (E.bits & -E.bits).bit_length() - 1
-        pool = _cone_step(E.bits, E.bits, q, E.rank)[1]
-        if pool:
-            gens = q, (pool & -pool).bit_length() - 1
-        elif triangle_count_naive(E) == 0:
-            gens = None
+        cone, pool = _cone_step(E.bits, E.bits, q, E.rank)
+        if n == 2:
+            gens = (q, (pool & -pool).bit_length() - 1) if pool else None
         else:
-            gens = next(_walk(E.bits, E.bits ^ 1 << q, E.rank, 2), (None,))[0]
+            leaf = next(_walk(cone, pool, E.rank, 2), None)
+            gens = (q, *leaf[0]) if leaf else None
+        if gens is None and not _free_by_triangle_counts(E, n):
+            gens = next(_walk(E.bits, E.bits ^ 1 << q, E.rank, n), (None,))[0]
     else:
         gens = next(_walk(E.bits, E.bits, E.rank, n), (None,))[0]
     if gens is None:
         return FreenessWitness(False, None)
     return FreenessWitness._spanned_by(E.rank, list(gens))
+
+
+def _free_by_triangle_counts(E: PointSet, n: int) -> bool:
+    """Whether E's memoized triangle counts prove it free at n = 2 or 3:
+    at n = 2 E has no triangle, at n = 3 some E ∩ W_gamma, gamma >= 1, has
+    none (a fano meets every hyperplane in at least a line)."""
+    if n == 2:
+        return triangle_count_naive(E) == 0
+    return not triangle_counts_per_hyperplane(E)[1:].all()
 
 
 @lru_cache(maxsize=None)
@@ -468,8 +490,6 @@ def critical_number(E: PointSet) -> int:
     """
     if E.size == 0:
         return 0
-    from .spectral import walsh_hadamard
-
     spec = walsh_hadamard(E)
     nonzero = spec.coeffs != 0
     nonzero[0] = False

@@ -212,12 +212,13 @@ class PointSet:
         bits = 0
         top = 1 << rank
         for i, w in enumerate(pts):
-            pos = f"{where}.points[{i}]"
-            if isinstance(w, bool) or not isinstance(w, int):
-                raise PointSetParseError(f"point {w!r} is not an integer", pos)
-            if w == 0:
-                raise PointSetParseError("0 is not a point of the geometry", pos)
-            if not 0 < w < top:
+            if isinstance(w, bool) or not isinstance(w, int) or not 0 < w < top:
+                # the location is formatted only for the point that fails
+                pos = f"{where}.points[{i}]"
+                if isinstance(w, bool) or not isinstance(w, int):
+                    raise PointSetParseError(f"point {w!r} is not an integer", pos)
+                if w == 0:
+                    raise PointSetParseError("0 is not a point of the geometry", pos)
                 raise PointSetParseError(f"point {w} is outside the rank-{rank} geometry", pos)
             bits |= 1 << w
         return cls(rank, bits)

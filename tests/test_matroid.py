@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from pgfree.constructions import affine_set, bose_burton
+from pgfree.constructions import affine_set, bose_burton, m_k5
 from pgfree.errors import GeometryError, HypothesisError
 from pgfree.geometry import closure, flat_points, hyperplane_of, rank_of
 from pgfree.matroid import (
@@ -21,7 +21,7 @@ from pgfree.matroid import (
     triangle_count_naive,
 )
 from pgfree.pointset import PointSet
-from pgfree.spectral import triangle_count_spectral, walsh_hadamard
+from pgfree.spectral import triangle_count_spectral, triangle_counts_per_hyperplane, walsh_hadamard
 from pgfree.verify import sample_pointset
 
 from oracles import (
@@ -208,6 +208,17 @@ def fano_free_below(r, low, mid, rng, keep=0.9):
     return PointSet.from_points(r, sorted(low) + sorted(mid) + high)
 
 
+def spy_on(monkeypatch, *names):
+    """Record the name of every call to the given functions of ``matroid``."""
+    import pgfree.matroid as matroid
+
+    calls = []
+    for name in names:
+        real = getattr(matroid, name)
+        monkeypatch.setattr(matroid, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    return calls
+
+
 def spy_on_kernel(monkeypatch):
     """Record the arguments of every apex-kernel call."""
     import pgfree.matroid as matroid
@@ -281,15 +292,17 @@ def test_is_pg_free_small_blocks_split_rows_and_columns(monkeypatch):
 
 def test_apex_kernel_first_hit_at_word_boundary(monkeypatch):
     # The least point of a fano is 63, which ends a 64-bit word, so all of
-    # its completions lie in later words.  With one point below it, which
-    # the walk tries itself, it is the first apex of the kernel's first
-    # block.
+    # its completions lie in later words.  With two points below it, in no
+    # fano, it is the first apex of the kernel's first block: the search
+    # tries the least point itself before the per-hyperplane counts, which
+    # cannot settle a set holding a fano, and the walk on from the second
+    # point tries that point itself.
     import pgfree.matroid as matroid
 
     calls = spy_on_kernel(monkeypatch)
     rng = random.Random(41)
     flipped = [w for w in range(1, 63) if w & 3 in (1, 2)]
-    for low in (flipped, flipped[:1]):
+    for low in (flipped, flipped[:2]):
         e = fano_free_below(8, low, [63], rng)
         assert dfs_least_generators(e.points, 3)[0] == 63
         rest = e.bits & (e.bits - 1)
@@ -382,6 +395,119 @@ def test_is_pg_free_on_lifted_dense_free_set():
     assert e.size == a.size << 7
     assert is_pg_free(e, 3) == FreenessWitness(False, None)
     assert_matches_dfs(e, 2)
+
+
+def greedy_fano_free(r, seed):
+    """A maximal fano-free set of rank r: each point, in a seeded order, is
+    kept unless it closes a fano, that is unless the cone at it of the set
+    with it added holds a triangle.  The seeds the tests use give sets with
+    a triangle in every hyperplane and, from r = 8 on, more than 65
+    points."""
+    from pgfree.pointset import xor_translate
+
+    order = list(range(1, 1 << r))
+    random.Random(seed).shuffle(order)
+    bits = 0
+    for p in order:
+        grown = bits | 1 << p
+        if triangle_count_naive(PointSet(r, grown & xor_translate(grown, p, r))) == 0:
+            bits = grown
+    return PointSet(r, bits)
+
+
+@pytest.mark.parametrize("r", [7, 8, 9, 10])
+def test_triangle_free_hyperplane_proves_fano_freeness_without_the_kernel(monkeypatch, r):
+    # Dense fano-free sets, above (5/8) 2^r: bose_burton(r, 3) minus seeded
+    # points and a lift of bose_burton(5, 3) minus one.  Theorem 4.1 gives
+    # each a triangle-free hyperplane, so after the least point's subtree
+    # the per-hyperplane counts end the search, and neither the apex
+    # kernel nor its skip runs.  The DFS oracle takes seconds on these sets
+    # from r = 9, where a subset of bose_burton(r, 3) or a lift of a
+    # fano-free set is known to be fano-free.
+    calls = spy_on(monkeypatch, "_least_apex", "_first_apex_with_pair")
+    rng = random.Random(800 + r)
+    bb, bb5 = bose_burton(r, 3), bose_burton(5, 3)
+    sets = [bb.without_point(w) for w in rng.sample(bb.points, 2)]
+    sets.append(lift(bb5.without_point(rng.choice(bb5.points)), r, seed=r))
+    for e in sets:
+        assert 8 * e.size > 5 << r
+        assert is_pg_free(e, 3) == FreenessWitness(False, None)
+        assert not e.memo["triangle_counts_per_hyperplane"][1:].all()
+        if r <= 8:
+            assert dfs_least_generators(e.points, 3) is None
+    assert calls == []
+
+
+@pytest.mark.parametrize("r", [7, 8, 9, 10])
+def test_fano_free_set_with_a_triangle_in_every_hyperplane_runs_the_kernel(monkeypatch, r):
+    # A lift of M(K5), of exactly (5/8) 2^r points, the sharpness example
+    # of Theorem 4.1, and greedy maximal fano-free sets meet every
+    # hyperplane in a triangle, so the counts prove nothing and the walk
+    # goes on past the least point; with more than 65 points its pool
+    # reaches the apex kernel.  The DFS oracle on the lift takes seconds
+    # from r = 9, where the lift of fano-free M(K5) is known to be free.
+    calls = spy_on(monkeypatch, "_least_apex", "_first_apex_with_pair")
+    lifted = lift(m_k5(), r, seed=r)
+    assert lifted.size > 65
+    for e in (lifted, greedy_fano_free(r, 1), greedy_fano_free(r, 2)):
+        calls.clear()
+        if r <= 8 or e is not lifted:
+            assert_matches_dfs(e, 3)
+        assert is_pg_free(e, 3) == FreenessWitness(False, None)
+        assert e.memo["triangle_counts_per_hyperplane"][1:].all()
+        assert ("_first_apex_with_pair" in calls) == ("_least_apex" in calls) == (e.size > 65)
+
+
+@pytest.mark.parametrize("r", [7, 8, 9, 10])
+def test_per_hyperplane_counts_never_free_a_set_holding_a_fano(monkeypatch, r):
+    # Sets with a fano whose least point is in none: fano_free_below sets,
+    # and greedy maximal fano-free sets or a lift of M(K5) plus a point
+    # above their least.  The search reads the counts, which must not
+    # certify freeness, and then finds the DFS's least generating tuple.
+    import pgfree.matroid as matroid
+
+    verdicts = []
+    certify = matroid._free_by_triangle_counts
+    monkeypatch.setattr(matroid, "_free_by_triangle_counts", lambda *a: verdicts.append(certify(*a)) or verdicts[-1])
+    rng = random.Random(900 + r)
+    flipped = [w for w in range(1, 1 << (r - 2)) if w & 3 in (1, 2)]
+    kept = [w for w in range(4, 1 << (r - 2)) if w & 3 in (0, 3)]
+    sets = [fano_free_below(r, rng.sample(flipped, k), rng.sample(kept, 2), rng) for k in (1, 2, 5)]
+    for base in (greedy_fano_free(r, 3), greedy_fano_free(r, 4), lift(m_k5(), r, seed=r)):
+        above = [w for w in base.complement().points if w > base.points[0]]
+        sets += [base.with_point(w) for w in rng.sample(above, 4)]
+    checked = 0
+    for e in sets:
+        gens = dfs_least_generators(e.points, 3)
+        if gens is None or gens[0] == e.points[0]:
+            continue
+        verdicts.clear()
+        assert_matches_dfs(e, 3)
+        assert verdicts == [False], e.to_compact()
+        checked += 1
+    assert checked >= 6
+
+
+@settings(max_examples=20)
+@given(st.integers(7, 8), st.integers(1, 255), st.floats(0.05, 1.0), st.randoms(use_true_random=False))
+def test_a_triangle_free_hyperplane_section_means_no_fano(r, gamma, density, rng):
+    # E meets W_gamma in a triangle-free set, built greedily from its
+    # points in a random order, and holds a random part of the rest: so
+    # T(E ∩ W_gamma) = 0, and is_pg_free(E, 3) and the DFS find no fano.
+    gamma %= 1 << r
+    assume(gamma)
+    inside, outside = [], []
+    for w in rng.sample(range(1, 1 << r), (1 << r) - 1):
+        if (w & gamma).bit_count() & 1:
+            if rng.random() < density:
+                outside.append(w)
+        elif rng.random() < density and all(w ^ v not in inside for v in inside):
+            inside.append(w)
+    e = PointSet.from_points(r, inside + outside)
+    assert brute_triangle_count(inside) == 0
+    assert triangle_counts_per_hyperplane(e)[gamma] == 0
+    assert is_pg_free(e, 3) == FreenessWitness(False, None)
+    assert dfs_least_generators(e.points, 3) is None
 
 
 @pytest.mark.parametrize("r", [7, 8, 9])
@@ -622,10 +748,7 @@ def test_flat_table_replaces_the_dfs_up_to_rank_6(monkeypatch):
     for r in range(1, 7):  # the tables are built by the walk, once
         for n in range(1, r + 1):
             matroid._flat_table(r, n)
-    calls = []
-    for name in ("_least_apex", "_first_apex_with_pair", "_walk"):
-        real = getattr(matroid, name)
-        monkeypatch.setattr(matroid, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    calls = spy_on(monkeypatch, "_least_apex", "_first_apex_with_pair", "_walk")
     rng = random.Random(47)
     for r in range(1, 7):
         sets = [PointSet.full(r), PointSet.from_points(r, [w for w in range(1, 1 << r) if rng.random() < 0.7])]
@@ -635,9 +758,11 @@ def test_flat_table_replaces_the_dfs_up_to_rank_6(monkeypatch):
                 is_pg_free(e, n)
     assert calls == []
     # at r = 7 the walk runs, and a pool of more than 64 points whose least
-    # point fails reaches the apex kernel
+    # point fails reaches the apex kernel: the 80 points of a lift of M(K5)
+    # are fano-free with a triangle in every hyperplane, so no
+    # per-hyperplane count settles them
     assert is_pg_free(PointSet.full(7), 3).found
-    assert not is_pg_free(bose_burton(7, 3), 3).found
+    assert not is_pg_free(lift(m_k5(), 7, seed=7), 3).found
     assert set(calls) == {"_least_apex", "_first_apex_with_pair", "_walk"}
 
 

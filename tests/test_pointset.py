@@ -166,5 +166,23 @@ def test_parse_errors_carry_position():
     assert "invalid JSON" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "pts, message",
+    [
+        ([1, "x"], "e.json.points[1]: point 'x' is not an integer"),
+        ([1, True], "e.json.points[1]: point True is not an integer"),
+        ([1, 2, 1.5], "e.json.points[2]: point 1.5 is not an integer"),
+        ([None], "e.json.points[0]: point None is not an integer"),
+        ([2, 0], "e.json.points[1]: 0 is not a point of the geometry"),
+        ([3, 16], "e.json.points[1]: point 16 is outside the rank-4 geometry"),
+        ([-1], "e.json.points[0]: point -1 is outside the rank-4 geometry"),
+    ],
+)
+def test_point_errors_name_the_failing_point(pts, message):
+    with pytest.raises(PointSetParseError) as exc:
+        PointSet.from_json_obj({"rank": 4, "points": pts}, "e.json")
+    assert str(exc.value) == message
+
+
 def test_parse_sniffs_format():
     assert PointSet.parse('{"rank": 2, "points": [1]}') == PointSet.parse("2:2")
