@@ -5,7 +5,8 @@ obtained by restricting the geometry to E.  This module measures that
 matroid: its rank, whether it contains a projective subgeometry of a given
 rank (with a witness), its triangle count by intersecting E with its
 translates E + x, each triangle counted once from its least point
-(independently of the Fourier transform), and its critical number (the
+(independently of the Fourier transform; in the one-word ambient, r <= 6,
+for a block of sets at once), and its critical number (the
 least corank of a flat of the ambient geometry disjoint from E).
 
 Every search for a flat inside a set is one walk of the iterated cone,
@@ -347,6 +348,8 @@ _NAIVE_PYTHON_CUTOFF = 28
 # Bitset words of the triangle count's base term: its points below 2^9 are
 # counted in one gather, and only higher levels are counted per level.
 _BASE_WORDS = 8
+# Row b shifts a uint64 word right by b bits.
+_SHIFTS = np.arange(64, dtype=np.uint64)[:, None]
 # Butterfly stage s of ``_xor_permutations`` swaps adjacent 2^s-bit blocks.
 _SWAP_MASKS = tuple(
     np.uint64(m)
@@ -385,10 +388,15 @@ def triangle_count_naive(E: PointSet) -> int:
     of them at r <= 9), and level k gathers only H_k's words
     [2^(k-6), 2^(k-5)) for the points below 2^k: on a set of even density,
     about a third of the words of the full count.
+
+    In the one-word ambient (2^r <= ``SMALL_SET_POINTS``) the count is the
+    block kernel ``_translation_counts`` on a block of one.
     """
     m = E.size
     if m < 3:
         return 0
+    if (1 << E.rank) <= SMALL_SET_POINTS:
+        return _translation_counts([E])[0]
     if m < _NAIVE_PYTHON_CUTOFF:
         pts = E.points
         bits = E.bits
@@ -414,6 +422,26 @@ def triangle_count_naive(E: PointSet) -> int:
         w *= 2
         end = xs.searchsorted(64 * w)
     return total
+
+
+def _translation_counts(sets: list[PointSet]) -> list[int]:
+    """T of each of a block of same-rank sets in the one-word ambient, by
+    translation: each set is one word W, row x of the words'
+    ``_xor_permutations`` holds its translate W + x, and T = the sum over
+    the points x of |W ∩ (W + x)|, one popcount per row and set.  No
+    Fourier transform is involved."""
+    words = np.fromiter((e.bits for e in sets), dtype=np.uint64, count=len(sets))
+    n = 1 << sets[0].rank
+    cones = np.bitwise_count(_xor_permutations(words, n) & words)
+    points = words >> _SHIFTS[:n] & np.uint64(1)
+    return (cones * points).sum(axis=0).tolist()
+
+
+def _block_triangle_counts(sets: list[PointSet]) -> None:
+    """Keep ``_translation_counts`` of a block of same-rank one-word sets in
+    each set's memo, where ``triangle_count_naive`` reads it."""
+    for e, t in zip(sets, _translation_counts(sets)):
+        e.memo["triangle_count_naive"] = t
 
 
 def _translation_popcount(perms: np.ndarray, keys: np.ndarray, words: np.ndarray, j0: int, j1: int) -> int:
@@ -443,15 +471,16 @@ def _translation_keys(ys: np.ndarray, nw: int) -> np.ndarray:
     return (ys & 63) * nw | (ys >> 6)
 
 
-def _xor_permutations(words: np.ndarray) -> np.ndarray:
-    """Row l holds the words with bit b of each moved to bit b ^ l (l < 64).
+def _xor_permutations(words: np.ndarray, rows: int = 64) -> np.ndarray:
+    """Row l holds the words with bit b of each moved to bit b ^ l (l < rows,
+    a power of two up to 64).
 
-    Built in 6 butterfly stages: stage s fills rows 2^s .. 2^(s+1) - 1 by
+    Built in butterfly stages: stage s fills rows 2^s .. 2^(s+1) - 1 by
     swapping the adjacent 2^s-bit blocks of rows 0 .. 2^s - 1.
     """
-    perms = np.empty((64, words.size), dtype=np.uint64)
+    perms = np.empty((rows, words.size), dtype=np.uint64)
     perms[0] = words
-    for s, mask in enumerate(_SWAP_MASKS):
+    for s, mask in enumerate(_SWAP_MASKS[: rows.bit_length() - 1]):
         h = 1 << s
         shift = np.uint64(h)
         lo, hi = perms[:h], perms[h:2 * h]

@@ -2,14 +2,22 @@
 
 The transform of the indicator of a point set E is
 coeff(gamma) = sum over words y in E of (-1)^(y . gamma), computed for all
-2^r characters at once.  All arithmetic is integer-exact.  A table of at
-most ``SMALL_SET_POINTS`` (64) entries, the one-word ambient r <= 6, is
-one int64 product with a leading block of the Sylvester matrix H_64:
-there numpy's fixed cost per call, not arithmetic, sets the time, and one
-product of at most 64 x 64 costs less than the butterfly's handful of
-calls per stage.  Larger tables run the size-doubling butterfly, whose
-stages cost O(1) per entry against the product's O(k).  Its six narrowest
-stages (widths 1 to 32) are read off the bitset's bytes: each 64-bit
+2^r characters at once.  All arithmetic is integer-exact.
+
+In the one-word ambient, r <= 6 (2^r <= ``SMALL_SET_POINTS``), numpy's
+fixed cost per call, not arithmetic, sets the time, so the values of a
+block of same-rank sets are formed together on their (B x 2^r) int64
+membership stack (``_block_spectra``): the spectra are one product with
+the leading 2^r x 2^r block of the Sylvester matrix H_64, followed by
+row-wise extremes, squares and cubes; the per-hyperplane triangle counts
+are the same two products, stacked; uniformity's least witness is one row
+argmax.  Every row passes the same checks as a single table, and a row
+that fails is not kept, so its set's own call recomputes it and raises.
+A single one-word set is a block of one.
+
+Larger tables run the size-doubling butterfly, whose stages cost O(1)
+per entry against the product's O(2^r).  Its six narrowest stages
+(widths 1 to 32) are read off the bitset's bytes: each 64-bit
 word's 64 entries after them are the sum of eight int8 rows of
 ``_BYTE_ROWS``, one per byte, so no indicator array is built.  The wider
 stages run in place, two per pass (radix 4): those narrower than a
@@ -38,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
@@ -131,13 +140,8 @@ def fwht_inplace(a: np.ndarray, width: int = 1) -> np.ndarray:
     width left.  From width 1, applying it twice multiplies the input by
     a.size.
 
-    A table of at most ``SMALL_SET_POINTS`` entries runs all those stages
-    as one product: with k = a.size / width, they are H_k ⊗ I_width, the
-    leading k x k block of ``_SYLVESTER`` applied to a.reshape(k, width).
-    Below that size one product costs less than the stages' numpy calls;
-    above it the product's k multiply-adds per entry cost more than the
-    butterfly.  A larger table runs the stages two at a time, as radix-4
-    passes (``_radix4``): those narrower than ``_BLOCK`` entries one block
+    The stages run two at a time, as radix-4 passes (``_radix4``): those
+    narrower than ``_BLOCK`` entries one block
     at a time, so that each block stays in cache across them, then the
     wider ones over the whole array; when a group has an odd number of
     stages, one plain stage runs its last.  A stage narrower than about
@@ -153,16 +157,10 @@ def fwht_inplace(a: np.ndarray, width: int = 1) -> np.ndarray:
     at most min(|E|, 4h), and a plain stage at width h doubles y before it
     forms x - y, so it forms values of at most min(2|E|, 2h).  int32 is
     exact for |E| < 2^30, and int16 for the stages narrower than 2^14,
-    which form values of at most 2^14.  The product forms its sums in
-    int64 and stores them in a's dtype.  Other input wraps like its dtype,
+    which form values of at most 2^14.  Other input wraps like its dtype,
     so the result is exact whenever it fits.
     """
     n = a.size
-    if n <= SMALL_SET_POINTS:
-        k = n // width
-        b = a.reshape(k, width)
-        b[...] = _SYLVESTER[:k, :k] @ b
-        return a
     block = min(n, _BLOCK)
     if width < block:
         for b in a.reshape(-1, block):
@@ -221,18 +219,63 @@ def _moments(c: np.ndarray) -> tuple[int, int, int, int]:
     return lo, hi, squares, cubes
 
 
+def _row_moments(c: np.ndarray) -> tuple[list[int], ...]:
+    """(min, max, sum(c^2), sum(c^3)) of each row of a nonempty (B, k)
+    stack with |c| <= 64, as lists of Python integers: the one-word
+    ambient's counterpart of ``_moments``, exact in int64 since k <= 64."""
+    c = c.astype(np.int64, copy=False)
+    sq = c * c
+    sq_c = sq * c
+    return tuple(v.tolist() for v in (c.min(axis=1), c.max(axis=1), sq.sum(axis=1), sq_c.sum(axis=1)))
+
+
+def _spectrum_fault(rank: int, m: int, c0: int, lo: int, hi: int, squares: int) -> Optional[str]:
+    """The first check of a spectrum that fails, or None: c[0] = |E|, every
+    nontrivial |c| <= |E| (given their extremes lo and hi), and Parseval's
+    sum(c^2) = 2^r |E| (given the nontrivial squares).  Every table, and
+    every row of a block, must pass them all."""
+    if c0 != m:
+        return "coeff at 0 must equal the set size"
+    if lo < -m or hi > m:
+        return "coefficient exceeds the set size in magnitude"
+    if squares + m * m != m << rank:
+        return "Parseval identity failed"
+    return None
+
+
+def _count_fault(rank: int, convolved: int, counted: int) -> Optional[str]:
+    """The first check of the per-hyperplane counts that fails, or None,
+    given a bitwise OR over the self-convolution and one over T + 3A: an
+    OR has a low bit set iff some entry does, so the first must have none
+    of its r low bits set (division by 2^r) and the second neither of its
+    two (division by 4)."""
+    if convolved & ((1 << rank) - 1):
+        return "self-convolution is not divisible by 2^r"
+    if counted & 3:
+        return "hyperplane triangle counts are not divisible by 4"
+    return None
+
+
+def _raise(fault: Optional[str]) -> None:
+    if fault is not None:
+        raise InternalInconsistencyError(fault)
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """All 2^r Fourier coefficients of an indicator, plus the set size.
 
-    Construction walks the table once (``_moments``) and refuses it unless
-    c[0] = |E|, every |c| <= |E| and Parseval's sum(c^2) = 2^r |E| hold.
-    The same pass keeps the least and greatest nontrivial coefficient
-    (gamma != 0) and the exact sum of cubes, which ``uniformity`` and
-    ``triangle_count_spectral`` read instead of walking the table again.
-    The table is int32 (int64 in the one-word ambient, r <= 6), exact
-    since every |c| <= |E| < 2^24, so squares and cubes of it are formed
-    in int64 or as Python integers.  It is read-only.
+    Construction walks the table once and refuses it unless c[0] = |E|,
+    every |c| <= |E| and Parseval's sum(c^2) = 2^r |E| hold
+    (``_spectrum_fault``).  The same pass keeps the least and greatest
+    nontrivial coefficient (gamma != 0) and the exact sum of cubes, which
+    ``uniformity`` and ``triangle_count_spectral`` read instead of walking
+    the table again: ``_moments`` past the one-word ambient, and
+    ``_row_moments`` on a table of at most ``SMALL_SET_POINTS`` entries,
+    as on the rows of a block (``_spectrum_rows``).  The table is int32
+    (int64 in the one-word ambient, r <= 6), exact since every
+    |c| <= |E| < 2^24, so squares and cubes of it are formed in int64 or
+    as Python integers.  It is read-only.
     """
 
     ambient_rank: int
@@ -247,34 +290,104 @@ class Spectrum:
         m = self.set_size
         if c.shape != (1 << self.ambient_rank,):
             raise InternalInconsistencyError("coefficient table has the wrong length")
-        if int(c[0]) != m:
-            raise InternalInconsistencyError("coeff at 0 must equal the set size")
-        lo, hi, squares, cubes = _moments(c[1:])
-        if lo < -m or hi > m:
-            raise InternalInconsistencyError("coefficient exceeds the set size in magnitude")
-        if squares + m * m != m << self.ambient_rank:
-            raise InternalInconsistencyError("Parseval identity failed")
-        object.__setattr__(self, "nontrivial_min", lo)
-        object.__setattr__(self, "nontrivial_max", hi)
-        object.__setattr__(self, "cube_sum", cubes + m**3)
+        if c.size <= SMALL_SET_POINTS:
+            lo, hi, squares, cubes = (v[0] for v in _row_moments(c[None, 1:]))
+        else:
+            lo, hi, squares, cubes = _moments(c[1:])
+        _raise(_spectrum_fault(self.ambient_rank, m, int(c[0]), lo, hi, squares))
+        self.__dict__.update(nontrivial_min=lo, nontrivial_max=hi, cube_sum=cubes + m**3)
         c.flags.writeable = False
+
+    @classmethod
+    def _of_checked_row(cls, rank: int, coeffs: np.ndarray, size: int, lo: int, hi: int,
+                        cube_sum: int) -> "Spectrum":
+        """A read-only row of a block, whose checks and moments
+        ``_spectrum_rows`` has formed, with no second pass."""
+        spec = object.__new__(cls)
+        spec.__dict__.update(ambient_rank=rank, coeffs=coeffs, set_size=size,
+                             nontrivial_min=lo, nontrivial_max=hi, cube_sum=cube_sum)
+        return spec
 
     def __getitem__(self, gamma: int) -> int:
         return int(self.coeffs[gamma])
+
+
+def _sylvester_rows(a: np.ndarray) -> np.ndarray:
+    """The transform of each row of a (B, 2^r) int64 stack, 2^r <=
+    ``SMALL_SET_POINTS``: one product with the leading 2^r x 2^r block of
+    ``_SYLVESTER``, which is symmetric."""
+    n = a.shape[1]
+    return a @ _SYLVESTER[:n, :n]
+
+
+def _membership_rows(sets: list[PointSet]) -> np.ndarray:
+    """The 0/1 indicators of same-rank one-word sets, as a (B, 2^r) int64
+    stack read off their bitsets."""
+    words = np.fromiter((e.bits for e in sets), dtype="<u8", count=len(sets))
+    bits = np.unpackbits(words.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+    return bits[:, : 1 << sets[0].rank].astype(np.int64)
+
+
+def _spectrum_rows(sets: list[PointSet], member: np.ndarray) -> tuple[np.ndarray, list]:
+    """The spectra of same-rank one-word sets from their membership stack:
+    one product, then each row's moments and checks.  A row that passes
+    goes into its set's memo.  Returns the read-only coefficient stack and
+    each row's fault (None for a kept row)."""
+    r = sets[0].rank
+    c = _sylvester_rows(member)
+    c.flags.writeable = False
+    faults = []
+    for e, row, c0, lo, hi, squares, cubes in zip(sets, c, c[:, 0].tolist(), *_row_moments(c[:, 1:])):
+        m = e.size
+        fault = _spectrum_fault(r, m, c0, lo, hi, squares)
+        if fault is None:
+            e.memo["walsh_hadamard"] = Spectrum._of_checked_row(r, row, m, lo, hi, cubes + m**3)
+        faults.append(fault)
+    return c, faults
+
+
+def _block_spectra(sets: list[PointSet], with_uniformity: bool = True) -> None:
+    """Spectra, per-hyperplane triangle counts and, optionally, uniformity
+    reports of a block of same-rank sets in the one-word ambient, formed
+    together on one membership stack and kept in each set's memo under
+    the key its memoized function reads.
+
+    A value is kept only if its row, and the spectrum row it is formed
+    from, pass the checks a single set's value passes, so a set whose row
+    fails is recomputed by its own call, which raises.
+    """
+    r = sets[0].rank
+    member = _membership_rows(sets)
+    c, faults = _spectrum_rows(sets, member)
+    counts, convolved, counted = _hyperplane_counts(c, member, r, _sylvester_rows)
+    counts.flags.writeable = False
+    for e, row, fault, ors in zip(sets, counts, faults, zip(convolved.tolist(), counted.tolist())):
+        if fault is None and _count_fault(r, *ors) is None:
+            e.memo["triangle_counts_per_hyperplane"] = row
+    if not with_uniformity:
+        return
+    t = np.abs(c[:, 1:])
+    peak = t.max(axis=1)
+    # the least nontrivial gamma of greatest |coeff|: argmax of a boolean
+    # row is its first True
+    worst = np.argmax(t == peak[:, None], axis=1) + 1
+    for e, m, gamma, fault in zip(sets, peak.tolist(), worst.tolist(), faults):
+        if fault is None:
+            e.memo["uniformity"] = UniformityReport(e.density, Fraction(m, 1 << r), gamma)
 
 
 @memoized
 def walsh_hadamard(E: PointSet) -> Spectrum:
     """Exact transform of the indicator of E over all 2^r characters.
 
-    In the one-word ambient (2^r <= ``SMALL_SET_POINTS``) the spectrum is
-    the leading 2^r x 2^r block of ``_SYLVESTER`` times the set's
-    ``membership`` table, one int64 product, as ``fwht_inplace`` forms it.
+    In the one-word ambient (2^r <= ``SMALL_SET_POINTS``) it is the block
+    kernel ``_spectrum_rows`` on a block of one: the set's membership row
+    times the leading 2^r x 2^r block of ``_SYLVESTER``, an int64 table.
     From r = 7 it is the int32 table of ``_int32_transform``.
     """
-    n = 1 << E.rank
-    if n <= SMALL_SET_POINTS:
-        return Spectrum(E.rank, _SYLVESTER[:n, :n].dot(E.membership), E.size)
+    if (1 << E.rank) <= SMALL_SET_POINTS:
+        _raise(_spectrum_rows([E], E.membership[None])[1][0])
+        return E.memo["walsh_hadamard"]
     return Spectrum(E.rank, _int32_transform(E), E.size)
 
 
@@ -346,25 +459,39 @@ def triangle_counts_per_hyperplane(E: PointSet) -> np.ndarray:
     would wrap, and int64 is exact at every rank: the transform of c^2
     forms partial sums bounded by 2 sum(c^2) = 2^(r+1) |E|, and that of d
     ones bounded by 2 sum(d) = 2T <= 2|E|^2, so with |E| < 2^24 every
-    value formed, T + 3A included, stays below 2^51.  The table is
+    value formed, T + 3A included, stays below 2^51.  In the one-word
+    ambient both transforms are products (``_sylvester_rows``) on a block
+    of one, as ``_block_spectra`` runs them on a block.  The table is
     remembered per set, so it is read-only.
     """
-    r = E.rank
-    d = fwht_inplace(np.square(walsh_hadamard(E).coeffs, dtype=np.int64))
-    # a bitwise OR over the table has a low bit set iff some entry does
-    if int(np.bitwise_or.reduce(d)) & ((1 << r) - 1):
-        raise InternalInconsistencyError("self-convolution is not divisible by 2^r")
-    d >>= r
-    d *= E.membership
-    a = fwht_inplace(d)
-    t = int(a[0])
-    a *= 3
-    a += t
-    if int(np.bitwise_or.reduce(a)) & 3:
-        raise InternalInconsistencyError("hyperplane triangle counts are not divisible by 4")
-    a >>= 2
+    c = walsh_hadamard(E).coeffs
+    if c.size <= SMALL_SET_POINTS:
+        stacked = _hyperplane_counts(c[None], E.membership[None], E.rank, _sylvester_rows)
+        a, convolved, counted = (v[0] for v in stacked)
+    else:
+        a, convolved, counted = _hyperplane_counts(c, E.membership, E.rank, fwht_inplace)
+    _raise(_count_fault(E.rank, int(convolved), int(counted)))
     a.flags.writeable = False
     return a
+
+
+def _hyperplane_counts(c: np.ndarray, member: np.ndarray, rank: int, transform):
+    """The per-hyperplane triangle counts of ``triangle_counts_per_hyperplane``
+    from a spectrum c and the membership table, or row-wise from stacks of
+    them, by ``transform`` along the last axis.  Returns the counts and,
+    per table, the bitwise ORs over the self-convolution and over T + 3A
+    that ``_count_fault`` reads."""
+    d = transform(np.square(c, dtype=np.int64))
+    convolved = np.bitwise_or.reduce(d, axis=-1)
+    d >>= rank
+    d *= member
+    a = transform(d)
+    t = a[..., :1].copy()
+    a *= 3
+    a += t
+    counted = np.bitwise_or.reduce(a, axis=-1)
+    a >>= 2
+    return a, convolved, counted
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,16 @@ hypothesis gating, and aggregates into an outcome whose canonical JSON is
 byte-identical for a fixed configuration regardless of worker count.  Any
 reported violation would be a counterexample to a proven statement, i.e.
 an implementation bug, which is exactly what the sweeps exist to catch.
+
+In the one-word ambient, r <= 6, the sweep driver builds its sets in
+blocks of ``_SWEEP_BLOCK`` and runs the block kernels on each block before
+the checks: every set's spectrum, per-hyperplane triangle counts,
+uniformity report and translation triangle count are formed together
+(``spectral._block_spectra``, ``matroid._block_triangle_counts``) and
+kept in its memo, where the checks' calls find them.  A row that fails
+its checks is not kept, so the set's own call recomputes it and raises,
+and the violation is counted as for any set.  From r = 7 sets stream one
+at a time.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ from . import FORMAT_VERSION, __version__
 from .errors import ConfigError, InternalInconsistencyError, ResourceCapError
 from .matroid import (
     AnalysisReport,
+    _block_triangle_counts,
     _dense_free,
     check_corollary_1_3,
     critical_number,
@@ -30,7 +41,7 @@ from .matroid import (
     matroid_rank,
     triangle_count_naive,
 )
-from .pointset import PointSet, check_rank
+from .pointset import SMALL_SET_POINTS, PointSet, check_rank
 from .search import (
     _cone_identity_holds,
     _cone_lemma_at,
@@ -42,7 +53,13 @@ from .search import (
     hyperplane_intersection,
     reconcile_hyperplane,
 )
-from .spectral import counting_bound_check, triangle_count_spectral, uniformity, walsh_hadamard
+from .spectral import (
+    _block_spectra,
+    counting_bound_check,
+    triangle_count_spectral,
+    uniformity,
+    walsh_hadamard,
+)
 
 # ---------------------------------------------------------------------------
 # the check table
@@ -367,6 +384,34 @@ class SweepOutcome:
         return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
 
 
+# Sets per block of a sweep in the one-word ambient: their spectra,
+# per-hyperplane and translation triangle counts and uniformity reports
+# are formed together, and every set's memo lives until its block is
+# checked.  On the all-check r = 4 sweep, blocks of 256 sets raised peak
+# RSS by 0.1 MiB over blocks of one, and blocks of 2,048 by 5.7 MiB.
+_SWEEP_BLOCK = 256
+
+
+def _universe_sets(cfg: SweepConfig, start: int, stop: int):
+    """The sets of the index range, in order.
+
+    In the one-word ambient (2^r <= ``SMALL_SET_POINTS``) they are built
+    ``_SWEEP_BLOCK`` at a time, and each block's spectra, per-hyperplane
+    counts, uniformity reports and translation triangle counts are formed
+    by the block kernels before its first set is checked.  Above, each set
+    is built as it is checked, so no block of memos is held.
+    """
+    if (1 << cfg.rank) > SMALL_SET_POINTS:
+        for index in range(start, stop):
+            yield _universe_set(cfg, index)
+        return
+    for first in range(start, stop, _SWEEP_BLOCK):
+        block = [_universe_set(cfg, i) for i in range(first, min(first + _SWEEP_BLOCK, stop))]
+        _block_spectra(block)
+        _block_triangle_counts(block)
+        yield from block
+
+
 def _sweep_range(cfg: SweepConfig, start: int, stop: int) -> dict[str, _CheckStats]:
     """Gate, conclude and record every configured check on each set of the range.
 
@@ -376,8 +421,7 @@ def _sweep_range(cfg: SweepConfig, start: int, stop: int) -> dict[str, _CheckSta
     stats = {name: _CheckStats(_CHECKS[name]) for name in cfg.checks}
     rows = [(_CHECKS[name].gate, _CHECKS[name].conclude, stats[name]) for name in cfg.checks]
     n = cfg.level
-    for index in range(start, stop):
-        e = _universe_set(cfg, index)
+    for e in _universe_sets(cfg, start, stop):
         for gate, conclude, st in rows:
             if not gate(e, n):
                 st.hypothesis_skipped += 1

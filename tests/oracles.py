@@ -197,6 +197,35 @@ def brute_epsilon_min_num(point_words, r: int) -> int:
     return worst
 
 
+def definition_tables(bitsets, r: int, chunk: int = 256):
+    """For sets of rank r <= 6 given as bitsets, straight from the
+    definitions: each set's Walsh coefficients (its indicator times the
+    table of (-1)^(y . gamma)), its ordered triangle count (the triples
+    (x, y, x ^ y) inside it, enumerated), and the ordered triangle count
+    of each hyperplane intersection E ∩ W_gamma (those triples with x and y
+    in W_gamma).  Returns three arrays with one row per set, computed
+    ``chunk`` sets at a time to bound memory."""
+    n = 1 << r
+    signs = np.array(
+        [[-1 if popcount_parity(y & g) else 1 for g in range(n)] for y in range(n)],
+        dtype=np.int64,
+    )
+    in_w = np.array(
+        [[popcount_parity(x & g) == 0 for x in range(n)] for g in range(n)], dtype=np.int64
+    )
+    xor = np.array([[x ^ y for y in range(n)] for x in range(n)])
+    coeffs, counts, per_hyperplane = [], [], []
+    for i in range(0, len(bitsets), chunk):
+        member = np.array(
+            [[(b >> y) & 1 for y in range(n)] for b in bitsets[i : i + chunk]], dtype=np.int64
+        ).reshape(-1, n)
+        triples = member[:, :, None] * member[:, None, :] * member[:, xor]
+        coeffs.append(member @ signs)
+        counts.append(triples.sum(axis=(1, 2)))
+        per_hyperplane.append(((triples @ in_w.T) * in_w.T[None]).sum(axis=1))
+    return np.concatenate(coeffs), np.concatenate(counts), np.concatenate(per_hyperplane)
+
+
 def qbinom_recurrence(n: int, k: int) -> int:
     """Gaussian binomial via the Pascal-type recurrence (independent of the
     product formula in the package)."""

@@ -272,13 +272,14 @@ def _checked_kernel_calls(r, monkeypatch):
     import pgfree.spectral as spectral
 
     # the spectrum's in-block stages run before its one fwht_inplace call,
-    # so its entry is open from the start and that call joins it; a
-    # one-word spectrum is one product, with no fwht_inplace call
+    # so its entry is open from the start and that call joins it; in the
+    # one-word ambient the spectrum and both cone-size transforms are
+    # products, with no fwht_inplace call
     transforms = [(1 << r, 64, [])] if r > 6 else []
     fwht_calls = []
 
     def fwht(a, width=1):
-        if fwht_calls or r <= 6:
+        if fwht_calls:
             transforms.append((a.size, width, []))
         fwht_calls.append(width)
         return fwht_inplace(a, width)
@@ -295,11 +296,12 @@ def _checked_kernel_calls(r, monkeypatch):
     monkeypatch.setattr(spectral, "_radix4", radix4)
     monkeypatch.setattr(spectral, "_butterfly", butterfly)
     triangle_counts_per_hyperplane(sample_pointset(r, 19, 0))
-    # the spectrum's stages from width 64 (none past its product at
-    # r <= 6) and both cone-size transforms' stages from width 1, each
-    # transform one fwht_inplace call
-    first = [(1 << r, 64)] if r > 6 else []
-    assert [(n, w) for n, w, _ in transforms] == first + [(1 << r, 1), (1 << r, 1)]
+    if r <= 6:
+        assert transforms == fwht_calls == []
+        return []
+    # the spectrum's stages from width 64 and both cone-size transforms'
+    # stages from width 1, each transform one fwht_inplace call
+    assert [(n, w) for n, w, _ in transforms] == [(1 << r, 64), (1 << r, 1), (1 << r, 1)]
     assert len(fwht_calls) == len(transforms)
     out = []
     for n, width, calls in transforms:
@@ -307,9 +309,7 @@ def _checked_kernel_calls(r, monkeypatch):
         for widths, size in calls:
             for h in widths:
                 covered[h] = covered.get(h, 0) + size
-        # a table of at most 64 entries is one Sylvester product, no kernel
-        expect = {} if n <= 64 else {1 << j: n for j in range(width.bit_length() - 1, r)}
-        assert covered == expect, (n, width)
+        assert covered == {1 << j: n for j in range(width.bit_length() - 1, r)}, (n, width)
         out += calls
     return out
 

@@ -96,6 +96,22 @@ def test_exhaustive_sweep_r3_json_is_pinned(level, checks, digest, rank):
     assert _sha256(out.to_canonical_json()) == digest
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_exhaustive_r4_digest_holds_across_workers(workers):
+    # every check at level 3 on every subset of PG(3,2), as the benchmark's
+    # exhaustive workload runs it; one-word sweeps form their values in
+    # blocks of 256 sets, and three workers' ranges start inside a block
+    checks = tuple(c for c in ALL_CHECKS if c != "gs")  # gs needs rank >= level + 2
+    out = run_sweep(SweepConfig(rank=4, level=3, mode="exhaustive", checks=checks), workers=workers)
+    assert _sha256(out.to_canonical_json()) == (
+        "68681873c77fd83770dd0707361a92866e9d4d68833bd2bdd6f59032e22a0160"
+    )
+    evaluated = {name: chk["evaluated"] for name, chk in out.checks.items()}
+    assert {k: evaluated[k] for k in ("thm-1.1", "cor-1.3", "lemma-2.4", "bose-burton")} == {
+        "thm-1.1": 455, "cor-1.3": 455, "lemma-2.4": 202545, "bose-burton": 29887
+    }
+
+
 def _bose_burton_6_3_minus_a_point():
     bb = bose_burton(6, 3)
     return bb.without_point(bb.points[0])
@@ -275,11 +291,14 @@ def test_reconcile_sweep_builds_no_hyperplane_flat(monkeypatch):
 
 def test_sweep_computes_the_hyperplane_counts_once_per_set(monkeypatch):
     # lemma-2.4, thm-4.1 and thm-1.1's scan and descent all read the
-    # per-hyperplane counts of a dense fano-free set; it is computed once
+    # per-hyperplane counts of a dense fano-free set; it is computed once,
+    # as a row of a block kernel call or by a call that misses the memo
     import pgfree.search as search
+    import pgfree.verify as verify
 
     seen = {}  # id -> [the set, calls, computations]; the set keeps its id unique
     real = search.triangle_counts_per_hyperplane
+    block_spectra = verify._block_spectra
 
     def spy(e):
         entry = seen.setdefault(id(e), [e, 0, 0])
@@ -287,7 +306,14 @@ def test_sweep_computes_the_hyperplane_counts_once_per_set(monkeypatch):
         entry[2] += "triangle_counts_per_hyperplane" not in e.memo
         return real(e)
 
+    def block_spy(sets, *args, **kwargs):
+        for e in sets:
+            seen.setdefault(id(e), [e, 0, 0])[2] += 1
+        return block_spectra(sets, *args, **kwargs)
+
     monkeypatch.setattr(search, "triangle_counts_per_hyperplane", spy)
+    for module in (search, verify):
+        monkeypatch.setattr(module, "_block_spectra", block_spy)
     checks = tuple(c for c in ALL_CHECKS if c != "gs")  # gs needs rank >= level + 2
     cfg = SweepConfig(rank=4, level=3, mode="random", sample_count=200, rng_seed=5,
                       density_filter=Fraction(5, 8), checks=checks)
