@@ -389,14 +389,12 @@ def triangle_count_naive(E: PointSet) -> int:
     [2^(k-6), 2^(k-5)) for the points below 2^k: on a set of even density,
     about a third of the words of the full count.
 
-    In the one-word ambient (2^r <= ``SMALL_SET_POINTS``) the count is the
-    block kernel ``_translation_counts`` on a block of one.
+    A larger set in the one-word ambient (2^r <= ``SMALL_SET_POINTS``) is
+    the block kernel ``_translation_counts`` on a block of one.
     """
     m = E.size
     if m < 3:
         return 0
-    if (1 << E.rank) <= SMALL_SET_POINTS:
-        return _translation_counts([E])[0]
     if m < _NAIVE_PYTHON_CUTOFF:
         pts = E.points
         bits = E.bits
@@ -407,6 +405,8 @@ def triangle_count_naive(E: PointSet) -> int:
                 if (bits >> (x ^ pts[j])) & 1:
                     t += 1
         return 2 * t
+    if (1 << E.rank) <= SMALL_SET_POINTS:
+        return _translation_counts([E])[0]
     words = E.words()
     nw = words.size
     perms = _xor_permutations(words).ravel()
@@ -438,10 +438,13 @@ def _translation_counts(sets: list[PointSet]) -> list[int]:
 
 
 def _block_triangle_counts(sets: list[PointSet]) -> None:
-    """Keep ``_translation_counts`` of a block of same-rank one-word sets in
-    each set's memo, where ``triangle_count_naive`` reads it."""
-    for e, t in zip(sets, _translation_counts(sets)):
-        e.memo["triangle_count_naive"] = t
+    """Keep ``_translation_counts`` of each set of a block of same-rank
+    one-word sets whose memo lacks it, where ``triangle_count_naive``
+    reads it."""
+    todo = [e for e in sets if "triangle_count_naive" not in e.memo]
+    if todo:
+        for e, t in zip(todo, _translation_counts(todo)):
+            e.memo["triangle_count_naive"] = t
 
 
 def _translation_popcount(perms: np.ndarray, keys: np.ndarray, words: np.ndarray, j0: int, j1: int) -> int:

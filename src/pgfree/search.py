@@ -35,7 +35,12 @@ from .matroid import (
     triangle_count_naive,
 )
 from .pointset import SMALL_SET_POINTS, PointSet, hyperplane_mask, xor_translate
-from .spectral import _block_spectra, triangle_counts_per_hyperplane, walsh_hadamard
+from .spectral import (
+    _block_hyperplane_counts,
+    _block_spectra,
+    triangle_counts_per_hyperplane,
+    walsh_hadamard,
+)
 
 
 def cone(E: PointSet, p: int) -> PointSet:
@@ -203,8 +208,9 @@ def _exhaustive_flat_search(E: PointSet, n: int) -> StructureResult:
     at rank n-3 and a word delta of its pool: the per-hyperplane triangle
     counts and the spectrum c of E ∩ K_D, K_D the flat orthogonal to D,
     give every flat K_D ∩ W_delta at once, of size (|E ∩ K_D| + c_delta)/2.
-    In the one-word ambient the leaves' spectra and counts are formed
-    together, one block kernel call per search (``_block_spectra``).
+    In the one-word ambient, from n = 4, the leaves' spectra and counts
+    are formed together, one call of each block kernel per search
+    (``_block_spectra``, ``_block_hyperplane_counts``).
     """
     r = E.rank
     if n == 2:
@@ -213,13 +219,13 @@ def _exhaustive_flat_search(E: PointSet, n: int) -> StructureResult:
     best_size, best_dual = -1, None
     full = (1 << (1 << r)) - 2
     leaves = ((D, pool, reduce(hyperplane_intersection, D, E)) for D, _, pool in _walk(full, full, r, n - 3))
-    if (1 << r) <= SMALL_SET_POINTS:
+    if (1 << r) <= SMALL_SET_POINTS and n > 3:
         # above, leaves stream, so no leaf's tables outlive it; at n = 3 the
-        # one leaf is E itself, whose counts a sweep's block has formed
+        # one leaf is E itself, whose own calls are a block of one
         leaves = list(leaves)
-        todo = [EK for _, _, EK in leaves if "triangle_counts_per_hyperplane" not in EK.memo]
-        if todo:
-            _block_spectra(todo, with_uniformity=False)
+        sets = [EK for _, _, EK in leaves]
+        _block_spectra(sets)
+        _block_hyperplane_counts(sets)
     for D, pool, EK in leaves:
         if EK.size < best_size:  # no flat inside K_D can reach the best
             continue

@@ -7,13 +7,15 @@ coeff(gamma) = sum over words y in E of (-1)^(y . gamma), computed for all
 In the one-word ambient, r <= 6 (2^r <= ``SMALL_SET_POINTS``), numpy's
 fixed cost per call, not arithmetic, sets the time, so the values of a
 block of same-rank sets are formed together on their (B x 2^r) int64
-membership stack (``_block_spectra``): the spectra are one product with
-the leading 2^r x 2^r block of the Sylvester matrix H_64, followed by
-row-wise extremes, squares and cubes; the per-hyperplane triangle counts
-are the same two products, stacked; uniformity's least witness is one row
-argmax.  Every row passes the same checks as a single table, and a row
-that fails is not kept, so its set's own call recomputes it and raises.
-A single one-word set is a block of one.
+stacks, each by its own kernel, which forms it only for the sets whose
+memo lacks it: ``_block_spectra`` is one product with the leading
+2^r x 2^r block of the Sylvester matrix H_64, followed by row-wise
+extremes, squares and cubes; ``_block_hyperplane_counts`` is the same two
+products, stacked, on the memoized spectra; ``_block_uniformity`` is one
+row argmax over them.  Every row passes the same checks as a single
+table, and a row that fails is not kept, so its set's own call
+recomputes it and raises.  A single one-word set's spectrum and counts
+are those kernels' rows on a block of one.
 
 Larger tables run the size-doubling butterfly, whose stages cost O(1)
 per entry against the product's O(2^r).  Its six narrowest stages
@@ -270,12 +272,11 @@ class Spectrum:
     (``_spectrum_fault``).  The same pass keeps the least and greatest
     nontrivial coefficient (gamma != 0) and the exact sum of cubes, which
     ``uniformity`` and ``triangle_count_spectral`` read instead of walking
-    the table again: ``_moments`` past the one-word ambient, and
-    ``_row_moments`` on a table of at most ``SMALL_SET_POINTS`` entries,
-    as on the rows of a block (``_spectrum_rows``).  The table is int32
-    (int64 in the one-word ambient, r <= 6), exact since every
-    |c| <= |E| < 2^24, so squares and cubes of it are formed in int64 or
-    as Python integers.  It is read-only.
+    the table again (``_moments``, or ``_row_moments`` on the rows of a
+    block, ``_spectrum_rows``).  The table is int32 (int64 in the one-word
+    ambient, r <= 6), exact since every |c| <= |E| < 2^24, so squares and
+    cubes of it are formed in int64 or as Python integers.  It is
+    read-only.
     """
 
     ambient_rank: int
@@ -290,10 +291,7 @@ class Spectrum:
         m = self.set_size
         if c.shape != (1 << self.ambient_rank,):
             raise InternalInconsistencyError("coefficient table has the wrong length")
-        if c.size <= SMALL_SET_POINTS:
-            lo, hi, squares, cubes = (v[0] for v in _row_moments(c[None, 1:]))
-        else:
-            lo, hi, squares, cubes = _moments(c[1:])
+        lo, hi, squares, cubes = _moments(c[1:])
         _raise(_spectrum_fault(self.ambient_rank, m, int(c[0]), lo, hi, squares))
         self.__dict__.update(nontrivial_min=lo, nontrivial_max=hi, cube_sum=cubes + m**3)
         c.flags.writeable = False
@@ -313,10 +311,10 @@ class Spectrum:
 
 
 def _sylvester_rows(a: np.ndarray) -> np.ndarray:
-    """The transform of each row of a (B, 2^r) int64 stack, 2^r <=
-    ``SMALL_SET_POINTS``: one product with the leading 2^r x 2^r block of
-    ``_SYLVESTER``, which is symmetric."""
-    n = a.shape[1]
+    """The transform of a 2^r-entry table, or of each row of a (B, 2^r)
+    stack, 2^r <= ``SMALL_SET_POINTS``: one int64 product with the leading
+    2^r x 2^r block of ``_SYLVESTER``, which is symmetric."""
+    n = a.shape[-1]
     return a @ _SYLVESTER[:n, :n]
 
 
@@ -328,11 +326,11 @@ def _membership_rows(sets: list[PointSet]) -> np.ndarray:
     return bits[:, : 1 << sets[0].rank].astype(np.int64)
 
 
-def _spectrum_rows(sets: list[PointSet], member: np.ndarray) -> tuple[np.ndarray, list]:
+def _spectrum_rows(sets: list[PointSet], member: np.ndarray) -> list[Optional[str]]:
     """The spectra of same-rank one-word sets from their membership stack:
     one product, then each row's moments and checks.  A row that passes
-    goes into its set's memo.  Returns the read-only coefficient stack and
-    each row's fault (None for a kept row)."""
+    goes into its set's memo.  Returns each row's fault (None for a kept
+    row)."""
     r = sets[0].rank
     c = _sylvester_rows(member)
     c.flags.writeable = False
@@ -343,37 +341,55 @@ def _spectrum_rows(sets: list[PointSet], member: np.ndarray) -> tuple[np.ndarray
         if fault is None:
             e.memo["walsh_hadamard"] = Spectrum._of_checked_row(r, row, m, lo, hi, cubes + m**3)
         faults.append(fault)
-    return c, faults
+    return faults
 
 
-def _block_spectra(sets: list[PointSet], with_uniformity: bool = True) -> None:
-    """Spectra, per-hyperplane triangle counts and, optionally, uniformity
-    reports of a block of same-rank sets in the one-word ambient, formed
-    together on one membership stack and kept in each set's memo under
-    the key its memoized function reads.
+def _block_spectra(sets: list[PointSet]) -> None:
+    """Keep the spectrum of each set of a block of same-rank one-word sets
+    whose memo lacks it (``_spectrum_rows``)."""
+    todo = [e for e in sets if "walsh_hadamard" not in e.memo]
+    if todo:
+        _spectrum_rows(todo, _membership_rows(todo))
 
-    A value is kept only if its row, and the spectrum row it is formed
-    from, pass the checks a single set's value passes, so a set whose row
-    fails is recomputed by its own call, which raises.
-    """
-    r = sets[0].rank
-    member = _membership_rows(sets)
-    c, faults = _spectrum_rows(sets, member)
-    counts, convolved, counted = _hyperplane_counts(c, member, r, _sylvester_rows)
-    counts.flags.writeable = False
-    for e, row, fault, ors in zip(sets, counts, faults, zip(convolved.tolist(), counted.tolist())):
-        if fault is None and _count_fault(r, *ors) is None:
-            e.memo["triangle_counts_per_hyperplane"] = row
-    if not with_uniformity:
+
+def _memoized_spectra(sets: list[PointSet], key: str) -> tuple[list[PointSet], Optional[np.ndarray]]:
+    """The sets of a block whose memo holds a spectrum but not ``key``,
+    and their coefficients as one (B, 2^r) stack."""
+    todo = [e for e in sets if key not in e.memo and "walsh_hadamard" in e.memo]
+    return todo, np.stack([e.memo["walsh_hadamard"].coeffs for e in todo]) if todo else None
+
+
+def _block_hyperplane_counts(sets: list[PointSet]) -> None:
+    """Keep the per-hyperplane triangle counts of each set of a block of
+    same-rank one-word sets whose memo holds its spectrum but not the
+    counts, formed from the stacked spectra (``_hyperplane_counts``).  A
+    row that fails ``_count_fault`` is not kept."""
+    todo, c = _memoized_spectra(sets, "triangle_counts_per_hyperplane")
+    if not todo:
         return
+    r = todo[0].rank
+    counts, convolved, counted = _hyperplane_counts(c, _membership_rows(todo), r, _sylvester_rows)
+    counts.flags.writeable = False
+    for e, row, ors in zip(todo, counts, zip(convolved.tolist(), counted.tolist())):
+        if _count_fault(r, *ors) is None:
+            e.memo["triangle_counts_per_hyperplane"] = row
+
+
+def _block_uniformity(sets: list[PointSet]) -> None:
+    """Keep the uniformity report of each set of a block of same-rank
+    one-word sets whose memo holds its spectrum but not the report: the
+    peak |coeff| of each stacked row and its least nontrivial witness."""
+    todo, c = _memoized_spectra(sets, "uniformity")
+    if not todo:
+        return
+    r = todo[0].rank
     t = np.abs(c[:, 1:])
     peak = t.max(axis=1)
     # the least nontrivial gamma of greatest |coeff|: argmax of a boolean
     # row is its first True
     worst = np.argmax(t == peak[:, None], axis=1) + 1
-    for e, m, gamma, fault in zip(sets, peak.tolist(), worst.tolist(), faults):
-        if fault is None:
-            e.memo["uniformity"] = UniformityReport(e.density, Fraction(m, 1 << r), gamma)
+    for e, m, gamma in zip(todo, peak.tolist(), worst.tolist()):
+        e.memo["uniformity"] = UniformityReport(e.density, Fraction(m, 1 << r), gamma)
 
 
 @memoized
@@ -381,12 +397,13 @@ def walsh_hadamard(E: PointSet) -> Spectrum:
     """Exact transform of the indicator of E over all 2^r characters.
 
     In the one-word ambient (2^r <= ``SMALL_SET_POINTS``) it is the block
-    kernel ``_spectrum_rows`` on a block of one: the set's membership row
-    times the leading 2^r x 2^r block of ``_SYLVESTER``, an int64 table.
+    kernel ``_spectrum_rows`` on a block of one: the set's ``membership``
+    row, which its per-hyperplane counts read too, times the leading
+    2^r x 2^r block of ``_SYLVESTER``, an int64 table.
     From r = 7 it is the int32 table of ``_int32_transform``.
     """
     if (1 << E.rank) <= SMALL_SET_POINTS:
-        _raise(_spectrum_rows([E], E.membership[None])[1][0])
+        _raise(_spectrum_rows([E], E.membership[None])[0])
         return E.memo["walsh_hadamard"]
     return Spectrum(E.rank, _int32_transform(E), E.size)
 
@@ -460,16 +477,13 @@ def triangle_counts_per_hyperplane(E: PointSet) -> np.ndarray:
     forms partial sums bounded by 2 sum(c^2) = 2^(r+1) |E|, and that of d
     ones bounded by 2 sum(d) = 2T <= 2|E|^2, so with |E| < 2^24 every
     value formed, T + 3A included, stays below 2^51.  In the one-word
-    ambient both transforms are products (``_sylvester_rows``) on a block
-    of one, as ``_block_spectra`` runs them on a block.  The table is
-    remembered per set, so it is read-only.
+    ambient both transforms are products (``_sylvester_rows``), as
+    ``_block_hyperplane_counts`` runs them on a block's stacked rows.  The
+    table is remembered per set, so it is read-only.
     """
     c = walsh_hadamard(E).coeffs
-    if c.size <= SMALL_SET_POINTS:
-        stacked = _hyperplane_counts(c[None], E.membership[None], E.rank, _sylvester_rows)
-        a, convolved, counted = (v[0] for v in stacked)
-    else:
-        a, convolved, counted = _hyperplane_counts(c, E.membership, E.rank, fwht_inplace)
+    transform = _sylvester_rows if c.size <= SMALL_SET_POINTS else fwht_inplace
+    a, convolved, counted = _hyperplane_counts(c, E.membership, E.rank, transform)
     _raise(_count_fault(E.rank, int(convolved), int(counted)))
     a.flags.writeable = False
     return a

@@ -8,14 +8,19 @@ reported violation would be a counterexample to a proven statement, i.e.
 an implementation bug, which is exactly what the sweeps exist to catch.
 
 In the one-word ambient, r <= 6, the sweep driver builds its sets in
-blocks of ``_SWEEP_BLOCK`` and runs the block kernels on each block before
-the checks: every set's spectrum, per-hyperplane triangle counts,
-uniformity report and translation triangle count are formed together
-(``spectral._block_spectra``, ``matroid._block_triangle_counts``) and
-kept in its memo, where the checks' calls find them.  A row that fails
-its checks is not kept, so the set's own call recomputes it and raises,
-and the violation is counted as for any set.  From r = 7 sets stream one
-at a time.
+blocks of ``_SWEEP_BLOCK`` and takes each block one check at a time: the
+check's gate runs on every set of the block, then the block kernels
+(``spectral._block_spectra``, ``_block_hyperplane_counts``,
+``_block_uniformity``, ``matroid._block_triangle_counts``) of the values
+its conclusion reads on every set it concludes on
+(``_conclusion_kernels``) run on the sets that passed, then the
+conclusion runs on each of them and finds those values in the set's memo.
+A kernel forms a value only where the memo lacks it, so checks share
+what an earlier one formed; a value that a conclusion reads on a few sets
+only is left to those sets' own calls.  A row that fails its checks is
+not kept, so the set's own call recomputes it and raises, and the
+violation is counted as for any set.  From r = 7 sets stream one at a
+time, with no kernel.
 """
 
 from __future__ import annotations
@@ -54,7 +59,9 @@ from .search import (
     reconcile_hyperplane,
 )
 from .spectral import (
+    _block_hyperplane_counts,
     _block_spectra,
+    _block_uniformity,
     counting_bound_check,
     triangle_count_spectral,
     uniformity,
@@ -384,57 +391,66 @@ class SweepOutcome:
         return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
 
 
-# Sets per block of a sweep in the one-word ambient: their spectra,
-# per-hyperplane and translation triangle counts and uniformity reports
-# are formed together, and every set's memo lives until its block is
-# checked.  On the all-check r = 4 sweep, blocks of 256 sets raised peak
-# RSS by 0.1 MiB over blocks of one, and blocks of 2,048 by 5.7 MiB.
+# Sets per block of a sweep in the one-word ambient: every set's memo lives
+# until its block is checked.  On the all-check r = 4 sweep, blocks of 256
+# sets raised peak RSS by 0.1 MiB over blocks of one, and blocks of 2,048
+# by 5.7 MiB.
 _SWEEP_BLOCK = 256
 
 
-def _universe_sets(cfg: SweepConfig, start: int, stop: int):
-    """The sets of the index range, in order.
-
-    In the one-word ambient (2^r <= ``SMALL_SET_POINTS``) they are built
-    ``_SWEEP_BLOCK`` at a time, and each block's spectra, per-hyperplane
-    counts, uniformity reports and translation triangle counts are formed
-    by the block kernels before its first set is checked.  Above, each set
-    is built as it is checked, so no block of memos is held.
-    """
-    if (1 << cfg.rank) > SMALL_SET_POINTS:
-        for index in range(start, stop):
-            yield _universe_set(cfg, index)
-        return
-    for first in range(start, stop, _SWEEP_BLOCK):
-        block = [_universe_set(cfg, i) for i in range(first, min(first + _SWEEP_BLOCK, stop))]
-        _block_spectra(block)
-        _block_triangle_counts(block)
-        yield from block
+def _conclusion_kernels(check: str, n: int) -> tuple:
+    """The block kernels of the memoized values that the check's conclusion
+    reads at level n on every set it concludes on, in the order they run
+    (a spectrum before what is formed from it).  A value read on a few
+    sets only, as Bose-Burton's spectrum on the extremal sets, is left to
+    those sets' own calls."""
+    if check == "thm-3.1":
+        return (_block_spectra, _block_uniformity, _block_triangle_counts)
+    if check == "lemma-2.5":
+        return (_block_triangle_counts,)
+    if check in ("lemma-2.4", "thm-4.1", "thm-1.1") and n == 3:
+        return (_block_spectra, _block_hyperplane_counts)
+    if check in ("lemma-2.4", "cor-1.3"):
+        return (_block_spectra,)
+    return ()
 
 
 def _sweep_range(cfg: SweepConfig, start: int, stop: int) -> dict[str, _CheckStats]:
     """Gate, conclude and record every configured check on each set of the range.
 
     A check's first failed conclusion on a set counts as one evaluation and
-    one violation, and the check moves on to the next set.
+    one violation, and the check moves on to the next set.  In the
+    one-word ambient the sets are built ``_SWEEP_BLOCK`` at a time and
+    each check runs its conclusion's block kernels on a block's gated sets
+    before it concludes on them; above, each set is built as it is
+    checked, so no block of memos is held.
     """
     stats = {name: _CheckStats(_CHECKS[name]) for name in cfg.checks}
-    rows = [(_CHECKS[name].gate, _CHECKS[name].conclude, stats[name]) for name in cfg.checks]
     n = cfg.level
-    for e in _universe_sets(cfg, start, stop):
-        for gate, conclude, st in rows:
-            if not gate(e, n):
-                st.hypothesis_skipped += 1
-                continue
-            try:
-                count, value = conclude(e, n)
-            except InternalInconsistencyError as exc:
-                st.evaluated += 1
-                st.violation(e, str(exc))
-                continue
-            st.evaluated += count
-            if value is not None:
-                st.record(value, e)
+    one_word = (1 << cfg.rank) <= SMALL_SET_POINTS
+    rows = [
+        (_CHECKS[name].gate, _CHECKS[name].conclude,
+         _conclusion_kernels(name, n) if one_word else (), stats[name])
+        for name in cfg.checks
+    ]
+    size = _SWEEP_BLOCK if one_word else 1
+    for first in range(start, stop, size):
+        block = [_universe_set(cfg, i) for i in range(first, min(first + size, stop))]
+        for gate, conclude, kernels, st in rows:
+            gated = [e for e in block if gate(e, n)]
+            st.hypothesis_skipped += len(block) - len(gated)
+            for kernel in kernels:
+                kernel(gated)
+            for e in gated:
+                try:
+                    count, value = conclude(e, n)
+                except InternalInconsistencyError as exc:
+                    st.evaluated += 1
+                    st.violation(e, str(exc))
+                    continue
+                st.evaluated += count
+                if value is not None:
+                    st.record(value, e)
     return stats
 
 

@@ -18,7 +18,9 @@ from pgfree.pointset import PointSet
 from pgfree.search import find_triangle_free_flat
 from pgfree.spectral import (
     Spectrum,
+    _block_hyperplane_counts,
     _block_spectra,
+    _block_uniformity,
     triangle_counts_per_hyperplane,
     uniformity,
     walsh_hadamard,
@@ -60,11 +62,14 @@ def _same_spectrum(a, b):
     )
 
 
+def _run_kernels(block):
+    for kernel in (_block_spectra, _block_hyperplane_counts, _block_uniformity, _block_triangle_counts):
+        kernel(block)
+
+
 def _run_blocks(sets, size):
     for i in range(0, len(sets), size):
-        block = sets[i : i + size]
-        _block_spectra(block)
-        _block_triangle_counts(block)
+        _run_kernels(sets[i : i + size])
 
 
 def _assert_block_values_are_the_definitions(sets):
@@ -145,10 +150,10 @@ def _corrupt_rows_of(monkeypatch, target):
 def test_a_corrupted_row_is_not_kept_and_leaves_its_block_alone(monkeypatch):
     sets = _every_subset(4)[:256]
     clean = [PointSet(4, e.bits) for e in sets]
-    _block_spectra(clean)
+    _run_kernels(clean)
     target = sets[77]
     _corrupt_rows_of(monkeypatch, target)
-    _block_spectra(sets)
+    _run_kernels(sets)
     for e, c in zip(sets, clean):
         if e is target:
             assert not {"walsh_hadamard", "triangle_counts_per_hyperplane", "uniformity"} & e.memo.keys()
@@ -177,9 +182,11 @@ def test_a_corrupted_row_is_one_violation_of_the_sweep(monkeypatch):
 
 def _spy_on_kernels(monkeypatch):
     calls = []
-    for module, name in ((verify, "_block_spectra"), (verify, "_block_triangle_counts"),
-                         (search, "_block_spectra"), (spectral, "_spectrum_rows"),
-                         (spectral, "_sylvester_rows"), (matroid, "_translation_counts")):
+    for module, name in ((verify, "_block_spectra"), (verify, "_block_hyperplane_counts"),
+                         (verify, "_block_uniformity"), (verify, "_block_triangle_counts"),
+                         (search, "_block_spectra"), (search, "_block_hyperplane_counts"),
+                         (spectral, "_spectrum_rows"), (spectral, "_sylvester_rows"),
+                         (matroid, "_translation_counts")):
         real = getattr(module, name)
         monkeypatch.setattr(
             module, name, lambda *a, name=name, real=real, **k: calls.append(name) or real(*a, **k)
@@ -194,11 +201,34 @@ def test_random_sweeps_above_one_word_never_call_a_kernel(monkeypatch):
                           checks=("thm-3.1", "bose-burton", "cor-1.3", "thm-4.1", "lemma-2.4"))
         assert run_sweep(cfg, workers=1).total_violations == 0
     assert calls == []
-    # and one-word sweeps do, once per block
+    # and one-word sweeps do, once per block, for the values the check reads
     cfg = SweepConfig(rank=6, level=3, mode="random", sample_count=300, rng_seed=6,
                       checks=("thm-3.1",))
     run_sweep(cfg, workers=1)
-    assert calls.count("_block_spectra") == calls.count("_block_triangle_counts") == 2
+    assert calls.count("_block_spectra") == calls.count("_block_uniformity") == 2
+    assert calls.count("_block_triangle_counts") == 2
+    assert "_block_hyperplane_counts" not in calls
+
+
+def test_a_sweep_runs_no_kernel_its_checks_do_not_read(monkeypatch):
+    # the reconcile row reads none of the block values at r = 4, so no
+    # product or translation count runs anywhere in its sweep
+    calls = _spy_on_kernels(monkeypatch)
+    cfg = SweepConfig(rank=4, level=3, mode="exhaustive", checks=("reconcile",))
+    assert run_sweep(cfg, workers=1).total_violations == 0
+    assert calls == []
+
+
+def test_a_check_runs_its_kernels_on_its_gated_sets_only(monkeypatch):
+    given = []
+    real = verify._block_hyperplane_counts
+    monkeypatch.setattr(verify, "_block_hyperplane_counts", lambda sets: given.extend(sets) or real(sets))
+    cfg = SweepConfig(rank=5, level=3, mode="random", sample_count=300, rng_seed=5,
+                      checks=("lemma-2.4",))
+    out = run_sweep(cfg, workers=1).checks["lemma-2.4"]
+    free = [e for e in given if not matroid.is_pg_free(e, 3).found]
+    assert 0 < len(free) == len(given) == 300 - out["hypothesis_skipped"]
+    assert all("triangle_counts_per_hyperplane" in e.memo for e in given)
 
 
 def test_exhaustive_flat_search_forms_its_leaves_in_one_kernel_call(monkeypatch):
@@ -206,17 +236,19 @@ def test_exhaustive_flat_search_forms_its_leaves_in_one_kernel_call(monkeypatch)
     e = PointSet(4, 0xFEEC)
     result, _ = find_triangle_free_flat(e, 4, "exhaustive")
     assert result.found
-    assert calls.count("_block_spectra") == 1
-    # at level 3 the one leaf is the set itself: a block of one, unless
-    # its memo holds its counts, as a sweep's block leaves them
+    assert calls.count("_block_spectra") == calls.count("_block_hyperplane_counts") == 1
+    assert calls.count("_spectrum_rows") == 1
+    # at level 3 the one leaf is the set itself, whose own calls form its
+    # spectrum as a block of one, and nothing if its memo holds its
+    # counts, as a sweep's block leaves them
     calls.clear()
     find_triangle_free_flat(e, 3, "exhaustive")
-    assert calls.count("_block_spectra") == 1
+    assert calls.count("_spectrum_rows") == 1 and "_block_spectra" not in calls
     f = PointSet(4, e.bits)
     triangle_counts_per_hyperplane(f)
     calls.clear()
     find_triangle_free_flat(f, 3, "exhaustive")
-    assert "_block_spectra" not in calls
+    assert "_spectrum_rows" not in calls and "_sylvester_rows" not in calls
 
 
 def test_one_block_at_rank_6_stays_within_a_few_stacks():
@@ -229,8 +261,7 @@ def test_one_block_at_rank_6_stays_within_a_few_stacks():
     stack = verify._SWEEP_BLOCK * 64 * 8
     tracemalloc.start()
     try:
-        _block_spectra(sets)
-        _block_triangle_counts(sets)
+        _run_kernels(sets)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -298,22 +298,25 @@ def test_sweep_computes_the_hyperplane_counts_once_per_set(monkeypatch):
 
     seen = {}  # id -> [the set, calls, computations]; the set keeps its id unique
     real = search.triangle_counts_per_hyperplane
-    block_spectra = verify._block_spectra
+    block_counts = verify._block_hyperplane_counts
+    key = "triangle_counts_per_hyperplane"
 
     def spy(e):
         entry = seen.setdefault(id(e), [e, 0, 0])
         entry[1] += 1
-        entry[2] += "triangle_counts_per_hyperplane" not in e.memo
+        entry[2] += key not in e.memo
         return real(e)
 
-    def block_spy(sets, *args, **kwargs):
-        for e in sets:
-            seen.setdefault(id(e), [e, 0, 0])[2] += 1
-        return block_spectra(sets, *args, **kwargs)
+    def block_spy(sets):
+        # a row counts as a computation when the kernel fills its memo
+        missing = [e for e in sets if key not in e.memo]
+        block_counts(sets)
+        for e in missing:
+            seen.setdefault(id(e), [e, 0, 0])[2] += key in e.memo
 
     monkeypatch.setattr(search, "triangle_counts_per_hyperplane", spy)
     for module in (search, verify):
-        monkeypatch.setattr(module, "_block_spectra", block_spy)
+        monkeypatch.setattr(module, "_block_hyperplane_counts", block_spy)
     checks = tuple(c for c in ALL_CHECKS if c != "gs")  # gs needs rank >= level + 2
     cfg = SweepConfig(rank=4, level=3, mode="random", sample_count=200, rng_seed=5,
                       density_filter=Fraction(5, 8), checks=checks)
