@@ -133,6 +133,21 @@ def test_per_set_calls_are_the_block_rows(r):
         assert triangle_count_naive(f) == e.memo["triangle_count_naive"]
 
 
+def test_kernels_form_only_what_the_memo_lacks(monkeypatch):
+    sets = _every_subset(3)
+    _run_kernels(sets[:50])
+    kept = [dict(e.memo) for e in sets[:50]]
+    calls = _spy_on_kernels(monkeypatch)
+    _run_kernels(sets[:50])
+    assert calls == []
+    assert all(e.memo[k] is memo[k] for e, memo in zip(sets, kept) for k in KEYS)
+    # a block whose first sets are formed forms only the rest, once each
+    _run_kernels(sets)
+    assert calls.count("_spectrum_rows") == calls.count("_translation_counts") == 1
+    assert all(e.memo[k] is memo[k] for e, memo in zip(sets, kept) for k in KEYS)
+    _assert_block_values_are_the_definitions(sets)
+
+
 def _corrupt_rows_of(monkeypatch, target):
     """Make every product of a membership stack add 2 to the coefficient
     at gamma = 3 of each row equal to the target set's indicator."""
@@ -165,6 +180,24 @@ def test_a_corrupted_row_is_not_kept_and_leaves_its_block_alone(monkeypatch):
     # the set's own call recomputes its row, and raises inside its check
     with pytest.raises(InternalInconsistencyError, match="Parseval"):
         walsh_hadamard(target)
+
+
+def test_a_count_row_that_fails_its_division_is_not_kept(monkeypatch):
+    sets = _every_subset(4)[:256]
+    target = sets[200]
+    real = spectral._hyperplane_counts
+
+    def counts(c, member, rank, transform):
+        # set the low bit of T + 3A's OR on the target's row
+        a, convolved, counted = real(c, member, rank, transform)
+        return a, convolved, counted | (member == target.membership).all(axis=-1)
+
+    monkeypatch.setattr(spectral, "_hyperplane_counts", counts)
+    _block_spectra(sets)
+    _block_hyperplane_counts(sets)
+    assert [e for e in sets if "triangle_counts_per_hyperplane" not in e.memo] == [target]
+    with pytest.raises(InternalInconsistencyError, match="not divisible by 4"):
+        triangle_counts_per_hyperplane(target)
 
 
 def test_a_corrupted_row_is_one_violation_of_the_sweep(monkeypatch):
