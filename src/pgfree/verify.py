@@ -7,9 +7,9 @@ byte-identical for a fixed configuration regardless of worker count.  Any
 reported violation would be a counterexample to a proven statement, i.e.
 an implementation bug, which is exactly what the sweeps exist to catch.
 
-In the one-word ambient, r <= 6, the sweep driver builds its sets in
-blocks of ``_SWEEP_BLOCK`` and takes each block one check at a time: the
-check's gate runs on every set of the block, then the block kernels
+In the one-word ambient, r <= 6, a sweep builds its sets in blocks of
+``_SWEEP_BLOCK`` and takes each block one check at a time: the check's
+gate runs on every set of the block, then the block kernels
 (``spectral._block_spectra``, ``_block_hyperplane_counts``,
 ``_block_uniformity``, ``matroid._block_triangle_counts``) of the values
 its conclusion reads on every set it concludes on
