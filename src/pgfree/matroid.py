@@ -120,9 +120,10 @@ class FreenessWitness:
         }
 
 
-# Elements of one apex or pair block in the apex kernel and of one gather
+# Elements of one apex or pair block in the apex kernel, of one gather
 # block in the triangle count, whose levels of more words than this (from
-# r = 22) are split into column chunks: bounds their memory at any rank.
+# r = 22) are split into column chunks, and of one chunk of ``_holds_flat``:
+# bounds their memory at any rank.
 _PAIR_BLOCK_ELEMENTS = 1 << 14
 
 
@@ -204,6 +205,20 @@ def _flat_table(r: int, n: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]
     full = (1 << (1 << r)) - 2
     rows = [(gens, full ^ cone) for gens, cone, _ in _walk(full, full, r, n)]
     return np.array([m for _, m in rows], dtype=np.uint64), tuple(g for g, _ in rows)
+
+
+def _holds_flat(words: np.ndarray, r: int, k: int) -> np.ndarray:
+    """Whether each bitset of a uint64 array, a set of the rank-r ambient
+    (2^r <= SMALL_SET_POINTS), holds a rank-k flat: whether some row of
+    ``_flat_table(r, k)`` has no point outside it.  The sets go in chunks
+    of at most ``_PAIR_BLOCK_ELEMENTS`` (set, flat) pairs."""
+    masks, _ = _flat_table(r, k)
+    held = np.empty(words.size, dtype=bool)
+    step = max(1, _PAIR_BLOCK_ELEMENTS // masks.size)
+    for i in range(0, words.size, step):
+        outside = masks & ~words[i : i + step, None]
+        held[i : i + step] = outside.min(axis=1) == 0
+    return held
 
 
 def _walk(cone: int, pool: int, rank: int, d: int):
@@ -424,17 +439,27 @@ def triangle_count_naive(E: PointSet) -> int:
     return total
 
 
-def _translation_counts(sets: list[PointSet]) -> list[int]:
-    """T of each of a block of same-rank sets in the one-word ambient, by
-    translation: each set is one word W, row x of the words'
-    ``_xor_permutations`` holds its translate W + x, and T = the sum over
-    the points x of |W ∩ (W + x)|, one popcount per row and set.  No
-    Fourier transform is involved."""
+def _cone_tables(sets: list[PointSet]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cones of a block of same-rank sets in the one-word ambient at
+    every word x < 2^r: each set is one word W, and row x of the words'
+    ``_xor_permutations`` holds its translate W + x.  Column b of the three
+    (2^r, B) tables holds, in row x, the bitset of the cone
+    W_b ∩ (W_b + x), its size (int64) and whether x is a point of set b,
+    an apex."""
     words = np.fromiter((e.bits for e in sets), dtype=np.uint64, count=len(sets))
     n = 1 << sets[0].rank
-    cones = np.bitwise_count(_xor_permutations(words, n) & words)
-    points = words >> _SHIFTS[:n] & np.uint64(1)
-    return (cones * points).sum(axis=0).tolist()
+    cones = _xor_permutations(words, n)
+    cones &= words
+    apexes = (words >> _SHIFTS[:n] & np.uint64(1)).astype(bool)
+    return cones, np.bitwise_count(cones).astype(np.int64), apexes
+
+
+def _translation_counts(sets: list[PointSet]) -> list[int]:
+    """T of each of a block of same-rank sets in the one-word ambient, by
+    translation: the sum of its cone sizes over its points, from
+    ``_cone_tables``.  No Fourier transform is involved."""
+    _, sizes, apexes = _cone_tables(sets)
+    return np.sum(sizes, axis=0, where=apexes).tolist()
 
 
 def _block_triangle_counts(sets: list[PointSet]) -> None:

@@ -142,10 +142,11 @@ class PointSet:
     @cached
     def memo(self) -> dict:
         """What this instance has computed about itself, each once: subgeometry
-        rank n -> is_pg_free(self, n), and the name of each function decorated
+        rank n -> is_pg_free(self, n), ("cone_lemma", n) -> Lemma 2.5's
+        least slack at level n, and the name of each function decorated
         with ``memoized`` (the spectrum, the uniformity report, the naive,
-        the spectral and the per-hyperplane triangle counts, the matroid
-        rank and the critical number) -> its value."""
+        the spectral and the per-hyperplane triangle counts, the cone
+        sizes, the matroid rank and the critical number) -> its value."""
         return {}
 
     # -- set algebra (all return new sets in the same ambient) --------------

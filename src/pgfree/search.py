@@ -2,7 +2,11 @@
 
 The cone of E at p, E ∩ (E + p), is one ``xor_translate`` of E's bitset:
 the one-step case of the iterated cone that ``matroid``'s flat searches
-walk.  A hyperplane intersection is one AND with ``hyperplane_mask``.
+walk.  The sizes of all of E's cones are one memoized vector,
+``cone_sizes``.  In the one-word ambient the cones of a block of sets are
+one table (``matroid._cone_tables``), on which the cone lemma's kernel
+checks every set of the block at once.  A hyperplane intersection is one
+AND with ``hyperplane_mask``.
 
 The headline operation finds a triangle-free corank-(n-2) flat inside a
 dense PG(n-1,2)-free set, either by the descent or by an exhaustive scan
@@ -25,19 +29,22 @@ import numpy as np
 from .errors import GeometryError, InternalInconsistencyError
 from .geometry import Flat, closure, echelon_basis, hyperplane_of, kernel_basis
 from .matroid import (
+    _cone_tables,
     _dense,
     _dense_free,
+    _holds_flat,
     _walk,
     is_pg_free,
     lift_flat,
     matroid_rank,
     restrict_to_flat,
-    triangle_count_naive,
 )
-from .pointset import SMALL_SET_POINTS, PointSet, hyperplane_mask, xor_translate
+from .pointset import SMALL_SET_POINTS, PointSet, hyperplane_mask, memoized, xor_translate
 from .spectral import (
     _block_hyperplane_counts,
     _block_spectra,
+    _raise,
+    triangle_count_spectral,
     triangle_counts_per_hyperplane,
     walsh_hadamard,
 )
@@ -56,24 +63,108 @@ def hyperplane_intersection(E: PointSet, gamma: int) -> PointSet:
     return PointSet(E.rank, E.bits & hyperplane_mask(E.rank, gamma))
 
 
-def _cone_lemma_at(E: PointSet, p: int, n: int, free: bool) -> tuple[int, int]:
-    """The cone lemma's conclusions at the apex p of E: (|E_p|, 2|E| - 2^r).
-
-    The cone has at least 2|E| - 2^r points for every E, and it is
-    PG(n-2,2)-free when E is PG(n-1,2)-free (``free``).  A failure raises
-    an internal inconsistency.
+@memoized
+def cone_sizes(E: PointSet) -> np.ndarray:
+    """|E_p| = |E ∩ (E + p)| for each point p of E, ascending in p, as a
+    read-only int64 array: one ``xor_translate`` per point.  In a sweep
+    block of one-word sets ``_block_cone_lemma`` keeps each set's column
+    of the block's ``_cone_tables`` instead; for a single set the points'
+    translates cost about as much as a table of one, or less.
     """
-    ep = cone(E, p)
-    bound = 2 * E.size - (1 << E.rank)
-    if ep.size < bound:
-        raise InternalInconsistencyError(
-            f"cone at {p} has {ep.size} points, below the bound {bound}"
-        )
-    if free and is_pg_free(ep, n - 1).found:
-        raise InternalInconsistencyError(
-            f"cone at {p} contains a PG({n - 2},2) despite the freeness hypothesis"
-        )
-    return ep.size, bound
+    bits = E.bits
+    sizes = np.fromiter(((bits & xor_translate(bits, p, E.rank)).bit_count() for p in E),
+                        dtype=np.int64, count=E.size)
+    sizes.flags.writeable = False
+    return sizes
+
+
+def _cone_lemma(E: PointSet, n: int) -> int:
+    """Lemma 2.5 at level n on a nonempty set E: the least slack
+    |E_p| - (2|E| - 2^r) over its apexes p, once every conclusion holds
+    (``_cone_lemma_rows``); the first that fails raises an internal
+    inconsistency.  The slack is remembered in E.memo, once per n.
+
+    In the one-word ambient it is the block kernel ``_block_cone_lemma``
+    on a block of one.  From r = 7 it reads ``cone_sizes`` and, when E is
+    PG(n-1,2)-free, builds each point's ``cone`` to test its freeness.
+    """
+    key = ("cone_lemma", n)
+    if key not in E.memo:
+        if (1 << E.rank) <= SMALL_SET_POINTS:
+            (fault,) = _block_cone_lemma([E], n)
+        else:
+            free = not is_pg_free(E, n).found
+            held = np.fromiter((free and is_pg_free(cone(E, p), n - 1).found for p in E),
+                               dtype=bool, count=E.size)[:, None]
+            sizes = cone_sizes(E)[:, None]
+            (fault,) = _cone_lemma_rows([E], n, E.points_array, sizes, np.ones_like(held), held)
+        _raise(fault)
+    return E.memo[key]
+
+
+def _block_cone_lemma(sets: list[PointSet], n: int) -> list[Optional[str]]:
+    """Lemma 2.5 at level n on each set of a block of same-rank nonempty
+    one-word sets whose memo lacks it, from their ``_cone_tables``: the
+    cones of the PG(n-1,2)-free sets are tested for a PG(n-2,2) by
+    ``_holds_flat``, then ``_cone_lemma_rows`` checks every set.  A set
+    that passes keeps its slack and its cone sizes.  Returns the fault of
+    each set it checked (None for a kept one)."""
+    sets = [e for e in sets if ("cone_lemma", n) not in e.memo]
+    if not sets:
+        return []
+    cones, sizes, apexes = _cone_tables(sets)
+    free = np.fromiter((not is_pg_free(e, n).found for e in sets), dtype=bool, count=len(sets))
+    held = np.zeros_like(apexes)
+    held[apexes & free] = _holds_flat(cones[apexes & free], sets[0].rank, n - 1)
+    faults = _cone_lemma_rows(sets, n, np.arange(sizes.shape[0]), sizes, apexes, held)
+    # every set's cone sizes, one set after another
+    flat = sizes.T[apexes.T]
+    flat.flags.writeable = False
+    end = 0
+    for e, fault in zip(sets, faults):
+        end += e.size
+        if fault is None:
+            e.memo["cone_sizes"] = flat[end - e.size : end]
+    return faults
+
+
+def _cone_lemma_rows(sets: list[PointSet], n: int, xs: np.ndarray, sizes: np.ndarray,
+                     apexes: np.ndarray, held: np.ndarray) -> list[Optional[str]]:
+    """Lemma 2.5's conclusions at level n on each column b of (k, B) tables
+    over k words xs: sizes[i, b] = |E_b ∩ (E_b + xs[i])|, apexes[i, b]
+    whether xs[i] is a point of E_b, and held[i, b] whether that cone holds
+    a PG(n-2,2), tested only at the apexes of a PG(n-1,2)-free E_b.
+
+    At each apex p the cone has at least 2|E| - 2^r points, and it is
+    PG(n-2,2)-free when E is PG(n-1,2)-free; the first apex where one
+    fails gives the fault.  Then the cone sizes must sum to T
+    (``_cone_identity_holds``).  A set that passes keeps its least slack
+    in its memo.  Returns each set's fault (None for a kept one).
+    """
+    bound = np.fromiter((2 * e.size - (1 << e.rank) for e in sets), dtype=np.int64, count=len(sets))
+    below = apexes & (sizes < bound)
+    bad = below | held
+    least = np.min(sizes, axis=0, initial=1 << 24, where=apexes)
+    total = np.sum(sizes, axis=0, where=apexes)
+    faults: list[Optional[str]] = []
+    rows = zip(sets, bad.any(axis=0).tolist(), bad.argmax(axis=0).tolist(), least.tolist(),
+               total.tolist(), bound.tolist())
+    for b, (e, failed, i, lo, t, bd) in enumerate(rows):
+        fault = None
+        if failed and below[i, b]:
+            fault = f"cone at {xs[i]} has {sizes[i, b]} points, below the bound {bd}"
+        elif failed:
+            fault = f"cone at {xs[i]} contains a PG({n - 2},2) despite the freeness hypothesis"
+        else:
+            try:
+                if not _cone_identity_holds(e, t):
+                    fault = f"sum of cone sizes {t} != T {triangle_count_spectral(e)}"
+            except InternalInconsistencyError as exc:  # the spectral count itself failed
+                fault = str(exc)
+        if fault is None:
+            e.memo[("cone_lemma", n)] = lo - bd
+        faults.append(fault)
+    return faults
 
 
 def _hyperplane_bounds(E: PointSet, inside, n: int) -> tuple[int, int, bool]:
@@ -342,5 +433,6 @@ def _reconcile_condition(E: PointSet, n: int) -> Optional[str]:
 def _cone_identity_holds(E: PointSet, cone_size_total: int) -> bool:
     """The cone identity: the cone sizes |E_p| over all p in E sum to T, the
     ordered triangle count, since each ordered triangle (p, x, p ^ x) puts x
-    in the cone at p."""
-    return cone_size_total == triangle_count_naive(E)
+    in the cone at p.  T is the spectral count: the cone sizes are formed
+    by translation, as the naive count is, so it is the independent one."""
+    return cone_size_total == triangle_count_spectral(E)

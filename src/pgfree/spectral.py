@@ -389,7 +389,7 @@ def _block_uniformity(sets: list[PointSet]) -> None:
     # row is its first True
     worst = np.argmax(t == peak[:, None], axis=1) + 1
     for e, m, gamma in zip(todo, peak.tolist(), worst.tolist()):
-        e.memo["uniformity"] = UniformityReport(e.density, Fraction(m, 1 << r), gamma)
+        e.memo["uniformity"] = UniformityReport._of_peak(e.size, r, m, gamma)
 
 
 @memoized
@@ -510,11 +510,32 @@ def _hyperplane_counts(c: np.ndarray, member: np.ndarray, rank: int, transform):
 
 @dataclass(frozen=True)
 class UniformityReport:
-    """Least uniformity bound of a set: how evenly hyperplanes split it."""
+    """Least uniformity bound of a set: how evenly hyperplanes split it.
+
+    A report of ``uniformity`` keeps |E|, r and the peak |coeff| as
+    integers, and forms ``alpha`` = |E|/2^r and ``epsilon_min`` = peak/2^r
+    as Fractions when each is first read, since most callers read at most
+    ``epsilon_min``.
+    """
 
     alpha: Fraction
     epsilon_min: Fraction
     worst_gamma: int
+
+    @classmethod
+    def _of_peak(cls, size: int, rank: int, peak: int, worst_gamma: int) -> "UniformityReport":
+        rep = object.__new__(cls)
+        rep.__dict__.update(worst_gamma=worst_gamma, _numerators=(size, peak, rank))
+        return rep
+
+    def __getattr__(self, name: str):
+        # reached only for the fields a report of _of_peak has not formed yet
+        if name not in ("alpha", "epsilon_min"):
+            raise AttributeError(name)
+        size, peak, rank = self._numerators
+        value = Fraction(size if name == "alpha" else peak, 1 << rank)
+        self.__dict__[name] = value
+        return value
 
 
 @memoized
@@ -535,11 +556,7 @@ def uniformity(E: PointSet) -> UniformityReport:
         j = int(np.argmax(hit))
         if hit[j]:
             break
-    return UniformityReport(
-        alpha=E.density,
-        epsilon_min=Fraction(m, 1 << E.rank),
-        worst_gamma=i + j + 1,
-    )
+    return UniformityReport._of_peak(E.size, E.rank, m, i + j + 1)
 
 
 def counting_bound_check(E: PointSet, epsilon: Fraction):
@@ -585,10 +602,10 @@ def claim_quantities(E: PointSet) -> ClaimQuantities:
 
     Verifies the cone identity (see ``search._cone_identity_holds``).
     """
-    from .search import _cone_identity_holds, cone
+    from .search import _cone_identity_holds, cone_sizes
 
     t = triangle_count_spectral(E)
-    sizes = {p: cone(E, p).size for p in E}
+    sizes = dict(zip(E.points, cone_sizes(E).tolist()))
     if not _cone_identity_holds(E, sum(sizes.values())):
         raise InternalInconsistencyError("cone sizes do not sum to the triangle count")
     lower = Fraction(55, 256) * (1 << (2 * E.rank))

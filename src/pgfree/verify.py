@@ -11,10 +11,12 @@ In the one-word ambient, r <= 6, a sweep builds its sets in blocks of
 ``_SWEEP_BLOCK`` and takes each block one check at a time: the check's
 gate runs on every set of the block, then the block kernels
 (``spectral._block_spectra``, ``_block_hyperplane_counts``,
-``_block_uniformity``, ``matroid._block_triangle_counts``) of the values
-its conclusion reads on every set it concludes on
-(``_conclusion_kernels``) run on the sets that passed, then the
-conclusion runs on each of them and finds those values in the set's memo.
+``_block_uniformity``, ``matroid._block_triangle_counts``,
+``search._block_cone_lemma``) of the values its conclusion reads on every
+set it concludes on (``_conclusion_kernels``) run on the sets that
+passed, then the conclusion runs on each of them and finds those values
+in the set's memo.  The cone lemma's kernel checks all of Lemma 2.5 on a
+block at once and keeps each passing set's least slack.
 A kernel forms a value only where the memo lacks it, so checks share
 what an earlier one formed; a value that a conclusion reads on a few sets
 only is left to those sets' own calls.  A row that fails its checks is
@@ -48,8 +50,8 @@ from .matroid import (
 )
 from .pointset import SMALL_SET_POINTS, PointSet, check_rank
 from .search import (
-    _cone_identity_holds,
-    _cone_lemma_at,
+    _block_cone_lemma,
+    _cone_lemma,
     _hyperplane_bounds,
     _hyperplanes_holding_pg,
     _reconcile_condition,
@@ -118,14 +120,7 @@ def _lemma_24(e: PointSet, n: int) -> tuple[int, Optional[Fraction]]:
 
 
 def _lemma_25(e: PointSet, n: int) -> tuple[int, int]:
-    free = _free(e, n)
-    cones = [_cone_lemma_at(e, p, n, free) for p in e]
-    total = sum(size for size, _ in cones)
-    if not _cone_identity_holds(e, total):
-        raise InternalInconsistencyError(
-            f"sum of cone sizes {total} != T {triangle_count_naive(e)}"
-        )
-    return 1, min(size - bound for size, bound in cones)
+    return 1, _cone_lemma(e, n)
 
 
 def _thm_31(e: PointSet, n: int) -> tuple[int, Fraction]:
@@ -407,7 +402,7 @@ def _conclusion_kernels(check: str, n: int) -> tuple:
     if check == "thm-3.1":
         return (_block_spectra, _block_uniformity, _block_triangle_counts)
     if check == "lemma-2.5":
-        return (_block_triangle_counts,)
+        return (_block_spectra, lambda sets: _block_cone_lemma(sets, n))
     if check in ("lemma-2.4", "thm-4.1", "thm-1.1") and n == 3:
         return (_block_spectra, _block_hyperplane_counts)
     if check in ("lemma-2.4", "cor-1.3"):

@@ -226,6 +226,34 @@ def definition_tables(bitsets, r: int, chunk: int = 256):
     return np.concatenate(coeffs), np.concatenate(counts), np.concatenate(per_hyperplane)
 
 
+def cone_lemma_tables(bitsets, r: int, n: int, chunk: int = 16):
+    """For sets of rank r <= 6 given as bitsets, straight from the
+    definitions: each set's cone sizes |{x in E : x ^ p in E}| at every
+    word p (a (B, 2^r) array), whether it holds a rank-n flat of
+    ``all_flats`` (a (B,) array), and whether its cone at each word p holds
+    a rank-(n-1) flat (a (B, 2^r) array).  Computed ``chunk`` sets at a
+    time to bound memory."""
+    size = 1 << r
+    xor = np.array([[x ^ p for x in range(size)] for p in range(size)])
+
+    def incidence(k):
+        flats = [f for f in all_flats(r) if flat_rank(f) == k]
+        return np.array([[x in f for x in range(size)] for f in flats], dtype=np.int64).T, (1 << k) - 1
+
+    flats_n, points_n = incidence(n)
+    flats_k, points_k = incidence(n - 1)
+    sizes, holds, cone_holds = [], [], []
+    for i in range(0, len(bitsets), chunk):
+        member = np.array(
+            [[(b >> y) & 1 for y in range(size)] for b in bitsets[i : i + chunk]], dtype=np.int64
+        ).reshape(-1, size)
+        cones = member[:, None, :] * member[:, xor]  # [set, p, x]: x and x ^ p in E
+        sizes.append(cones.sum(axis=2))
+        holds.append((member @ flats_n == points_n).any(axis=1))
+        cone_holds.append((cones @ flats_k == points_k).any(axis=2))
+    return np.concatenate(sizes), np.concatenate(holds), np.concatenate(cone_holds)
+
+
 def qbinom_recurrence(n: int, k: int) -> int:
     """Gaussian binomial via the Pascal-type recurrence (independent of the
     product formula in the package)."""

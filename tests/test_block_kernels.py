@@ -1,9 +1,11 @@
 """The one-word block kernels: spectra, per-hyperplane triangle counts,
-uniformity reports and translation triangle counts of a block of sets at
-r <= 6, formed together and kept in each set's memo."""
+uniformity reports, translation triangle counts and the cone lemma of a
+block of sets at r <= 6, formed together and kept in each set's memo."""
 
 import random
+import re
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ import pgfree.verify as verify
 from pgfree.errors import InternalInconsistencyError
 from pgfree.matroid import _block_triangle_counts, triangle_count_naive
 from pgfree.pointset import PointSet
-from pgfree.search import find_triangle_free_flat
+from pgfree.search import _block_cone_lemma, cone_sizes, find_triangle_free_flat
 from pgfree.spectral import (
     Spectrum,
     _block_hyperplane_counts,
@@ -28,8 +30,10 @@ from pgfree.spectral import (
 from pgfree.verify import SweepConfig, run_sweep
 
 from oracles import (
+    brute_cone,
     brute_epsilon_min_num,
     brute_triangle_count,
+    cone_lemma_tables,
     definition_tables,
     direct_walsh,
     python_cube_sum,
@@ -218,6 +222,7 @@ def _spy_on_kernels(monkeypatch):
     for module, name in ((verify, "_block_spectra"), (verify, "_block_hyperplane_counts"),
                          (verify, "_block_uniformity"), (verify, "_block_triangle_counts"),
                          (search, "_block_spectra"), (search, "_block_hyperplane_counts"),
+                         (verify, "_block_cone_lemma"), (search, "_cone_tables"),
                          (spectral, "_spectrum_rows"), (spectral, "_sylvester_rows"),
                          (matroid, "_translation_counts")):
         real = getattr(module, name)
@@ -231,7 +236,8 @@ def test_random_sweeps_above_one_word_never_call_a_kernel(monkeypatch):
     calls = _spy_on_kernels(monkeypatch)
     for r in (7, 8):
         cfg = SweepConfig(rank=r, level=3, mode="random", sample_count=6, rng_seed=r,
-                          checks=("thm-3.1", "bose-burton", "cor-1.3", "thm-4.1", "lemma-2.4"))
+                          checks=("thm-3.1", "bose-burton", "cor-1.3", "thm-4.1", "lemma-2.4",
+                                  "lemma-2.5"))
         assert run_sweep(cfg, workers=1).total_violations == 0
     assert calls == []
     # and one-word sweeps do, once per block, for the values the check reads
@@ -300,3 +306,167 @@ def test_one_block_at_rank_6_stays_within_a_few_stacks():
         tracemalloc.stop()
     assert all(set(KEYS) <= e.memo.keys() for e in sets)
     assert peak < 10 * stack
+
+
+# ---------------------------------------------------------------------------
+# the cone lemma (Lemma 2.5)
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _every_subset_cone_tables(r, n):
+    return cone_lemma_tables([i << 1 for i in range(1 << ((1 << r) - 1))], r, n)
+
+
+def _assert_cone_lemma_rows_are_the_definitions(sets, n, tables):
+    """Each nonempty set's kept cone sizes and least slack are the
+    definitions', and the lemma holds there: a free set's cones are free."""
+    r = sets[0].rank
+    sizes, holds, cone_holds = tables
+    for e, size, held, cone_held in zip(sets, sizes, holds, cone_holds):
+        if not e.size:
+            continue
+        apexes = list(e.points)
+        assert not (not held and cone_held[apexes].any()), e.to_compact()
+        assert e.memo["cone_sizes"].tolist() == size[apexes].tolist(), e.to_compact()
+        assert not e.memo["cone_sizes"].flags.writeable
+        assert e.memo[("cone_lemma", n)] == int(size[apexes].min()) - (2 * e.size - (1 << r))
+
+
+# blocks of 1 up to r = 3, and at r = 4 as each set's own call, which is
+# the kernel on a block of one (below)
+@pytest.mark.parametrize(
+    "r, n, size",
+    [(r, n, size) for r, n in ((3, 3), (4, 3), (4, 4)) for size in (1, 7, 256, 300) if (r, size) != (4, 1)],
+)
+def test_cone_lemma_kernel_on_every_subset_matches_the_definitions(r, n, size):
+    sets = _every_subset(r)[1:]  # the lemma's gate: a nonempty set
+    for i in range(0, len(sets), size):
+        _block_cone_lemma(sets[i : i + size], n)
+    tables = _every_subset_cone_tables(r, n)
+    _assert_cone_lemma_rows_are_the_definitions(sets, n, tuple(t[1:] for t in tables))
+
+
+@pytest.mark.parametrize("r, n", [(3, 3), (4, 3), (4, 4)])
+def test_per_set_cone_lemma_is_the_kernel_row_on_every_subset(r, n):
+    sets = _every_subset(r)[1:]
+    for i in range(0, len(sets), 256):
+        _block_cone_lemma(sets[i : i + 256], n)
+    for e in sets:
+        f = PointSet(r, e.bits)
+        assert verify._lemma_25(f, n) == (1, e.memo[("cone_lemma", n)])
+        assert np.array_equal(f.memo["cone_sizes"], e.memo["cone_sizes"])
+
+
+@pytest.mark.parametrize("size", [1, 7, 256, 300])
+@pytest.mark.parametrize("r, n", [(5, 3), (5, 4), (6, 3), (6, 4)])
+def test_cone_lemma_kernel_on_seeded_sets_matches_the_definitions(r, n, size):
+    sets = _seeded_sets(r, 36, 200 + r)
+    # seeded dense fano-free sets keep the freeness clause active at n = 3
+    rng = random.Random(r)
+    dense_free = PointSet.full(r).bits >> (1 << (r - 2)) << (1 << (r - 2))
+    sets += [PointSet(r, dense_free & ~(1 << w)) for w in rng.sample(range(1 << (r - 2), 1 << r), 3)]
+    for i in range(0, len(sets), size):
+        _block_cone_lemma([e for e in sets[i : i + size] if e.size], n)
+    _assert_cone_lemma_rows_are_the_definitions(sets, n, cone_lemma_tables([e.bits for e in sets], r, n))
+    for e in sets:
+        f = PointSet(r, e.bits)
+        assert np.array_equal(cone_sizes(f), [len(brute_cone(e.points, p, r)) for p in e])
+        if e.size:
+            assert verify._lemma_25(f, n) == (1, e.memo[("cone_lemma", n)])
+
+
+@pytest.mark.parametrize("r", [7, 8])
+def test_cone_lemma_above_one_word_matches_the_cone_loop(r):
+    rng = random.Random(r)
+    sets = [verify.sample_pointset(r, 70 + r, i) for i in range(3)]
+    e = PointSet.full(r).bits >> (1 << (r - 2)) << (1 << (r - 2))
+    sets.append(PointSet(r, e & ~(1 << rng.randrange(1 << (r - 2), 1 << r))))
+    for e in sets:
+        sizes = [search.cone(e, p).size for p in e]
+        assert cone_sizes(e).tolist() == sizes
+        bound = 2 * e.size - (1 << r)
+        assert verify._lemma_25(e, 3) == (1, min(sizes) - bound)
+        assert search._cone_identity_holds(e, sum(sizes))
+
+
+def _corrupt_cones_of(monkeypatch, target, apex, cone):
+    """Make ``search._cone_tables`` give the target set the cone bitset
+    ``cone`` at ``apex``, with its size."""
+    real = search._cone_tables
+
+    def tables(sets):
+        cones, sizes, apexes = real(sets)
+        for i, e in enumerate(sets):
+            if e == target:
+                cones[apex, i], sizes[apex, i] = cone, cone.bit_count()
+        return cones, sizes, apexes
+
+    monkeypatch.setattr(search, "_cone_tables", tables)
+
+
+@pytest.mark.parametrize(
+    "target, apex, cone, message",
+    [
+        # words 8..15 but 9, triangle-free, so fano-free: its empty cone at 8
+        # becomes the line {1, 2, 3}
+        (PointSet(4, 0xFD00), 8, 0b1110, "cone at 8 contains a PG(1,2) despite the freeness hypothesis"),
+        # words 4..15: its cone at 4, words 8..15, loses word 8 and falls one
+        # point below the bound 2|E| - 2^r = 8
+        (PointSet(4, 0xFFF0), 4, 0xFE00, "cone at 4 has 7 points, below the bound 8"),
+    ],
+    ids=["freeness", "bound"],
+)
+def test_a_corrupted_cone_row_is_one_violation_of_the_sweep(monkeypatch, target, apex, cone, message):
+    cfg = SweepConfig(rank=4, level=3, mode="exhaustive", checks=("bose-burton", "lemma-2.5", "thm-3.1"))
+    clean = run_sweep(cfg, workers=1).to_json_obj()
+    _corrupt_cones_of(monkeypatch, target, apex, cone)
+    # the set's own call raises the message the sweep records
+    with pytest.raises(InternalInconsistencyError, match=re.escape(message)):
+        verify._lemma_25(PointSet(4, target.bits), 3)
+    out = run_sweep(cfg, workers=1).to_json_obj()
+    st = out["checks"]["lemma-2.5"]
+    assert st["violations"] == 1
+    assert st["witnesses"] == [f"{target.to_compact()} {message}"]
+    st["violations"], st["witnesses"] = 0, []
+    assert out == clean
+
+
+def test_the_cone_identity_holds_the_cone_sizes_against_the_spectral_count(monkeypatch):
+    # the cone sizes come off the stack the translation count sums, so only
+    # the spectral count checks them: a wrong one is one violation
+    cfg = SweepConfig(rank=4, level=3, mode="exhaustive", checks=("lemma-2.5",))
+    clean = run_sweep(cfg, workers=1).to_json_obj()
+    target = PointSet(4, 0x0E8A)
+    real = search.triangle_count_spectral
+    monkeypatch.setattr(search, "triangle_count_spectral", lambda e: real(e) + 6 if e == target else real(e))
+    out = run_sweep(cfg, workers=1).to_json_obj()
+    st = out["checks"]["lemma-2.5"]
+    t = triangle_count_naive(target)
+    assert st["witnesses"] == [f"{target.to_compact()} sum of cone sizes {t} != T {t + 6}"]
+    st["violations"], st["witnesses"] = 0, []
+    assert out == clean
+
+
+def test_one_cone_lemma_block_at_rank_6_stays_within_a_few_stacks():
+    # the cone tables are about two (2^r x B) stacks of uint64 and int64;
+    # the flat test adds chunks of at most _PAIR_BLOCK_ELEMENTS pairs
+    import tracemalloc
+
+    stack = verify._SWEEP_BLOCK * 64 * 8
+    for n in (3, 4, 5):
+        rng = random.Random(66 + n)
+        sets = [PointSet(6, rng.getrandbits(64) & ~1) for _ in range(verify._SWEEP_BLOCK)]
+        # the gate's freeness and the spectra, as a sweep forms them first
+        for e in sets:
+            matroid.is_pg_free(e, n)
+            walsh_hadamard(e)
+        matroid._flat_table(6, n - 1)
+        tracemalloc.start()
+        try:
+            _block_cone_lemma(sets, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(("cone_lemma", n) in e.memo for e in sets)
+        assert peak < 8 * stack

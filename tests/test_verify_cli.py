@@ -135,6 +135,16 @@ _ODD_WORDS = affine_set(4, 1)  # eight points, triangle-free: gs applies at leve
 _NO_FLAT = (StructureResult(False, None, 0, False), None)
 
 
+def _emptied_cones(real, target):
+    """``_cone_tables`` with every cone of the target set emptied."""
+    def tables(sets):
+        cones, sizes, apexes = real(sets)
+        hit = [i for i, e in enumerate(sets) if e == target]
+        cones[:, hit], sizes[:, hit] = 0, 0
+        return cones, sizes, apexes
+    return tables
+
+
 @pytest.mark.parametrize(
     "check, level, target, patched, wrong",
     [
@@ -148,8 +158,8 @@ _NO_FLAT = (StructureResult(False, None, 0, False), None)
         ("cor-1.3", 3, _PLANE_MINUS_7, "pgfree.matroid.critical_number", 0),
         # Lemma 2.4 reads E once the freeness gate passes: the plane itself
         ("lemma-2.4", 3, _PLANE, "pgfree.verify.is_pg_free", FreenessWitness(False, None)),
-        # the cone lemma reads each cone
-        ("lemma-2.5", 3, _PLANE_MINUS_7, "pgfree.search.cone", PointSet.empty(3)),
+        # the cone lemma reads each cone off the set's column of the cone tables
+        ("lemma-2.5", 3, _PLANE_MINUS_7, "pgfree.search._cone_tables", _emptied_cones),
         # Theorem 4.1 reads the first triangle-free hyperplane
         ("thm-4.1", 3, _PLANE_MINUS_7, "pgfree.verify.find_pg_free_hyperplane", None),
         # Theorem 1.1 reads the flat search
@@ -165,7 +175,10 @@ def test_failed_conclusion_is_counted_as_a_violation(
 ):
     module, name = patched.rsplit(".", 1)
     real = getattr(importlib.import_module(module), name)
-    monkeypatch.setattr(patched, lambda e, *args: wrong if e == target else real(e, *args))
+    if callable(wrong):  # a wrong value inside a block's table, not a set's own value
+        monkeypatch.setattr(patched, wrong(real, target))
+    else:
+        monkeypatch.setattr(patched, lambda e, *args: wrong if e == target else real(e, *args))
     cfg = SweepConfig(rank=target.rank, level=level, mode="exhaustive", checks=(check,))
     st = run_sweep(cfg).checks[check]
     assert st["violations"] >= 1
