@@ -390,10 +390,13 @@ def triangle_count_naive(E: PointSet) -> int:
 
     Small sets count the pairs in a Python loop.  Larger sets work on the
     bitset as little-endian 64-bit words W: bit b of word j of E + x is bit
-    b ^ (x & 63) of word j ^ (x >> 6) of W, so each translate is a gather
-    from the 64 in-word XOR permutations of W, ANDed with W and summed by
-    popcount.  The permutation table takes 8 * 2^r bytes, as much as one
-    int64 transform table.
+    b ^ (x & 63) of word j ^ (x >> 6) of W, so each translate is read off
+    the 64 in-word XOR permutations of W, ANDed with W and summed by
+    popcount.  From r = 7 the sum over a range of words closed under
+    j -> j ^ (x >> 6) runs over j ^ (x >> 6) instead, so the terms of x are
+    whole rows of two tables, gathered with no index per word
+    (``_row_gather_popcount``).  The permutation table takes 8 * 2^r bytes,
+    as much as one int64 transform table.
 
     Each triangle {a < b < c} is counted once, from its least point: if t
     is the top bit of c, then b also has bit t and a < 2^t.  So with
@@ -424,16 +427,16 @@ def triangle_count_naive(E: PointSet) -> int:
         return _translation_counts([E])[0]
     words = E.words()
     nw = words.size
-    perms = _xor_permutations(words).ravel()
+    perms = _xor_permutations(words)
     xs = E.points_array
-    key = _translation_keys(xs, nw)
-    # key[:end]: the points below 64 w, the base's points and then the least
+    low, high = xs & 63, xs >> 6
+    # [:end]: the points below 64 w, the base's points and then the least
     # points of the triangles whose other two lie in words w .. 2w - 1
     w = min(nw, _BASE_WORDS)
     end = xs.searchsorted(64 * w)
-    total = _translation_popcount(perms, key[:end], words, 0, w)
+    total = _row_gather_popcount(perms, words, low[:end], high[:end], 0, w)
     while w < nw:
-        total += 3 * _translation_popcount(perms, key[:end], words, w, 2 * w)
+        total += 3 * _row_gather_popcount(perms, words, low[:end], high[:end], w, 2 * w)
         w *= 2
         end = xs.searchsorted(64 * w)
     return total
@@ -472,24 +475,44 @@ def _block_triangle_counts(sets: list[PointSet]) -> None:
             e.memo["triangle_count_naive"] = t
 
 
-def _translation_popcount(perms: np.ndarray, keys: np.ndarray, words: np.ndarray, j0: int, j1: int) -> int:
-    """Sum over the translation keys of y of |W ∩ (W + y)| on words j0 .. j1 - 1.
+def _row_gather_popcount(perms: np.ndarray, words: np.ndarray, low: np.ndarray, high: np.ndarray,
+                         j0: int, j1: int) -> int:
+    """Sum over the points y = 64 high + low, ascending, of |W ∩ (W + y)| on
+    words j0 .. j1 - 1.
 
-    Each j ^ (y >> 6) must stay in that range.  The gather runs in column
-    chunks and row blocks of at most _PAIR_BLOCK_ELEMENTS words, so its
-    memory is bounded at any rank.
+    Each j ^ (y >> 6) must stay in that range, so the sum may run over
+    j ^ (y >> 6) in place of j: word j of the term of y is then
+    perms[y & 63, j] & wx[y >> 6, j], with wx[h, j] = W[j ^ h], and both
+    are whole rows, gathered by ``take`` with no index per word.  The words
+    go in column chunks of cols <= _PAIR_BLOCK_ELEMENTS words; in each, wx
+    is built for rows = _PAIR_BLOCK_ELEMENTS // cols values of h at a time,
+    and the points with those h are gathered rows at a time, so every
+    temporary holds at most _PAIR_BLOCK_ELEMENTS words at any rank.  A
+    block's popcounts sum to at most 64 _PAIR_BLOCK_ELEMENTS = 2^20, so a
+    uint32 accumulator cannot wrap, and the blocks' sums add as Python
+    integers.
     """
+    if not high.size:
+        return 0
     cols = min(j1 - j0, _PAIR_BLOCK_ELEMENTS)
     rows = max(1, _PAIR_BLOCK_ELEMENTS // cols)
+    top = int(high[-1]) + 1
+    starts = range(0, top, rows)
+    # the points of each chunk of h run from bounds[i] to bounds[i + 1]
+    bounds = [0, high.size] if top <= rows else high.searchsorted(np.arange(0, top + rows, rows)).tolist()
     total = 0
     for c0 in range(j0, j1, cols):
-        c1 = min(c0 + cols, j1)
-        j = np.arange(c0, c1)
-        w = words[c0:c1]
-        for i0 in range(0, keys.size, rows):
-            block = perms[keys[i0:i0 + rows, None] ^ j]
-            block &= w
-            total += int(np.bitwise_count(block).sum())
+        j = np.arange(c0, min(c0 + cols, j1))
+        p = perms[:, c0 : c0 + j.size]
+        for h0, i0, i1 in zip(starts, bounds, bounds[1:]):
+            if i0 == i1:
+                continue
+            wx = words[np.arange(h0, min(h0 + rows, int(high[i1 - 1]) + 1))[:, None] ^ j]
+            for s0 in range(i0, i1, rows):
+                s = slice(s0, min(s0 + rows, i1))
+                block = p.take(low[s], axis=0)
+                block &= wx.take(high[s] - h0 if h0 else high[s], axis=0)
+                total += int(np.bitwise_count(block).sum(dtype=np.uint32))
     return total
 
 

@@ -4,28 +4,34 @@ The transform of the indicator of a point set E is
 coeff(gamma) = sum over words y in E of (-1)^(y . gamma), computed for all
 2^r characters at once.  All arithmetic is integer-exact.
 
-In the one-word ambient, r <= 6 (2^r <= ``SMALL_SET_POINTS``), numpy's
-fixed cost per call, not arithmetic, sets the time, so the values of a
-block of same-rank sets are formed together on their (B x 2^r) int64
-stacks, each by its own kernel, which forms it only for the sets whose
-memo lacks it: ``_block_spectra`` is one product with the leading
-2^r x 2^r block of the Sylvester matrix H_64, followed by row-wise
-extremes, squares and cubes; ``_block_hyperplane_counts`` is the same two
-products, stacked, on the memoized spectra; ``_block_uniformity`` is one
-row argmax over them.  Every row passes the same checks as a single
+On tables narrower than a cache-sized block of ``_BLOCK`` (2^16)
+entries, r <= 15, numpy's fixed cost per call, not arithmetic, sets much
+of the time, so the values of a block of same-rank sets are formed
+together on their (B x 2^r) stacks, each by its own kernel, which forms
+it only for the sets whose memo lacks it.  ``_block_spectra`` is, in the
+one-word ambient (r <= 6, 2^r <= ``SMALL_SET_POINTS``), one int64 product
+with the leading 2^r x 2^r block of the Sylvester matrix H_64, and from
+r = 7 the stacked int32 butterfly ``_int32_transform``, each followed by
+row-wise extremes, squares and cubes; ``_block_uniformity`` is one row
+argmax over the memoized spectra; ``_block_hyperplane_counts`` (one-word
+only) is the same two products, stacked, on them.  The later kernels read
+the stack ``_block_spectra`` formed in place when their rows are
+consecutive rows of it.  Every row passes the same checks as a single
 table, and a row that fails is not kept, so its set's own call
-recomputes it and raises.  A single one-word set's spectrum and counts
-are those kernels' rows on a block of one.
+recomputes it and raises.  A single such set's spectrum is the kernel's
+row on a block of one.  A table of ``_BLOCK`` entries or more (from
+r = 16) is transformed and checked alone.
 
-Larger tables run the size-doubling butterfly, whose stages cost O(1)
-per entry against the product's O(2^r).  Its six narrowest stages
-(widths 1 to 32) are read off the bitset's bytes: each 64-bit
+From r = 7 the transform is the size-doubling butterfly, whose stages
+cost O(1) per entry against the product's O(2^r).  Its six narrowest
+stages (widths 1 to 32) are read off the bitset's bytes: each 64-bit
 word's 64 entries after them are the sum of eight int8 rows of
 ``_BYTE_ROWS``, one per byte, so no indicator array is built.  The wider
-stages run in place, two per pass (radix 4): those narrower than a
-cache-sized block of ``_BLOCK`` entries right after the block's rows are
-written, while it is in cache, then the rest over the whole table, with
-one plain stage when a group's count is odd.  numpy runs a strided view
+stages run in place, two per pass (radix 4): those narrower than both the
+table and a block right after the block's rows are written, while it is
+in cache (all of them on a block of ``_BLOCK >> r`` whole tables, while
+2^r < ``_BLOCK``), then the rest over the whole table, with one plain
+stage when a group's count is odd.  numpy runs a strided view
 whose rows are shorter than about 4096 entries through its buffered
 iterator, several times slower per entry, so the narrow stages cost
 mostly per pass; a pass's temporaries are pieces of at most a quarter
@@ -34,11 +40,13 @@ entry is a signed sum of 2h indicator bits, so the stages narrower than
 ``_INT16_TOP`` (2^14) form values of at most 2^14 and run in an int16
 copy of the block, half the bytes per pass; the rest run in int32, which
 holds every value the butterfly forms, at most 2|E| < 2^25.  The spectrum
-is that int32 table: every |c| <= |E| < 2^24.  ``Spectrum`` walks it
-once, a block at a time, widening each block to int64: it checks
-c[0] = |E|, |c| <= |E| and Parseval, and keeps the nontrivial extremes
-and the exact cube sum, up to 2^72, which ``uniformity`` and
-``triangle_count_spectral`` read (see ``_moments``).  The triangle counts
+is that int32 table: every |c| <= |E| < 2^24.  Its checks, c[0] = |E|,
+|c| <= |E| and Parseval, run in the pass that keeps the nontrivial
+extremes and the exact cube sum, which ``uniformity`` and
+``triangle_count_spectral`` read: on the rows of a stack in int64, where a
+row's cubes sum to at most 2^60 (``_row_moments``), and on a table of a
+block or more in ``Spectrum``'s walk, a block at a time, up to 2^72 (see
+``_moments``).  The triangle counts
 of all 2^r hyperplane intersections come from two more transforms over
 E's cone sizes, in int64, all below 2^51 (see
 ``triangle_counts_per_hyperplane``).
@@ -46,6 +54,7 @@ E's cone sizes, in int64, all below 2^51 (see
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -223,12 +232,15 @@ def _moments(c: np.ndarray) -> tuple[int, int, int, int]:
 
 def _row_moments(c: np.ndarray) -> tuple[list[int], ...]:
     """(min, max, sum(c^2), sum(c^3)) of each row of a nonempty (B, k)
-    stack with |c| <= 64, as lists of Python integers: the one-word
-    ambient's counterpart of ``_moments``, exact in int64 since k <= 64."""
-    c = c.astype(np.int64, copy=False)
-    sq = c * c
-    sq_c = sq * c
-    return tuple(v.tolist() for v in (c.min(axis=1), c.max(axis=1), sq.sum(axis=1), sq_c.sum(axis=1)))
+    stack, as lists of Python integers: the counterpart of ``_moments`` for
+    rows narrower than ``_BLOCK``.  Exact in int64 when k |c|^3 < 2^63: a
+    row of a product has k <= 64 and |c| <= 64, and one of the butterfly,
+    at most 2^15 signed sums of at most 2^15 indicator bits, has
+    k |c|^3 <= 2^60."""
+    sq = np.square(c, dtype=np.int64)
+    squares = sq.sum(axis=1)
+    sq *= c
+    return tuple(v.tolist() for v in (c.min(axis=1), c.max(axis=1), squares, sq.sum(axis=1)))
 
 
 def _spectrum_fault(rank: int, m: int, c0: int, lo: int, hi: int, squares: int) -> Optional[str]:
@@ -273,10 +285,10 @@ class Spectrum:
     nontrivial coefficient (gamma != 0) and the exact sum of cubes, which
     ``uniformity`` and ``triangle_count_spectral`` read instead of walking
     the table again (``_moments``, or ``_row_moments`` on the rows of a
-    block, ``_spectrum_rows``).  The table is int32 (int64 in the one-word
+    stack, ``_spectrum_rows``).  The table is int32 (int64 in the one-word
     ambient, r <= 6), exact since every |c| <= |E| < 2^24, so squares and
     cubes of it are formed in int64 or as Python integers.  It is
-    read-only.
+    read-only; below r = 16 it is a row of a stack of a block's sets.
     """
 
     ambient_rank: int
@@ -298,12 +310,14 @@ class Spectrum:
 
     @classmethod
     def _of_checked_row(cls, rank: int, coeffs: np.ndarray, size: int, lo: int, hi: int,
-                        cube_sum: int) -> "Spectrum":
-        """A read-only row of a block, whose checks and moments
-        ``_spectrum_rows`` has formed, with no second pass."""
+                        cube_sum: int, row: int) -> "Spectrum":
+        """A read-only row of a block's stack, whose checks and moments
+        ``_spectrum_rows`` has formed, with no second pass.  It keeps its
+        row number, so ``_spectrum_stack`` can read consecutive rows of the
+        stack in place."""
         spec = object.__new__(cls)
         spec.__dict__.update(ambient_rank=rank, coeffs=coeffs, set_size=size,
-                             nontrivial_min=lo, nontrivial_max=hi, cube_sum=cube_sum)
+                             nontrivial_min=lo, nontrivial_max=hi, cube_sum=cube_sum, _row=row)
         return spec
 
     def __getitem__(self, gamma: int) -> int:
@@ -326,37 +340,73 @@ def _membership_rows(sets: list[PointSet]) -> np.ndarray:
     return bits[:, : 1 << sets[0].rank].astype(np.int64)
 
 
-def _spectrum_rows(sets: list[PointSet], member: np.ndarray) -> list[Optional[str]]:
-    """The spectra of same-rank one-word sets from their membership stack:
-    one product, then each row's moments and checks.  A row that passes
-    goes into its set's memo.  Returns each row's fault (None for a kept
-    row)."""
+def _alone(rank: int) -> bool:
+    """Whether a table of this rank is transformed and checked alone, not
+    as a row of a stack: past the one-word ambient, a table of ``_BLOCK``
+    entries or more (from r = 16)."""
+    n = 1 << rank
+    return n > SMALL_SET_POINTS and n >= _BLOCK
+
+
+def _spectrum_rows(sets: list[PointSet], member: Optional[np.ndarray] = None) -> list[Optional[str]]:
+    """The spectra of same-rank sets whose tables are not ``_alone``, as
+    one stack: one product with their membership stack (``member``, built
+    here if not given) in the one-word ambient, the stacked transform
+    ``_int32_transform`` from r = 7.  Then each row's moments and checks;
+    a row that passes goes into its set's memo.  Returns each row's fault
+    (None for a kept row)."""
     r = sets[0].rank
-    c = _sylvester_rows(member)
+    if (1 << r) <= SMALL_SET_POINTS:
+        c = _sylvester_rows(_membership_rows(sets) if member is None else member)
+    else:
+        c = _int32_transform(sets)
     c.flags.writeable = False
     faults = []
-    for e, row, c0, lo, hi, squares, cubes in zip(sets, c, c[:, 0].tolist(), *_row_moments(c[:, 1:])):
+    rows = zip(sets, c[:, 0].tolist(), *_row_moments(c[:, 1:]))
+    for i, (e, c0, lo, hi, squares, cubes) in enumerate(rows):
         m = e.size
         fault = _spectrum_fault(r, m, c0, lo, hi, squares)
         if fault is None:
-            e.memo["walsh_hadamard"] = Spectrum._of_checked_row(r, row, m, lo, hi, cubes + m**3)
+            e.memo["walsh_hadamard"] = Spectrum._of_checked_row(r, c[i], m, lo, hi, cubes + m**3, i)
         faults.append(fault)
     return faults
 
 
 def _block_spectra(sets: list[PointSet]) -> None:
-    """Keep the spectrum of each set of a block of same-rank one-word sets
-    whose memo lacks it (``_spectrum_rows``)."""
+    """Keep the spectrum of each set of a block of same-rank sets whose
+    memo lacks it: the rows of one stack (``_spectrum_rows``), or each
+    set's own table when it is ``_alone``.  A table that fails its checks
+    is not kept."""
     todo = [e for e in sets if "walsh_hadamard" not in e.memo]
-    if todo:
-        _spectrum_rows(todo, _membership_rows(todo))
+    if not todo:
+        return
+    if not _alone(todo[0].rank):
+        _spectrum_rows(todo)
+        return
+    for e in todo:
+        with suppress(InternalInconsistencyError):
+            walsh_hadamard(e)
 
 
-def _memoized_spectra(sets: list[PointSet], key: str) -> tuple[list[PointSet], Optional[np.ndarray]]:
-    """The sets of a block whose memo holds a spectrum but not ``key``,
-    and their coefficients as one (B, 2^r) stack."""
-    todo = [e for e in sets if key not in e.memo and "walsh_hadamard" in e.memo]
-    return todo, np.stack([e.memo["walsh_hadamard"].coeffs for e in todo]) if todo else None
+def _memoized_spectra(sets: list[PointSet], key: str) -> list[PointSet]:
+    """The sets of a block whose memo holds a spectrum but not ``key``."""
+    return [e for e in sets if key not in e.memo and "walsh_hadamard" in e.memo]
+
+
+def _spectrum_stack(sets: list[PointSet]) -> np.ndarray:
+    """The memoized spectra of sets as one read-only (B, 2^r) stack: read in
+    place when they are consecutive rows of one stack that
+    ``_spectrum_rows`` formed, else stacked anew."""
+    specs = [e.memo["walsh_hadamard"] for e in sets]
+    first = specs[0].__dict__.get("_row")
+    base = specs[0].coeffs.base
+    if first is not None and all(
+        s.coeffs.base is base and s.__dict__.get("_row") == first + i for i, s in enumerate(specs)
+    ):
+        c = base.reshape(-1, specs[0].coeffs.size)[first : first + len(specs)]
+        c.flags.writeable = False
+        return c
+    return np.stack([s.coeffs for s in specs])
 
 
 def _block_hyperplane_counts(sets: list[PointSet]) -> None:
@@ -364,11 +414,12 @@ def _block_hyperplane_counts(sets: list[PointSet]) -> None:
     same-rank one-word sets whose memo holds its spectrum but not the
     counts, formed from the stacked spectra (``_hyperplane_counts``).  A
     row that fails ``_count_fault`` is not kept."""
-    todo, c = _memoized_spectra(sets, "triangle_counts_per_hyperplane")
+    todo = _memoized_spectra(sets, "triangle_counts_per_hyperplane")
     if not todo:
         return
     r = todo[0].rank
-    counts, convolved, counted = _hyperplane_counts(c, _membership_rows(todo), r, _sylvester_rows)
+    counts, convolved, counted = _hyperplane_counts(_spectrum_stack(todo), _membership_rows(todo), r,
+                                                    _sylvester_rows)
     counts.flags.writeable = False
     for e, row, ors in zip(todo, counts, zip(convolved.tolist(), counted.tolist())):
         if _count_fault(r, *ors) is None:
@@ -376,14 +427,19 @@ def _block_hyperplane_counts(sets: list[PointSet]) -> None:
 
 
 def _block_uniformity(sets: list[PointSet]) -> None:
-    """Keep the uniformity report of each set of a block of same-rank
-    one-word sets whose memo holds its spectrum but not the report: the
-    peak |coeff| of each stacked row and its least nontrivial witness."""
-    todo, c = _memoized_spectra(sets, "uniformity")
+    """Keep the uniformity report of each set of a block of same-rank sets
+    whose memo holds its spectrum but not the report: the peak |coeff| of
+    each stacked row and its least nontrivial witness.  A table transformed
+    ``_alone`` is scanned by ``uniformity`` itself, a block at a time."""
+    todo = _memoized_spectra(sets, "uniformity")
     if not todo:
         return
     r = todo[0].rank
-    t = np.abs(c[:, 1:])
+    if _alone(r):
+        for e in todo:
+            uniformity(e)
+        return
+    t = np.abs(_spectrum_stack(todo)[:, 1:])
     peak = t.max(axis=1)
     # the least nontrivial gamma of greatest |coeff|: argmax of a boolean
     # row is its first True
@@ -396,53 +452,77 @@ def _block_uniformity(sets: list[PointSet]) -> None:
 def walsh_hadamard(E: PointSet) -> Spectrum:
     """Exact transform of the indicator of E over all 2^r characters.
 
-    In the one-word ambient (2^r <= ``SMALL_SET_POINTS``) it is the block
-    kernel ``_spectrum_rows`` on a block of one: the set's ``membership``
-    row, which its per-hyperplane counts read too, times the leading
-    2^r x 2^r block of ``_SYLVESTER``, an int64 table.
-    From r = 7 it is the int32 table of ``_int32_transform``.
+    A table not transformed ``_alone`` is the block kernel
+    ``_spectrum_rows`` on a block of one: in the one-word ambient
+    (2^r <= ``SMALL_SET_POINTS``) the set's ``membership`` row, which its
+    per-hyperplane counts read too, times the leading 2^r x 2^r block of
+    ``_SYLVESTER``, an int64 table, and from r = 7 a row of
+    ``_int32_transform``.  A larger table is that transform's one int32
+    table, checked by ``Spectrum``'s pass a block at a time.
     """
-    if (1 << E.rank) <= SMALL_SET_POINTS:
-        _raise(_spectrum_rows([E], E.membership[None])[0])
-        return E.memo["walsh_hadamard"]
-    return Spectrum(E.rank, _int32_transform(E), E.size)
+    if _alone(E.rank):
+        return Spectrum(E.rank, _int32_transform([E])[0], E.size)
+    _raise(_spectrum_rows([E], E.membership[None] if (1 << E.rank) <= SMALL_SET_POINTS else None)[0])
+    return E.memo["walsh_hadamard"]
 
 
-def _int32_transform(E: PointSet) -> np.ndarray:
-    """The transform of E's indicator from r = 7, as an int32 table built
-    one cache-sized block at a time.
+def _int32_transform(sets: list[PointSet]) -> np.ndarray:
+    """The transforms of the indicators of same-rank sets from r = 7, as a
+    (B, 2^r) int32 stack built one cache-sized block at a time.
 
-    The first six stages of the bitset's 64-bit word w come from its
-    bytes: they are linear, so entry 64j + u after them is the sum over
-    the eight bytes b_k of w_j of ``_BYTE_ROWS[k, b_k]`` at u, one gather
-    of the block's eight rows per word and one int8 sum over them (each
-    partial sum is at most 64), copied into one reused int16 block.  The
-    block's in-block stages, from width 64, run at once, while it is still
-    in cache: those narrower than ``_INT16_TOP`` in the int16 block, whose
-    values they keep at most 2^14 (see ``fwht_inplace``), the rest after
-    it is copied into its int32 slot.  ``fwht_inplace`` then runs the
-    stages from the block's width over the whole table, exact in int32
-    since every value it forms is at most 2|E| < 2^25.  The block buffers
-    are freed on return, before ``Spectrum``'s pass makes its own.
+    A block of ``_BLOCK`` entries holds ``_BLOCK >> r`` whole tables while
+    2^r < ``_BLOCK`` (the last block of a stack may hold fewer), and is one
+    piece of a single table from r = 16.  The first six stages of a 64-bit
+    word w of the sets' bitsets come from its bytes: they are linear, so
+    entry 64j + u after them is the sum over the eight bytes b_k of w_j of
+    ``_BYTE_ROWS[k, b_k]`` at u, one gather of the block's eight rows per
+    word and one int8 sum over them (each partial sum is at most 64),
+    copied into one reused int16 block.  The block's in-block stages, from
+    width 64 to the narrower of the table and the block, run at once,
+    while it is still in cache: each stage narrower than a table runs
+    within every table of the block at once, those narrower than
+    ``_INT16_TOP`` in the int16 block, whose values they keep at most 2^14
+    (see ``fwht_inplace``), the rest after it is copied into its int32
+    slot.  A table of ``_BLOCK`` entries or more then runs the stages from
+    the block's width over the whole table by ``fwht_inplace``, exact in
+    int32 since every value it forms is at most 2|E| < 2^25.  A row
+    narrower than a block is at most 2^15 signed sums of at most 2^15
+    indicator bits, so its squares and cubes, formed in int64, sum to at
+    most 2^60 per row (``_row_moments``).  The block buffers are freed on
+    return, before the checks make their own.
     """
-    n = 1 << E.rank
-    a = np.empty(n, dtype=np.int32)
-    block = min(n, max(_BLOCK, 64))
-    words = block >> 6
+    n = 1 << sets[0].rank
+    a = np.empty((len(sets), n), dtype=np.int32)
+    flat = a.reshape(-1)
+    block = min(flat.size, max(_BLOCK, 64))
+    top = min(n, block)
+    size = n >> 3
+    raw = sets[0].bits.to_bytes(size, "little") if len(sets) == 1 else b"".join(
+        e.bits.to_bytes(size, "little") for e in sets)
+    by = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 8)
     byte_rows = _BYTE_ROWS.reshape(-1, 64)
-    index = np.empty((8, words), dtype=np.intp)
-    rows = np.empty((8, words, 64), dtype=np.int8)
-    acc = np.empty((words, 64), dtype=np.int8)
-    narrow = np.empty(block, dtype=np.int16)
-    for b, w in zip(a.reshape(-1, block), E.words().view(np.uint8).reshape(-1, words, 8)):
-        np.add(w.T, _BYTE_OFFSETS, out=index)
-        np.take(byte_rows, index, axis=0, out=rows)
+    for i in range(0, flat.size, block):
+        b = flat[i : i + block]
+        words = b.size >> 6
+        if i == 0 or b.size < block:
+            # the buffers of a block, made again for a shorter last block
+            index = np.empty((8, words), dtype=np.intp)
+            rows = np.empty((8, words, 64), dtype=np.int8)
+            acc = np.empty((words, 64), dtype=np.int8)
+            narrow = np.empty(b.size, dtype=np.int16)
+        np.add(by[i >> 6 : (i >> 6) + words].T, _BYTE_OFFSETS, out=index)
+        # every index is a byte plus its row's offset, below 2048, so "clip"
+        # clips none; it writes into ``rows`` with no buffered copy
+        np.take(byte_rows, index, axis=0, out=rows, mode="clip")
         np.add.reduce(rows, axis=0, out=acc)
         narrow.reshape(words, 64)[...] = acc
-        h = _stages(narrow, 64, min(block, _INT16_TOP))
+        h = _stages(narrow, 64, min(top, _INT16_TOP))
         b[...] = narrow
-        _stages(b, h)
-    return fwht_inplace(a, block)
+        _stages(b, h, top)
+    if n >= _BLOCK:
+        for row in a:
+            fwht_inplace(row, block)
+    return a
 
 
 @memoized
@@ -564,21 +644,27 @@ def counting_bound_check(E: PointSet, epsilon: Fraction):
 
     Returns (holds, lhs, rhs) as exact rationals.  The inequality is a
     theorem for every eps-uniform set, so a failure is raised as an
-    internal inconsistency rather than returned.
+    internal inconsistency rather than returned.  Both it and the
+    hypothesis eps >= epsilon_min are decided on integers, by
+    cross-multiplying with eps = p/q, and lhs and rhs are formed once.
     """
     epsilon = Fraction(epsilon)
+    p, q = epsilon.numerator, epsilon.denominator
     rep = uniformity(E)
-    if epsilon < rep.epsilon_min:
+    least = rep.epsilon_min
+    if p * least.denominator < least.numerator * q:
         raise HypothesisError(
             f"E is not {epsilon}-uniform (needs at least {rep.epsilon_min})",
             witness=rep.worst_gamma,
         )
     t = triangle_count_spectral(E)
-    # with m = |E| and R = 2^r: a^3 4^r = m^3/R and (a - a^2) 4^r = m(R - m)
+    # with m = |E| and R = 2^r: a^3 4^r = m^3/R and (a - a^2) 4^r = m(R - m),
+    # so the bound is |tR - m^3| q <= p m(R - m) R
     m, R = E.size, 1 << E.rank
-    lhs = Fraction(abs(t * R - m**3), R)
-    rhs = epsilon * (m * (R - m))
-    if lhs > rhs:
+    gap, spread = abs(t * R - m**3), m * (R - m)
+    lhs = Fraction(gap, R)
+    rhs = epsilon * spread
+    if gap * q > p * spread * R:
         raise InternalInconsistencyError(
             f"counting bound failed on {E.to_compact()}: {lhs} > {rhs}"
         )

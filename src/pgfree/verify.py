@@ -7,22 +7,25 @@ byte-identical for a fixed configuration regardless of worker count.  Any
 reported violation would be a counterexample to a proven statement, i.e.
 an implementation bug, which is exactly what the sweeps exist to catch.
 
-In the one-word ambient, r <= 6, a sweep builds its sets in blocks of
-``_SWEEP_BLOCK`` and takes each block one check at a time: the check's
-gate runs on every set of the block, then the block kernels
-(``spectral._block_spectra``, ``_block_hyperplane_counts``,
-``_block_uniformity``, ``matroid._block_triangle_counts``,
-``search._block_cone_lemma``) of the values its conclusion reads on every
-set it concludes on (``_conclusion_kernels``) run on the sets that
-passed, then the conclusion runs on each of them and finds those values
-in the set's memo.  The cone lemma's kernel checks all of Lemma 2.5 on a
-block at once and keeps each passing set's least slack.
+A sweep builds its sets in blocks, as many as fill one cache-sized
+block of transform entries and at most ``_SWEEP_BLOCK`` (``_sweep_block``:
+256 to r = 8, 16 at r = 12, one from r = 16), and takes each block one
+check at a time: the check's gate runs on every set of the block, then
+the block kernels of the values its conclusion reads on every set it
+concludes on (``_conclusion_kernels``) run on the sets that passed, then
+the conclusion runs on each of them and finds those values in the set's
+memo.  In the one-word ambient, r <= 6, the kernels are
+``spectral._block_spectra``, ``_block_hyperplane_counts``,
+``_block_uniformity``, ``matroid._block_triangle_counts`` and
+``search._block_cone_lemma``, whose kernel checks all of Lemma 2.5 on a
+block at once and keeps each passing set's least slack.  From r = 7
+thm-3.1 forms its spectra, as one stacked int32 transform, and its
+uniformity reports by block; every other value is formed per set.
 A kernel forms a value only where the memo lacks it, so checks share
 what an earlier one formed; a value that a conclusion reads on a few sets
 only is left to those sets' own calls.  A row that fails its checks is
 not kept, so the set's own call recomputes it and raises, and the
-violation is counted as for any set.  From r = 7 sets stream one at a
-time, with no kernel.
+violation is counted as for any set.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ from .search import (
     reconcile_hyperplane,
 )
 from .spectral import (
+    _BLOCK,
     _block_hyperplane_counts,
     _block_spectra,
     _block_uniformity,
@@ -386,21 +390,32 @@ class SweepOutcome:
         return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
 
 
-# Sets per block of a sweep in the one-word ambient: every set's memo lives
-# until its block is checked.  On the all-check r = 4 sweep, blocks of 256
-# sets raised peak RSS by 0.1 MiB over blocks of one, and blocks of 2,048
-# by 5.7 MiB.
+# The most sets in a block of a sweep: every set's memo lives until its
+# block is checked.  On the all-check r = 4 sweep, blocks of 256 sets raised
+# peak RSS by 0.1 MiB over blocks of one, and blocks of 2,048 by 5.7 MiB.
 _SWEEP_BLOCK = 256
 
 
-def _conclusion_kernels(check: str, n: int) -> tuple:
+def _sweep_block(rank: int) -> int:
+    """Sets per block of a sweep at this rank: as many as fill one
+    cache-sized block of ``_BLOCK`` transform entries, at most
+    ``_SWEEP_BLOCK`` (256 to r = 8, 16 at r = 12, one from r = 16)."""
+    return min(_SWEEP_BLOCK, max(1, _BLOCK >> rank))
+
+
+def _conclusion_kernels(check: str, n: int, rank: int) -> tuple:
     """The block kernels of the memoized values that the check's conclusion
     reads at level n on every set it concludes on, in the order they run
     (a spectrum before what is formed from it).  A value read on a few
     sets only, as Bose-Burton's spectrum on the extremal sets, is left to
-    those sets' own calls."""
+    those sets' own calls.  From r = 7 only the spectra and uniformity
+    reports are formed by block: there a stacked translation count spills
+    out of cache, and every other value is formed per set."""
+    one_word = (1 << rank) <= SMALL_SET_POINTS
     if check == "thm-3.1":
-        return (_block_spectra, _block_uniformity, _block_triangle_counts)
+        return (_block_spectra, _block_uniformity) + ((_block_triangle_counts,) if one_word else ())
+    if not one_word:
+        return ()
     if check == "lemma-2.5":
         return (_block_spectra, lambda sets: _block_cone_lemma(sets, n))
     if check in ("lemma-2.4", "thm-4.1", "thm-1.1") and n == 3:
@@ -414,21 +429,18 @@ def _sweep_range(cfg: SweepConfig, start: int, stop: int) -> dict[str, _CheckSta
     """Gate, conclude and record every configured check on each set of the range.
 
     A check's first failed conclusion on a set counts as one evaluation and
-    one violation, and the check moves on to the next set.  In the
-    one-word ambient the sets are built ``_SWEEP_BLOCK`` at a time and
-    each check runs its conclusion's block kernels on a block's gated sets
-    before it concludes on them; above, each set is built as it is
-    checked, so no block of memos is held.
+    one violation, and the check moves on to the next set.  The sets are
+    built ``_sweep_block(r)`` at a time, and each check runs its
+    conclusion's block kernels on a block's gated sets before it concludes
+    on them.
     """
     stats = {name: _CheckStats(_CHECKS[name]) for name in cfg.checks}
     n = cfg.level
-    one_word = (1 << cfg.rank) <= SMALL_SET_POINTS
     rows = [
-        (_CHECKS[name].gate, _CHECKS[name].conclude,
-         _conclusion_kernels(name, n) if one_word else (), stats[name])
+        (_CHECKS[name].gate, _CHECKS[name].conclude, _conclusion_kernels(name, n, cfg.rank), stats[name])
         for name in cfg.checks
     ]
-    size = _SWEEP_BLOCK if one_word else 1
+    size = _sweep_block(cfg.rank)
     for first in range(start, stop, size):
         block = [_universe_set(cfg, i) for i in range(first, min(first + size, stop))]
         for gate, conclude, kernels, st in rows:

@@ -274,6 +274,12 @@ def test_criterion_12_determinism_across_workers():
         )
         texts = {run_sweep(cfg, workers=w).to_canonical_json() for w in (1, 2, 3, 7)}
         assert len(texts) == 1
+        # r = 8 runs in blocks of 256 sets, and the ranges of 2, 3 and 7
+        # workers start inside a block
+        cfg8 = SweepConfig(rank=8, level=3, mode="random", sample_count=600, rng_seed=88,
+                           checks=("thm-3.1", "bose-burton"))
+        texts8 = {run_sweep(cfg8, workers=w).to_canonical_json() for w in (1, 2, 3, 7)}
+        assert len(texts8) == 1
         cfg_ex = SweepConfig(rank=4, level=3, mode="exhaustive", checks=("thm-1.1",))
         texts_ex = {run_sweep(cfg_ex, workers=w).to_canonical_json() for w in (1, 4)}
         assert len(texts_ex) == 1

@@ -1,6 +1,8 @@
-"""The one-word block kernels: spectra, per-hyperplane triangle counts,
-uniformity reports, translation triangle counts and the cone lemma of a
-block of sets at r <= 6, formed together and kept in each set's memo."""
+"""The block kernels: spectra, per-hyperplane triangle counts, uniformity
+reports, translation triangle counts and the cone lemma of a block of sets
+at r <= 6, and the stacked spectra and uniformity reports from r = 7,
+formed together and kept in each set's memo; and the row-gather triangle
+count from r = 7."""
 
 import random
 import re
@@ -34,8 +36,10 @@ from oracles import (
     brute_epsilon_min_num,
     brute_triangle_count,
     cone_lemma_tables,
+    copying_fwht,
     definition_tables,
     direct_walsh,
+    loop_triangle_count,
     python_cube_sum,
 )
 
@@ -232,21 +236,50 @@ def _spy_on_kernels(monkeypatch):
     return calls
 
 
-def test_random_sweeps_above_one_word_never_call_a_kernel(monkeypatch):
-    calls = _spy_on_kernels(monkeypatch)
-    for r in (7, 8):
-        cfg = SweepConfig(rank=r, level=3, mode="random", sample_count=6, rng_seed=r,
-                          checks=("thm-3.1", "bose-burton", "cor-1.3", "thm-4.1", "lemma-2.4",
-                                  "lemma-2.5"))
-        assert run_sweep(cfg, workers=1).total_violations == 0
-    assert calls == []
-    # and one-word sweeps do, once per block, for the values the check reads
+def _spy_on_blocks(monkeypatch):
+    """The list that each block kernel a sweep runs appends (its name, the
+    number of sets it is given) to."""
+    calls = []
+    for name in ("_block_spectra", "_block_uniformity", "_block_triangle_counts",
+                 "_block_hyperplane_counts", "_block_cone_lemma"):
+        real = getattr(verify, name)
+        monkeypatch.setattr(
+            verify, name, lambda sets, *a, name=name, real=real: calls.append((name, len(sets))) or real(sets, *a)
+        )
+    return calls
+
+
+@pytest.mark.parametrize("r, samples", [(7, 300), (12, 40)])
+def test_random_sweeps_from_rank_7_form_spectra_and_uniformity_by_block(monkeypatch, r, samples):
+    # blocks of min(256, 2^16 >> r) sets: 256 at r = 7, 16 at r = 12, the
+    # last one shorter; thm-3.1 comes first and gates nothing, so each of
+    # its two kernels gets whole blocks, and no other kernel runs
+    calls = _spy_on_blocks(monkeypatch)
+    cfg = SweepConfig(rank=r, level=3, mode="random", sample_count=samples, rng_seed=r,
+                      checks=("thm-3.1", "bose-burton", "cor-1.3", "thm-4.1", "lemma-2.4", "lemma-2.5"))
+    assert run_sweep(cfg, workers=1).total_violations == 0
+    size = min(256, (1 << 16) >> r)
+    assert verify._sweep_block(r) == size
+    blocks = [min(size, samples - i) for i in range(0, samples, size)]
+    assert len(blocks) > 1 and blocks[-1] < size
+    assert calls == [(name, b) for b in blocks for name in ("_block_spectra", "_block_uniformity")]
+
+
+def test_random_sweeps_from_rank_16_take_one_set_per_block(monkeypatch):
+    calls = _spy_on_blocks(monkeypatch)
+    cfg = SweepConfig(rank=16, level=3, mode="random", sample_count=2, rng_seed=16, checks=("thm-3.1",))
+    assert run_sweep(cfg, workers=1).total_violations == 0
+    assert verify._sweep_block(16) == 1
+    assert calls == [("_block_spectra", 1), ("_block_uniformity", 1)] * 2
+
+
+def test_one_word_sweeps_form_every_thm_31_value_by_block(monkeypatch):
+    calls = _spy_on_blocks(monkeypatch)
     cfg = SweepConfig(rank=6, level=3, mode="random", sample_count=300, rng_seed=6,
                       checks=("thm-3.1",))
     run_sweep(cfg, workers=1)
-    assert calls.count("_block_spectra") == calls.count("_block_uniformity") == 2
-    assert calls.count("_block_triangle_counts") == 2
-    assert "_block_hyperplane_counts" not in calls
+    assert calls == [(name, b) for b in (256, 44)
+                     for name in ("_block_spectra", "_block_uniformity", "_block_triangle_counts")]
 
 
 def test_a_sweep_runs_no_kernel_its_checks_do_not_read(monkeypatch):
@@ -470,3 +503,164 @@ def test_one_cone_lemma_block_at_rank_6_stays_within_a_few_stacks():
             tracemalloc.stop()
         assert all(("cone_lemma", n) in e.memo for e in sets)
         assert peak < 8 * stack
+
+
+# ---------------------------------------------------------------------------
+# from r = 7: the stacked int32 transform and the row-gather triangle count
+# ---------------------------------------------------------------------------
+
+
+def _row_gather_cases(r):
+    """Sets that put the count's rows at the edges of its levels and chunks."""
+    rng = random.Random(1000 + r)
+    n, half = 1 << r, 1 << (r - 1)
+    full = PointSet.full(r)
+    return {
+        "empty-low-half": PointSet.from_points(r, [w for w in range(half, n) if rng.random() < 0.5]),
+        "top-half": PointSet.from_points(r, range(half, n)),
+        "full-minus-point": full.without_point(rng.randrange(1, n)),
+        "density-7/8": PointSet.from_points(r, [w for w in range(1, n) if rng.random() < 7 / 8]),
+        "below-cutoff": PointSet.from_points(r, rng.sample(range(1, n), matroid._NAIVE_PYTHON_CUTOFF - 1)),
+        "at-cutoff": PointSet.from_points(r, rng.sample(range(1, n), matroid._NAIVE_PYTHON_CUTOFF)),
+        # a triangle whose points lie in three different words
+        "spread": PointSet.from_points(r, {1, 64 + 2, 64 + 3} | set(rng.sample(range(2, n), 40))),
+    }
+
+
+def _assert_counts_are_the_oracle(r):
+    for name, e in _row_gather_cases(r).items():
+        t = triangle_count_naive(PointSet(r, e.bits))
+        assert t == loop_triangle_count(e.points, r), (r, name)
+        if e.size < 64:
+            assert t == brute_triangle_count(e.points), (r, name)
+    assert triangle_count_naive(PointSet(r, PointSet.full(r).without_point(1).bits)) == (
+        ((1 << r) - 2) * ((1 << r) - 4)
+    )
+
+
+@pytest.mark.parametrize("r", range(7, 13))
+def test_row_gather_count_matches_the_loop_oracle(r):
+    _assert_counts_are_the_oracle(r)
+
+
+# caps that split the levels into column chunks, the points into row chunks
+# and the words' h into chunks of a few rows, most of them not a power of
+# two (one word per gather only up to r = 10, where it takes a fraction of
+# a second)
+@pytest.mark.parametrize(
+    "r, cap", [(r, cap) for r in (7, 9, 10, 12) for cap in (1, 3, 40, 1000) if (r, cap) != (12, 1)]
+)
+def test_row_gather_count_with_small_chunks_matches_the_loop_oracle(r, cap, monkeypatch):
+    monkeypatch.setattr(matroid, "_PAIR_BLOCK_ELEMENTS", cap)
+    _assert_counts_are_the_oracle(r)
+
+
+def _stacked_cases(r, count):
+    sets = [verify.sample_pointset(r, 500 + r, i) for i in range(count - 3)]
+    return sets + [PointSet.empty(r), PointSet.full(r), PointSet.full(r).without_point(5)]
+
+
+# B not a multiple of the tables per block (2^16 >> r): 513 > 512 at r = 7,
+# 21 > 16 at r = 12, 3 > 2 at r = 15; from r = 16 each table is alone
+@pytest.mark.parametrize("r, count", [(7, 513), (12, 21), (15, 3), (16, 3)])
+def test_stacked_rows_are_the_single_tables(r, count):
+    sets = _stacked_cases(r, count)
+    spectral._block_spectra(sets)
+    for i, e in enumerate(sets):
+        row = e.memo["walsh_hadamard"]
+        single = walsh_hadamard(PointSet(r, e.bits))
+        assert row.coeffs.dtype == np.int32 and not row.coeffs.flags.writeable
+        assert _same_spectrum(row, single), (r, i)
+        if i % 64 == 0 or i >= count - 3:
+            # against the copying int64 butterfly and Python cubes
+            oracle = copying_fwht(e.indicator().astype(np.int64))
+            assert np.array_equal(row.coeffs, oracle)
+            assert (row.nontrivial_min, row.nontrivial_max) == (int(oracle[1:].min()), int(oracle[1:].max()))
+            assert row.cube_sum == python_cube_sum(oracle)
+    spectral._block_uniformity(sets)
+    for e in sets[:5] + sets[-3:]:
+        assert e.memo["uniformity"] == uniformity(PointSet(r, e.bits))
+
+
+def test_later_kernels_read_the_formed_stack_in_place():
+    sets = _stacked_cases(12, 16)
+    spectral._block_spectra(sets)
+    stack = spectral._spectrum_stack(sets[3:9])
+    assert np.shares_memory(stack, sets[3].memo["walsh_hadamard"].coeffs) and not stack.flags.writeable
+    assert np.array_equal(stack, np.stack([e.memo["walsh_hadamard"].coeffs for e in sets[3:9]]))
+    # rows out of order, or of two stacks, are stacked anew
+    others = _stacked_cases(12, 4)
+    spectral._block_spectra(others)
+    for mixed in (sets[9:3:-1], sets[:2] + others[:2]):
+        stack = spectral._spectrum_stack(mixed)
+        assert not np.shares_memory(stack, sets[0].memo["walsh_hadamard"].coeffs)
+        assert np.array_equal(stack, np.stack([e.memo["walsh_hadamard"].coeffs for e in mixed]))
+
+
+def _corrupt_stacked_row_of(monkeypatch, target):
+    """Make every stacked transform add 2 to the coefficient at gamma = 3 of
+    the target set's row."""
+    real = spectral._int32_transform
+
+    def transform(sets):
+        out = real(sets)
+        for i, e in enumerate(sets):
+            if e.bits == target.bits:
+                out[i, 3] += 2
+        return out
+
+    monkeypatch.setattr(spectral, "_int32_transform", transform)
+
+
+def test_a_corrupted_stacked_row_is_not_kept_and_leaves_its_block_alone(monkeypatch):
+    sets = _stacked_cases(8, 40)
+    clean = [PointSet(8, e.bits) for e in sets]
+    spectral._block_spectra(clean)
+    target = sets[11]
+    _corrupt_stacked_row_of(monkeypatch, target)
+    spectral._block_spectra(sets)
+    spectral._block_uniformity(sets)
+    for e, c in zip(sets, clean):
+        if e is target:
+            assert not {"walsh_hadamard", "uniformity"} & e.memo.keys()
+            continue
+        assert _same_spectrum(e.memo["walsh_hadamard"], c.memo["walsh_hadamard"])
+    with pytest.raises(InternalInconsistencyError, match="Parseval"):
+        walsh_hadamard(target)
+
+
+def test_a_corrupted_stacked_row_is_one_violation_of_the_sweep(monkeypatch):
+    cfg = SweepConfig(rank=8, level=3, mode="random", sample_count=40, rng_seed=8, checks=("thm-3.1",))
+    clean = run_sweep(cfg, workers=1).to_json_obj()
+    target = verify.sample_pointset(8, 8, 17)
+    _corrupt_stacked_row_of(monkeypatch, target)
+    out = run_sweep(cfg, workers=1).to_json_obj()
+    st = out["checks"]["thm-3.1"]
+    assert st["violations"] == 1
+    assert st["witnesses"] == [f"{target.to_compact()} Parseval identity failed"]
+    st["violations"], st["witnesses"] = 0, []
+    assert out == clean
+
+
+def test_one_stacked_block_at_rank_12_stays_within_the_stack_and_its_block_buffers():
+    # the int32 stack, and while it is built the block's buffers: its eight
+    # gathered byte rows (8 bytes per entry), their index, their sum and
+    # the int16 copy (3.25), and a radix-4 pass's quarter-block temporaries
+    # (at most 4); then the moments' int64 squares (two stacks) and the
+    # uniformity kernel's |coeff| stack, once the buffers are freed
+    import tracemalloc
+
+    sets = [verify.sample_pointset(12, 12, i) for i in range(verify._sweep_block(12))]
+    for e in sets:
+        e.bits
+    stack = len(sets) * (1 << 12) * 4
+    tracemalloc.start()
+    try:
+        spectral._block_spectra(sets)
+        spectral._block_uniformity(sets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all({"walsh_hadamard", "uniformity"} <= e.memo.keys() for e in sets)
+    assert stack == spectral._BLOCK * 4
+    assert peak < stack + 20 * spectral._BLOCK

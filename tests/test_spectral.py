@@ -271,15 +271,18 @@ def _checked_kernel_calls(r, monkeypatch):
     whole table: in one call, or one per block."""
     import pgfree.spectral as spectral
 
-    # the spectrum's in-block stages run before its one fwht_inplace call,
-    # so its entry is open from the start and that call joins it; in the
-    # one-word ambient the spectrum and both cone-size transforms are
-    # products, with no fwht_inplace call
+    # the spectrum's in-block stages run first, so its entry is open from
+    # the start; a table of a block or more then runs its wider stages in
+    # one fwht_inplace call, which joins that entry, and a narrower one is
+    # done in its block, with no fwht_inplace call.  In the one-word
+    # ambient the spectrum and both cone-size transforms are products,
+    # with no fwht_inplace call
     transforms = [(1 << r, 64, [])] if r > 6 else []
+    alone = (1 << r) >= spectral._BLOCK
     fwht_calls = []
 
     def fwht(a, width=1):
-        if fwht_calls:
+        if fwht_calls or not alone:
             transforms.append((a.size, width, []))
         fwht_calls.append(width)
         return fwht_inplace(a, width)
@@ -300,9 +303,9 @@ def _checked_kernel_calls(r, monkeypatch):
         assert transforms == fwht_calls == []
         return []
     # the spectrum's stages from width 64 and both cone-size transforms'
-    # stages from width 1, each transform one fwht_inplace call
+    # stages from width 1, each cone-size transform one fwht_inplace call
     assert [(n, w) for n, w, _ in transforms] == [(1 << r, 64), (1 << r, 1), (1 << r, 1)]
-    assert len(fwht_calls) == len(transforms)
+    assert len(fwht_calls) == len(transforms) - (not alone)
     out = []
     for n, width, calls in transforms:
         covered = {}
@@ -448,6 +451,54 @@ def test_counting_bound_empty_and_random():
         rep = uniformity(e)
         holds, lhs, rhs = counting_bound_check(e, rep.epsilon_min)
         assert holds and lhs <= rhs
+
+
+def _fraction_counting_bound(e, epsilon):
+    """The counting bound decided on Fractions, as its statement reads."""
+    import pgfree.spectral as spectral
+
+    epsilon = Fraction(epsilon)
+    rep = uniformity(e)
+    if epsilon < rep.epsilon_min:
+        exc = HypothesisError(f"E is not {epsilon}-uniform (needs at least {rep.epsilon_min})",
+                              witness=rep.worst_gamma)
+        return HypothesisError, str(exc)
+    m, R = e.size, 1 << e.rank
+    lhs = Fraction(abs(spectral.triangle_count_spectral(e) * R - m**3), R)
+    rhs = epsilon * (m * (R - m))
+    if lhs > rhs:
+        return InternalInconsistencyError, str(
+            InternalInconsistencyError(f"counting bound failed on {e.to_compact()}: {lhs} > {rhs}"))
+    return True, lhs, rhs
+
+
+def _counting_bound_outcome(e, epsilon):
+    try:
+        return counting_bound_check(e, epsilon)
+    except (HypothesisError, InternalInconsistencyError) as exc:
+        return type(exc), str(exc)
+
+
+def test_counting_bound_on_integers_is_the_fraction_decision(monkeypatch):
+    import pgfree.spectral as spectral
+
+    rng = random.Random(31)
+    sets = [PointSet.from_points(4, [x for x in range(1, 16) if x & 1]), PointSet.empty(5)]
+    sets += [random_set(rng, r) for r in range(3, 9) for _ in range(4)]
+    for e in sets:
+        least = uniformity(e).epsilon_min
+        step = Fraction(1, 1 << (e.rank + 1))
+        # at, just below and just above the least epsilon, and as an int
+        for eps in (least, least - step, least + step, 1, 0.5):
+            assert _counting_bound_outcome(e, eps) == _fraction_counting_bound(e, eps), (e.to_compact(), eps)
+    # a triangle count off by 2^r pushes the bound past its limit on the
+    # full set, whose least epsilon is exactly its slack's
+    real = spectral.triangle_count_spectral
+    e = PointSet.full(5)
+    monkeypatch.setattr(spectral, "triangle_count_spectral", lambda f: real(f) + 32)
+    out = _counting_bound_outcome(e, uniformity(e).epsilon_min)
+    assert out == _fraction_counting_bound(e, uniformity(e).epsilon_min)
+    assert out[0] is InternalInconsistencyError
 
 
 def test_counting_bound_requires_uniformity():
