@@ -122,7 +122,7 @@ class FreenessWitness:
 
 # Elements of one apex or pair block in the apex kernel, of one gather
 # block in the triangle count, whose levels of more words than this (from
-# r = 22) are split into column chunks, and of one chunk of ``_holds_flat``:
+# r = 22) are split into column chunks, and of one chunk of ``_first_flats``:
 # bounds their memory at any rank.
 _PAIR_BLOCK_ELEMENTS = 1 << 14
 
@@ -154,20 +154,19 @@ def is_pg_free(E: PointSet, n: int) -> FreenessWitness:
 def _search_subgeometry(E: PointSet, n: int) -> FreenessWitness:
     """The least generating tuple of a rank-n flat inside E, as a witness:
     off the table of flats of an ambient of one bitset word (at most
-    SMALL_SET_POINTS words), else the first leaf of ``_walk``.  At n = 2
-    and 3 the least point's subtree comes first, one cone step: a leaf
-    there is the first leaf.  Past it, a set that its memoized triangle
+    SMALL_SET_POINTS words), as ``_block_pg_free``'s row on a block of
+    one, else the first leaf of ``_walk``.  At n = 2 and 3 the least
+    point's subtree comes first, one cone step: a leaf there is the first
+    leaf.  Past it, a set that its memoized triangle
     counts prove free (``_free_by_triangle_counts``: at n = 2 no triangle,
     at n = 3 a hyperplane with none) is free with no walk, and any other
     set is walked without its least point."""
     if n > E.rank or E.size < (1 << n) - 1:
         return FreenessWitness(False, None)
     if (1 << E.rank) <= SMALL_SET_POINTS:
-        masks, generators = _flat_table(E.rank, n)
-        missing = masks & np.uint64(E.bits ^ 0xFFFFFFFFFFFFFFFF)
-        i = int(missing.argmin())
-        gens = None if missing[i] else generators[i]
-    elif n in (2, 3):
+        _block_pg_free([E], n)
+        return E.memo[n]
+    if n in (2, 3):
         q = (E.bits & -E.bits).bit_length() - 1
         cone, pool = _cone_step(E.bits, E.bits, q, E.rank)
         if n == 2:
@@ -207,18 +206,36 @@ def _flat_table(r: int, n: int) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]
     return np.array([m for _, m in rows], dtype=np.uint64), tuple(g for g, _ in rows)
 
 
-def _holds_flat(words: np.ndarray, r: int, k: int) -> np.ndarray:
-    """Whether each bitset of a uint64 array, a set of the rank-r ambient
-    (2^r <= SMALL_SET_POINTS), holds a rank-k flat: whether some row of
-    ``_flat_table(r, k)`` has no point outside it.  The sets go in chunks
-    of at most ``_PAIR_BLOCK_ELEMENTS`` (set, flat) pairs."""
+def _first_flats(words: np.ndarray, r: int, k: int) -> np.ndarray:
+    """For each bitset of a uint64 array, a set of the rank-r ambient
+    (2^r <= SMALL_SET_POINTS), the index of the first row of
+    ``_flat_table(r, k)`` whose flat has no point outside it, or -1: argmin
+    finds a row's first zero.  The sets go in chunks of at most
+    ``_PAIR_BLOCK_ELEMENTS`` (set, flat) pairs."""
     masks, _ = _flat_table(r, k)
-    held = np.empty(words.size, dtype=bool)
+    first = np.empty(words.size, dtype=np.intp)
     step = max(1, _PAIR_BLOCK_ELEMENTS // masks.size)
     for i in range(0, words.size, step):
         outside = masks & ~words[i : i + step, None]
-        held[i : i + step] = outside.min(axis=1) == 0
-    return held
+        j = outside.argmin(axis=1)
+        first[i : i + step] = np.where(outside[np.arange(j.size), j] == 0, j, -1)
+    return first
+
+
+def _block_pg_free(sets: list[PointSet], n: int) -> None:
+    """Keep ``is_pg_free(E, n)``, n <= r, of each set of a block of
+    same-rank one-word sets whose memo lacks it: the witness of the first
+    row of ``_flat_table(r, n)`` whose flat lies inside the set, every set
+    against every row in one (B, F) test (``_first_flats``)."""
+    todo = [e for e in sets if n not in e.memo]
+    if not todo:
+        return
+    r = todo[0].rank
+    _, generators = _flat_table(r, n)
+    free = FreenessWitness(False, None)  # immutable, so the free sets share it
+    words = np.fromiter((e.bits for e in todo), dtype=np.uint64, count=len(todo))
+    for e, i in zip(todo, _first_flats(words, r, n).tolist()):
+        e.memo[n] = free if i < 0 else FreenessWitness._spanned_by(r, list(generators[i]))
 
 
 def _walk(cone: int, pool: int, rank: int, d: int):
@@ -347,14 +364,15 @@ def _first_apex_with_pair(words: np.ndarray, perms: np.ndarray, xs: np.ndarray) 
     return None
 
 
-def _dense(E: PointSet, n: int) -> bool:
-    """The density hypothesis of Theorem 1.1 at level n: |E| > (1 - 3/2^n) 2^r."""
-    return E.denser_than((1 << n) - 3, 1 << n)
+def _dense(size, rank: int, n: int):
+    """The density hypothesis of Theorem 1.1 at level n, |E| > (1 - 3/2^n) 2^r,
+    on a set's size, or on each entry of an int64 array of sizes."""
+    return size << n > ((1 << n) - 3) << rank
 
 
 def _dense_free(E: PointSet, n: int) -> bool:
     """Theorem 1.1's hypotheses at level n: E is dense and PG(n-1,2)-free."""
-    return _dense(E, n) and not is_pg_free(E, n).found
+    return _dense(E.size, E.rank, n) and not is_pg_free(E, n).found
 
 
 # Below this many points the triangle count's Python pair loop is cheaper
@@ -597,7 +615,7 @@ def check_corollary_1_3(E: PointSet, n: int) -> bool:
     witness = is_pg_free(E, n)
     if witness.found:
         raise HypothesisError(f"E is not PG({n - 1},2)-free", witness=witness.subspace)
-    if not _dense(E, n):
+    if not _dense(E.size, E.rank, n):
         threshold = ((1 << n) - 3) << (E.rank - n)
         raise HypothesisError(f"|E| = {E.size} is not above the density threshold {threshold}")
     return critical_number(E) in (n - 1, n)

@@ -32,7 +32,7 @@ from .matroid import (
     _cone_tables,
     _dense,
     _dense_free,
-    _holds_flat,
+    _first_flats,
     _walk,
     is_pg_free,
     lift_flat,
@@ -106,7 +106,7 @@ def _block_cone_lemma(sets: list[PointSet], n: int) -> list[Optional[str]]:
     """Lemma 2.5 at level n on each set of a block of same-rank nonempty
     one-word sets whose memo lacks it, from their ``_cone_tables``: the
     cones of the PG(n-1,2)-free sets are tested for a PG(n-2,2) by
-    ``_holds_flat``, then ``_cone_lemma_rows`` checks every set.  A set
+    ``_first_flats``, then ``_cone_lemma_rows`` checks every set.  A set
     that passes keeps its slack and its cone sizes.  Returns the fault of
     each set it checked (None for a kept one)."""
     sets = [e for e in sets if ("cone_lemma", n) not in e.memo]
@@ -115,7 +115,7 @@ def _block_cone_lemma(sets: list[PointSet], n: int) -> list[Optional[str]]:
     cones, sizes, apexes = _cone_tables(sets)
     free = np.fromiter((not is_pg_free(e, n).found for e in sets), dtype=bool, count=len(sets))
     held = np.zeros_like(apexes)
-    held[apexes & free] = _holds_flat(cones[apexes & free], sets[0].rank, n - 1)
+    held[apexes & free] = _first_flats(cones[apexes & free], sets[0].rank, n - 1) >= 0
     faults = _cone_lemma_rows(sets, n, np.arange(sizes.shape[0]), sizes, apexes, held)
     # every set's cone sizes, one set after another
     flat = sizes.T[apexes.T]
@@ -167,31 +167,33 @@ def _cone_lemma_rows(sets: list[PointSet], n: int, xs: np.ndarray, sizes: np.nda
     return faults
 
 
-def _hyperplane_bounds(E: PointSet, inside, n: int) -> tuple[int, int, bool]:
-    """Lemma 2.4's conclusions, given inside = |E ∩ H| for a hyperplane H,
-    or an int64 array of such sizes, one per hyperplane.
+def _hyperplane_bounds(sets: list[PointSet], least: np.ndarray,
+                       n: int) -> tuple[np.ndarray, dict[int, str]]:
+    """Lemma 2.4's conclusions on each set of a block of same-rank sets,
+    given least[i] = min |E ∩ H| over the hyperplanes H whose intersection
+    with set i holds a PG(n-2,2), an int64 array.
 
     For r >= n, a PG(n-1,2)-free E and an E ∩ H that holds a PG(n-2,2):
     |E \\ H| <= (1 - 1/2^(n-1)) 2^(r-1) and, when |E| > (1 - 3/2^n) 2^r,
     |E ∩ H| > (1 - 2/2^(n-1)) 2^(r-1).  Both bounds are integers since
-    r >= n, and the least size decides both.  Returns (outside bound,
-    inside bound, whether E is dense); a failed bound raises an internal
-    inconsistency.
+    r >= n, and the least size decides both.  Returns each set's slack
+    under the first bound, and the message of each set that fails a bound,
+    by index.
     """
-    unit = 1 << (E.rank - n)
-    least = int(np.min(inside))
+    r = sets[0].rank
+    unit = 1 << (r - n)
     outside_bound = ((1 << (n - 1)) - 1) * unit
-    if E.size - least > outside_bound:
-        raise InternalInconsistencyError(
-            f"|E \\ H| = {E.size - least} exceeds the proven bound {outside_bound}"
-        )
     inside_bound = ((1 << (n - 1)) - 2) * unit
-    dense = _dense(E, n)
-    if dense and least <= inside_bound:
-        raise InternalInconsistencyError(
-            f"|E ∩ H| = {least} is not above the proven bound {inside_bound}"
-        )
-    return outside_bound, inside_bound, dense
+    sizes = np.fromiter((e.size for e in sets), dtype=np.int64, count=len(sets))
+    slack = outside_bound - (sizes - least)
+    faults = {}
+    for i in np.flatnonzero((slack < 0) | (least <= inside_bound) & _dense(sizes, r, n)).tolist():
+        m, low = int(sizes[i]), int(least[i])
+        if m - low > outside_bound:
+            faults[i] = f"|E \\ H| = {m - low} exceeds the proven bound {outside_bound}"
+        else:
+            faults[i] = f"|E ∩ H| = {low} is not above the proven bound {inside_bound}"
+    return slack, faults
 
 
 def _hyperplanes_holding_pg(E: PointSet, n: int):

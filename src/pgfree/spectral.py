@@ -12,11 +12,11 @@ it only for the sets whose memo lacks it.  ``_block_spectra`` is, in the
 one-word ambient (r <= 6, 2^r <= ``SMALL_SET_POINTS``), one int64 product
 with the leading 2^r x 2^r block of the Sylvester matrix H_64, and from
 r = 7 the stacked int32 butterfly ``_int32_transform``, each followed by
-row-wise extremes, squares and cubes; ``_block_uniformity`` is one row
-argmax over the memoized spectra; ``_block_hyperplane_counts`` (one-word
-only) is the same two products, stacked, on them.  The later kernels read
-the stack ``_block_spectra`` formed in place when their rows are
-consecutive rows of it.  Every row passes the same checks as a single
+row-wise extremes, squares and cubes; ``_block_hyperplane_counts``
+(one-word only) is the same two products, stacked, on them.  A later
+kernel reads the stack ``_block_spectra`` formed in place when its rows
+are consecutive rows of it, and else gathers them in one take
+(``_spectrum_stack``).  Every row passes the same checks as a single
 table, and a row that fails is not kept, so its set's own call
 recomputes it and raises.  A single such set's spectrum is the kernel's
 row on a block of one.  A table of ``_BLOCK`` entries or more (from
@@ -282,10 +282,11 @@ class Spectrum:
     Construction walks the table once and refuses it unless c[0] = |E|,
     every |c| <= |E| and Parseval's sum(c^2) = 2^r |E| hold
     (``_spectrum_fault``).  The same pass keeps the least and greatest
-    nontrivial coefficient (gamma != 0) and the exact sum of cubes, which
-    ``uniformity`` and ``triangle_count_spectral`` read instead of walking
-    the table again (``_moments``, or ``_row_moments`` on the rows of a
-    stack, ``_spectrum_rows``).  The table is int32 (int64 in the one-word
+    nontrivial coefficient (gamma != 0), the greater of their magnitudes
+    (the peak) and the exact sum of cubes, which ``uniformity``,
+    ``triangle_count_spectral`` and the thm-3.1 sweep row read instead of
+    walking the table again (``_moments``, or ``_row_moments`` on the rows
+    of a stack, ``_spectrum_rows``).  The table is int32 (int64 in the one-word
     ambient, r <= 6), exact since every |c| <= |E| < 2^24, so squares and
     cubes of it are formed in int64 or as Python integers.  It is
     read-only; below r = 16 it is a row of a stack of a block's sets.
@@ -297,6 +298,7 @@ class Spectrum:
     nontrivial_min: int = field(init=False)
     nontrivial_max: int = field(init=False)
     cube_sum: int = field(init=False)
+    peak: int = field(init=False)  # the greatest nontrivial |coeff|
 
     def __post_init__(self):
         c = self.coeffs
@@ -305,7 +307,7 @@ class Spectrum:
             raise InternalInconsistencyError("coefficient table has the wrong length")
         lo, hi, squares, cubes = _moments(c[1:])
         _raise(_spectrum_fault(self.ambient_rank, m, int(c[0]), lo, hi, squares))
-        self.__dict__.update(nontrivial_min=lo, nontrivial_max=hi, cube_sum=cubes + m**3)
+        self.__dict__.update(nontrivial_min=lo, nontrivial_max=hi, cube_sum=cubes + m**3, peak=max(hi, -lo))
         c.flags.writeable = False
 
     @classmethod
@@ -313,11 +315,10 @@ class Spectrum:
                         cube_sum: int, row: int) -> "Spectrum":
         """A read-only row of a block's stack, whose checks and moments
         ``_spectrum_rows`` has formed, with no second pass.  It keeps its
-        row number, so ``_spectrum_stack`` can read consecutive rows of the
-        stack in place."""
+        row number, so ``_spectrum_stack`` can read it off the stack."""
         spec = object.__new__(cls)
-        spec.__dict__.update(ambient_rank=rank, coeffs=coeffs, set_size=size,
-                             nontrivial_min=lo, nontrivial_max=hi, cube_sum=cube_sum, _row=row)
+        spec.__dict__.update(ambient_rank=rank, coeffs=coeffs, set_size=size, nontrivial_min=lo,
+                             nontrivial_max=hi, cube_sum=cube_sum, peak=max(hi, -lo), _row=row)
         return spec
 
     def __getitem__(self, gamma: int) -> int:
@@ -395,9 +396,12 @@ def _memoized_spectra(sets: list[PointSet], key: str) -> list[PointSet]:
 
 def _spectrum_stack(sets: list[PointSet]) -> np.ndarray:
     """The memoized spectra of sets as one read-only (B, 2^r) stack: read in
-    place when they are consecutive rows of one stack that
-    ``_spectrum_rows`` formed, else stacked anew."""
+    place when they are one table or consecutive rows of one stack that
+    ``_spectrum_rows`` formed, else one gather over the distinct stacks
+    they are rows of, a table formed alone being a stack of one."""
     specs = [e.memo["walsh_hadamard"] for e in sets]
+    if len(specs) == 1:
+        return specs[0].coeffs[None]
     first = specs[0].__dict__.get("_row")
     base = specs[0].coeffs.base
     if first is not None and all(
@@ -406,7 +410,22 @@ def _spectrum_stack(sets: list[PointSet]) -> np.ndarray:
         c = base.reshape(-1, specs[0].coeffs.size)[first : first + len(specs)]
         c.flags.writeable = False
         return c
-    return np.stack([s.coeffs for s in specs])
+    width = specs[0].coeffs.size
+    starts: dict[int, int] = {}  # id of a stack -> the number of its first row in the concatenation
+    bases, index, total = [], [], 0
+    for s in specs:
+        row = s.__dict__.get("_row")
+        base = s.coeffs if row is None else s.coeffs.base
+        start = starts.get(id(base))
+        if start is None:
+            start = starts[id(base)] = total
+            total += base.size // width
+            bases.append(base)
+        index.append(start + (row or 0))
+    whole = bases[0] if len(bases) == 1 else np.concatenate(bases, axis=None)
+    c = whole.reshape(-1, width)[index]
+    c.flags.writeable = False
+    return c
 
 
 def _block_hyperplane_counts(sets: list[PointSet]) -> None:
@@ -424,28 +443,6 @@ def _block_hyperplane_counts(sets: list[PointSet]) -> None:
     for e, row, ors in zip(todo, counts, zip(convolved.tolist(), counted.tolist())):
         if _count_fault(r, *ors) is None:
             e.memo["triangle_counts_per_hyperplane"] = row
-
-
-def _block_uniformity(sets: list[PointSet]) -> None:
-    """Keep the uniformity report of each set of a block of same-rank sets
-    whose memo holds its spectrum but not the report: the peak |coeff| of
-    each stacked row and its least nontrivial witness.  A table transformed
-    ``_alone`` is scanned by ``uniformity`` itself, a block at a time."""
-    todo = _memoized_spectra(sets, "uniformity")
-    if not todo:
-        return
-    r = todo[0].rank
-    if _alone(r):
-        for e in todo:
-            uniformity(e)
-        return
-    t = np.abs(_spectrum_stack(todo)[:, 1:])
-    peak = t.max(axis=1)
-    # the least nontrivial gamma of greatest |coeff|: argmax of a boolean
-    # row is its first True
-    worst = np.argmax(t == peak[:, None], axis=1) + 1
-    for e, m, gamma in zip(todo, peak.tolist(), worst.tolist()):
-        e.memo["uniformity"] = UniformityReport._of_peak(e.size, r, m, gamma)
 
 
 @memoized
@@ -533,10 +530,16 @@ def triangle_count_spectral(E: PointSet) -> int:
     coefficients, which ``Spectrum`` sums exactly at every rank as it
     checks the table.
     """
-    total = walsh_hadamard(E).cube_sum
-    if total % (1 << E.rank):
+    t, divides = _spectral_count(E.rank, walsh_hadamard(E).cube_sum)
+    if not divides:
         raise InternalInconsistencyError("cube sum is not divisible by 2^r")
-    return total >> E.rank
+    return t
+
+
+def _spectral_count(rank: int, cube_sum):
+    """(T, whether 2^r divides the cube sum 2^r T) of one set's cube sum,
+    or of each entry of an int64 array of them."""
+    return cube_sum >> rank, (cube_sum & ((1 << rank) - 1)) == 0
 
 
 @memoized
@@ -627,7 +630,7 @@ def uniformity(E: PointSet) -> UniformityReport:
     least gamma of greatest |coeff|.
     """
     spec = walsh_hadamard(E)
-    m = max(spec.nontrivial_max, -spec.nontrivial_min)
+    m = spec.peak
     # The least nontrivial gamma with |coeff| = m, a block at a time from
     # gamma = 1: argmax of a boolean array is its first True.
     c = spec.coeffs[1:]
@@ -646,7 +649,8 @@ def counting_bound_check(E: PointSet, epsilon: Fraction):
     theorem for every eps-uniform set, so a failure is raised as an
     internal inconsistency rather than returned.  Both it and the
     hypothesis eps >= epsilon_min are decided on integers, by
-    cross-multiplying with eps = p/q, and lhs and rhs are formed once.
+    cross-multiplying with eps = p/q (``_counting_bound``), and lhs and
+    rhs are formed once.
     """
     epsilon = Fraction(epsilon)
     p, q = epsilon.numerator, epsilon.denominator
@@ -657,18 +661,25 @@ def counting_bound_check(E: PointSet, epsilon: Fraction):
             f"E is not {epsilon}-uniform (needs at least {rep.epsilon_min})",
             witness=rep.worst_gamma,
         )
-    t = triangle_count_spectral(E)
-    # with m = |E| and R = 2^r: a^3 4^r = m^3/R and (a - a^2) 4^r = m(R - m),
-    # so the bound is |tR - m^3| q <= p m(R - m) R
-    m, R = E.size, 1 << E.rank
-    gap, spread = abs(t * R - m**3), m * (R - m)
-    lhs = Fraction(gap, R)
-    rhs = epsilon * spread
-    if gap * q > p * spread * R:
+    lhs, rhs = _counting_bound(E.rank, E.size, triangle_count_spectral(E), p, q)
+    lhs, rhs = Fraction(lhs, q << E.rank), Fraction(rhs, q << E.rank)
+    if lhs > rhs:
         raise InternalInconsistencyError(
             f"counting bound failed on {E.to_compact()}: {lhs} > {rhs}"
         )
     return True, lhs, rhs
+
+
+def _counting_bound(rank: int, size, t, p, q):
+    """The counting bound's two sides for eps = p/q, as integers over the
+    common denominator q 2^r: with m = |E| and R = 2^r, a^3 4^r = m^3/R and
+    (a - a^2) 4^r = m(R - m), so the bound |tR - m^3|/R <= (p/q) m(R - m)
+    reads |tR - m^3| q <= p m(R - m) R.  On Python integers, or on each
+    entry of int64 arrays: from r = 16 a table is decided alone, on Python
+    integers, and below with |E| < 2^15, t <= |E|^2 and p <= |E| at
+    q = 2^r, every term is below 2^61."""
+    big = 1 << rank
+    return abs(t * big - size**3) * q, p * size * (big - size) * big
 
 
 @dataclass(frozen=True)

@@ -9,33 +9,43 @@ an implementation bug, which is exactly what the sweeps exist to catch.
 
 A sweep builds its sets in blocks, as many as fill one cache-sized
 block of transform entries and at most ``_SWEEP_BLOCK`` (``_sweep_block``:
-256 to r = 8, 16 at r = 12, one from r = 16), and takes each block one
-check at a time: the check's gate runs on every set of the block, then
-the block kernels of the values its conclusion reads on every set it
-concludes on (``_conclusion_kernels``) run on the sets that passed, then
-the conclusion runs on each of them and finds those values in the set's
-memo.  In the one-word ambient, r <= 6, the kernels are
-``spectral._block_spectra``, ``_block_hyperplane_counts``,
-``_block_uniformity``, ``matroid._block_triangle_counts`` and
+256 to r = 8, 16 at r = 12, one from r = 16).  In the one-word ambient,
+r <= 6, when some row reads every set's freeness, a block's freeness at
+the sweep's level is formed first, every set against the table of flats
+at once (``matroid._block_pg_free``).  Then each check takes the block:
+its gate runs on every set, and its conclusion on the block of the sets
+that passed.  A conclusion first runs the block kernels of the values it
+reads on every set: in the one-word ambient ``spectral._block_spectra``,
+``_block_hyperplane_counts``, ``matroid._block_triangle_counts`` and
 ``search._block_cone_lemma``, whose kernel checks all of Lemma 2.5 on a
-block at once and keeps each passing set's least slack.  From r = 7
-thm-3.1 forms its spectra, as one stacked int32 transform, and its
-uniformity reports by block; every other value is formed per set.
-A kernel forms a value only where the memo lacks it, so checks share
-what an earlier one formed; a value that a conclusion reads on a few sets
-only is left to those sets' own calls.  A row that fails its checks is
-not kept, so the set's own call recomputes it and raises, and the
-violation is counted as for any set.
+block at once; from r = 7 thm-3.1's spectra, as one stacked int32
+transform.  A kernel forms a value only where the memo lacks it, so
+checks share what an earlier one formed, and a value no kernel kept is
+formed by the set's own call.  thm-3.1 and lemma-2.4 then decide the
+whole block on int64 arrays: thm-3.1 on each set's |E|, naive count, cube
+sum and peak |coeff|, lemma-2.4 on the stacked spectra and, at n = 3,
+per-hyperplane counts.  Every other row concludes on each set alone and
+finds those values in the set's memo.
+
+A row that fails its kernel's checks is not kept, so the set's own call
+recomputes it and raises; that, and any failed conclusion, counts as one
+evaluation and one violation of the set, with the message the set's own
+calls give.  A check keeps the five least violation messages, and its
+record keeps a block's best value, found by one integer argmin or argmax
+(thm-3.1's slacks are numerators over 4^r, so one Fraction is formed per
+block), ties going to the least compact witness, formatted only for the
+tied sets.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -43,6 +53,7 @@ from . import FORMAT_VERSION, __version__
 from .errors import ConfigError, InternalInconsistencyError, ResourceCapError
 from .matroid import (
     AnalysisReport,
+    _block_pg_free,
     _block_triangle_counts,
     _dense_free,
     check_corollary_1_3,
@@ -65,11 +76,15 @@ from .search import (
 )
 from .spectral import (
     _BLOCK,
+    _alone,
     _block_hyperplane_counts,
     _block_spectra,
-    _block_uniformity,
+    _counting_bound,
+    _spectral_count,
+    _spectrum_stack,
     counting_bound_check,
     triangle_count_spectral,
+    triangle_counts_per_hyperplane,
     uniformity,
     walsh_hadamard,
 )
@@ -78,9 +93,70 @@ from .spectral import (
 # the check table
 # ---------------------------------------------------------------------------
 #
-# Each statement's conclusion calls the library's single definition of it.
-# A conclusion returns (instances evaluated, the set's extremal value or
-# None) and raises InternalInconsistencyError when it fails.
+# A row concludes on a block of same-rank sets that passed its gate, and
+# returns a _Concluded.  Most rows conclude on each set alone (``_each``),
+# by the library's single definition of the statement, which returns
+# (instances evaluated, the set's extremal value or None) and raises
+# InternalInconsistencyError when the statement fails.  thm-3.1 and
+# lemma-2.4 decide a whole block on int64 arrays, by the integer helpers
+# their library definitions use.
+
+
+class _Concluded(NamedTuple):
+    """A row's conclusions on a block of sets.  Per set: the instances
+    evaluated, the extremal value as an integer (a Fraction's numerator
+    over ``den`` when den is set) and whether the set has one; and, by
+    index, the message of each set whose conclusion failed, which counts
+    as one evaluation with no value, whatever its entries read."""
+
+    counts: np.ndarray
+    values: np.ndarray
+    valued: np.ndarray
+    faults: dict[int, str]
+    den: Optional[int] = None
+
+
+def _one_word(sets: list[PointSet]) -> bool:
+    return (1 << sets[0].rank) <= SMALL_SET_POINTS
+
+
+def _each(conclude, kernels=None):
+    """The row conclusion that runs ``kernels(sets, n)``, the block kernels
+    of the values ``conclude`` reads on every set, then concludes on each
+    set alone."""
+
+    def on_block(sets: list[PointSet], n: int) -> _Concluded:
+        if kernels is not None:
+            kernels(sets, n)
+        counts, values, faults = [], [], {}
+        for i, e in enumerate(sets):
+            try:
+                count, value = conclude(e, n)
+            except InternalInconsistencyError as exc:
+                faults[i] = str(exc)
+                count, value = 1, None
+            counts.append(count)
+            values.append(value)
+        valued = np.array([v is not None for v in values], dtype=bool)
+        values = np.array([v or 0 for v in values], dtype=np.int64)
+        return _Concluded(np.array(counts, dtype=np.int64), values, valued, faults)
+
+    return on_block
+
+
+def _formed(sets: list[PointSet], fns) -> dict[int, str]:
+    """Form, by each set's own calls, the memoized values of ``fns`` that
+    no block kernel kept for it; returns, by index, the message of each set
+    whose call raised.  A row that failed its kernel's checks was not kept,
+    so its set's own call recomputes it and raises."""
+    faults = {}
+    for i, e in enumerate(sets):
+        try:
+            for fn in fns:
+                fn(e)
+        except InternalInconsistencyError as exc:
+            faults[i] = str(exc)
+    return faults
 
 
 def _free(e: PointSet, n: int) -> bool:
@@ -111,26 +187,98 @@ def _gs(e: PointSet, n: int) -> tuple[int, int]:
     return 1, e.size
 
 
-def _lemma_24(e: PointSet, n: int) -> tuple[int, Optional[Fraction]]:
-    # the lemma applies to the hyperplanes whose intersection holds a PG(n-2,2)
-    held = _hyperplanes_holding_pg(e, n)
-    if n > 3:
-        held = np.fromiter(held, dtype=bool, count=(1 << e.rank) - 1)
-    inside = (e.size + walsh_hadamard(e).coeffs[1:][held]) >> 1
-    if not inside.size:
-        return 0, None
-    outside_bound, _, _ = _hyperplane_bounds(e, inside, n)
-    return inside.size, Fraction(outside_bound - e.size + int(inside.min()))
+# The least c_H of a set with no hyperplane to take it over: above every
+# coefficient, |c| <= |E| < 2^24.
+_NO_HYPERPLANE = 1 << 24
+
+
+def _stack(rows: list[np.ndarray]) -> np.ndarray:
+    """Equal rows as one (B, k) array; a single row is read in place."""
+    return rows[0][None] if len(rows) == 1 else np.array(rows)
+
+
+def _lemma_24(sets: list[PointSet], n: int) -> _Concluded:
+    """Lemma 2.4 on a block of PG(n-1,2)-free sets: its instances are the
+    hyperplanes H whose intersection holds a PG(n-2,2), the inside sizes
+    |E ∩ H| = (|E| + c_H)/2 are read off the stacked spectra, and the
+    least of them decides both bounds (``_hyperplane_bounds``).  At n = 3
+    the held hyperplanes are those with a triangle, read off the stacked
+    per-hyperplane counts; from n = 4 each set's ``is_pg_free`` runs on one
+    intersection at a time (``_hyperplanes_holding_pg``).  The value is the
+    least slack under the outside bound."""
+    keys = (walsh_hadamard, triangle_counts_per_hyperplane) if n == 3 else (walsh_hadamard,)
+    if _one_word(sets):
+        _block_spectra(sets)
+        if n == 3:
+            _block_hyperplane_counts(sets)
+    faults = _formed(sets, keys)
+    counts = np.zeros(len(sets), dtype=np.int64)
+    slack = np.zeros(len(sets), dtype=np.int64)
+    at = [i for i in range(len(sets)) if i not in faults]
+    if at:
+        kept = [sets[i] for i in at]
+        if n == 3:
+            held = _stack([e.memo["triangle_counts_per_hyperplane"] for e in kept])[:, 1:] > 0
+        else:
+            width = (1 << kept[0].rank) - 1
+            held = _stack([np.fromiter(_hyperplanes_holding_pg(e, n), dtype=bool, count=width) for e in kept])
+        sizes = np.fromiter((e.size for e in kept), dtype=np.int64, count=len(kept))
+        # |E ∩ H| = (|E| + c_H)/2 is least where c_H is
+        low = np.min(_spectrum_stack(kept)[:, 1:], axis=1, initial=_NO_HYPERPLANE, where=held)
+        slack[at], bad = _hyperplane_bounds(kept, (sizes + low) >> 1, n)
+        counts[at] = held.sum(axis=1)
+        faults.update((at[i], message) for i, message in bad.items())
+    return _Concluded(counts, slack, counts > 0, faults, den=1)
 
 
 def _lemma_25(e: PointSet, n: int) -> tuple[int, int]:
     return 1, _cone_lemma(e, n)
 
 
-def _thm_31(e: PointSet, n: int) -> tuple[int, Fraction]:
-    _checked_triangle_count(e)
-    _, lhs, rhs = counting_bound_check(e, uniformity(e).epsilon_min)
-    return 1, rhs - lhs
+def _cone_kernels(sets: list[PointSet], n: int) -> None:
+    if _one_word(sets):
+        _block_spectra(sets)
+        _block_cone_lemma(sets, n)
+
+
+def _thm_31(sets: list[PointSet], n: int) -> _Concluded:
+    """Theorem 3.1 on a block: each set's |E|, naive T, cube sum and
+    uniformity peak are stacked as int64 arrays, and decided elementwise:
+    the cube sum is divisible by 2^r, the naive count equals the spectral
+    one (``_spectral_count``), and the counting bound holds at epsilon_min
+    = peak/2^r (``_counting_bound``).  The slack rhs - lhs of every set has
+    the denominator 4^r.  A table transformed ``_alone`` (from r = 16) is
+    decided on Python integers.  A set that fails is concluded alone, by
+    ``_checked_triangle_count`` and ``counting_bound_check``, for its
+    message."""
+    r = sets[0].rank
+    _block_spectra(sets)
+    if _one_word(sets):
+        _block_triangle_counts(sets)
+    faults = _formed(sets, (walsh_hadamard, triangle_count_naive))
+    specs = [None if i in faults else e.memo["walsh_hadamard"] for i, e in enumerate(sets)]
+    rows = np.array([(e.size, e.memo["triangle_count_naive"], s.cube_sum, s.peak) if s else (0, 0, 0, 0)
+                     for e, s in zip(sets, specs)], dtype=object if _alone(r) else np.int64)
+    size, naive, cube_sum, peak = rows.T
+    t, divides = _spectral_count(r, cube_sum)
+    # the naive count, equal to the spectral one wherever a set passes, is
+    # at most |E|^2 on every row, so no term of the bound wraps
+    lhs, rhs = _counting_bound(r, size, naive, peak, 1 << r)
+    for i in np.flatnonzero(~(divides & (t == naive) & (lhs <= rhs))).tolist():
+        if i not in faults:
+            faults[i] = _thm_31_fault(sets[i])
+    ones = np.ones(len(sets), dtype=np.int64)
+    return _Concluded(ones, rhs - lhs, ones > 0, faults, den=1 << (2 * r))
+
+
+def _thm_31_fault(e: PointSet) -> str:
+    """The message with which the set's own calls fail Theorem 3.1."""
+    try:
+        _checked_triangle_count(e)
+        counting_bound_check(e, uniformity(e).epsilon_min)
+    except InternalInconsistencyError as exc:
+        return str(exc)
+    return "the block's conclusion failed where the set's own calls pass"
 
 
 def _thm_41(e: PointSet, n: int) -> tuple[int, int]:
@@ -157,12 +305,26 @@ def _thm_11(e: PointSet, n: int) -> tuple[int, int]:
     return 1, exh.intersection_size
 
 
+def _count_kernels(sets: list[PointSet], n: int) -> None:
+    """The spectra and per-hyperplane counts that the thm-4.1 and thm-1.1
+    conclusions read on every set at level 3."""
+    if _one_word(sets) and n == 3:
+        _block_spectra(sets)
+        _block_hyperplane_counts(sets)
+
+
 def _cor_13(e: PointSet, n: int) -> tuple[int, int]:
     if not check_corollary_1_3(e, n):
         raise InternalInconsistencyError(
             f"critical number {critical_number(e)} is outside {{{n - 1}, {n}}}"
         )
     return 1, critical_number(e)
+
+
+def _spectrum_kernels(sets: list[PointSet], n: int) -> None:
+    """The spectra that the critical numbers of cor-1.3 read."""
+    if _one_word(sets):
+        _block_spectra(sets)
 
 
 def _reconcile(e: PointSet, n: int) -> tuple[int, None]:
@@ -176,22 +338,25 @@ def _reconcile(e: PointSet, n: int) -> tuple[int, None]:
 
 class _Check(NamedTuple):
     gate: Callable[[PointSet, int], bool]  # the statement's hypotheses hold
-    conclude: Callable[[PointSet, int], tuple[int, Any]]
+    conclude: Callable[[list[PointSet], int], _Concluded]  # on a block of gated sets
     record: Optional[str] = None  # the name of the extremal record, if any
     kind: str = "min"  # whether the record keeps the "min" or the "max" value
+    free: bool = False  # whether the row reads every set's freeness at level n
 
 
 # One row per statement, in the order the sweeps report them.
 _CHECKS = {
-    "bose-burton": _Check(_free, _bose_burton, "max_free_size", "max"),
-    "gs": _Check(_gs_dense_free, _gs, "max_evaluated_size", "max"),
-    "lemma-2.4": _Check(_free, _lemma_24, "min_outside_slack", "min"),
-    "lemma-2.5": _Check(lambda e, n: e.size > 0, _lemma_25, "min_cone_slack", "min"),
+    "bose-burton": _Check(_free, _each(_bose_burton), "max_free_size", "max", free=True),
+    "gs": _Check(_gs_dense_free, _each(_gs), "max_evaluated_size", "max"),
+    "lemma-2.4": _Check(_free, _lemma_24, "min_outside_slack", "min", free=True),
+    "lemma-2.5": _Check(lambda e, n: e.size > 0, _each(_lemma_25, _cone_kernels), "min_cone_slack", "min",
+                        free=True),
     "thm-3.1": _Check(lambda e, n: True, _thm_31, "min_bound_slack", "min"),
-    "thm-4.1": _Check(lambda e, n: _dense_free(e, 3), _thm_41, "min_intersection", "min"),
-    "thm-1.1": _Check(_dense_free, _thm_11, "min_intersection", "min"),
-    "cor-1.3": _Check(_dense_free, _cor_13, "max_chi", "max"),
-    "reconcile": _Check(lambda e, n: _reconcile_condition(e, n) is not None, _reconcile),
+    "thm-4.1": _Check(lambda e, n: _dense_free(e, 3), _each(_thm_41, _count_kernels), "min_intersection",
+                      "min"),
+    "thm-1.1": _Check(_dense_free, _each(_thm_11, _count_kernels), "min_intersection", "min"),
+    "cor-1.3": _Check(_dense_free, _each(_cor_13, _spectrum_kernels), "max_chi", "max"),
+    "reconcile": _Check(lambda e, n: _reconcile_condition(e, n) is not None, _each(_reconcile)),
 }
 ALL_CHECKS = tuple(_CHECKS)
 
@@ -314,6 +479,10 @@ def _universe_set(cfg: SweepConfig, index: int) -> PointSet:
 # ---------------------------------------------------------------------------
 
 
+# The witnesses a check keeps: the canonical JSON lists the five least.
+_WITNESSES = 5
+
+
 class _CheckStats:
     __slots__ = ("record_name", "minimize", "evaluated", "hypothesis_skipped", "violations",
                  "witnesses", "extremal")
@@ -324,24 +493,37 @@ class _CheckStats:
         self.evaluated = 0
         self.hypothesis_skipped = 0
         self.violations = 0
-        self.witnesses: list[str] = []
+        self.witnesses: list[str] = []  # the least ``_WITNESSES``, ascending
         self.extremal: Optional[tuple] = None  # (value, witness) of the record
 
     def violation(self, e: PointSet, detail: str) -> None:
         self.violations += 1
-        self.witnesses.append(f"{e.to_compact()} {detail}")
+        bisect.insort(self.witnesses, f"{e.to_compact()} {detail}")
+        del self.witnesses[_WITNESSES:]
 
-    def record(self, value, e) -> None:
-        """Keep the extremal value, ties going to the least compact witness.
-
-        ``e`` is the set, formatted only when its value beats or ties the
-        record, or a compact form when partials are merged.
-        """
-        cur = self.extremal
-        if cur is not None and value != cur[0] and (value < cur[0]) != self.minimize:
+    def add(self, sets: list[PointSet], done: _Concluded) -> None:
+        """Count a block's conclusions and keep its best value, ties going
+        to the least compact witness, formatted only for the tied sets."""
+        faulted = list(done.faults)
+        done.counts[faulted] = 1
+        done.valued[faulted] = False
+        self.evaluated += int(done.counts.sum())
+        for i, detail in done.faults.items():
+            self.violation(sets[i], detail)
+        at = np.flatnonzero(done.valued)
+        if self.record_name is None or not at.size:
             return
-        witness = e if isinstance(e, str) else e.to_compact()
-        if cur is None or value != cur[0] or witness < cur[1]:
+        values = done.values[at]
+        best = values.min() if self.minimize else values.max()
+        witness = min(sets[i].to_compact() for i in at[values == best].tolist())
+        self.record(int(best) if done.den is None else Fraction(int(best), done.den), witness)
+
+    def record(self, value, witness: str) -> None:
+        """Keep the extremal value, ties going to the least compact witness."""
+        cur = self.extremal
+        if cur is None or value != cur[0] and (value < cur[0]) == self.minimize or (
+            value == cur[0] and witness < cur[1]
+        ):
             self.extremal = (value, witness)
 
     def to_json_obj(self) -> dict:
@@ -353,7 +535,7 @@ class _CheckStats:
             "evaluated": self.evaluated,
             "hypothesis_skipped": self.hypothesis_skipped,
             "violations": self.violations,
-            "witnesses": sorted(self.witnesses)[:5],
+            "witnesses": list(self.witnesses),
             "extremal": extremal,
         }
 
@@ -403,61 +585,30 @@ def _sweep_block(rank: int) -> int:
     return min(_SWEEP_BLOCK, max(1, _BLOCK >> rank))
 
 
-def _conclusion_kernels(check: str, n: int, rank: int) -> tuple:
-    """The block kernels of the memoized values that the check's conclusion
-    reads at level n on every set it concludes on, in the order they run
-    (a spectrum before what is formed from it).  A value read on a few
-    sets only, as Bose-Burton's spectrum on the extremal sets, is left to
-    those sets' own calls.  From r = 7 only the spectra and uniformity
-    reports are formed by block: there a stacked translation count spills
-    out of cache, and every other value is formed per set."""
-    one_word = (1 << rank) <= SMALL_SET_POINTS
-    if check == "thm-3.1":
-        return (_block_spectra, _block_uniformity) + ((_block_triangle_counts,) if one_word else ())
-    if not one_word:
-        return ()
-    if check == "lemma-2.5":
-        return (_block_spectra, lambda sets: _block_cone_lemma(sets, n))
-    if check in ("lemma-2.4", "thm-4.1", "thm-1.1") and n == 3:
-        return (_block_spectra, _block_hyperplane_counts)
-    if check in ("lemma-2.4", "cor-1.3"):
-        return (_block_spectra,)
-    return ()
-
-
 def _sweep_range(cfg: SweepConfig, start: int, stop: int) -> dict[str, _CheckStats]:
     """Gate, conclude and record every configured check on each set of the range.
 
-    A check's first failed conclusion on a set counts as one evaluation and
-    one violation, and the check moves on to the next set.  The sets are
-    built ``_sweep_block(r)`` at a time, and each check runs its
-    conclusion's block kernels on a block's gated sets before it concludes
-    on them.
+    The sets are built ``_sweep_block(r)`` at a time.  In the one-word
+    ambient, when some row reads every set's freeness, a block's freeness
+    is formed first, by one kernel call (``_block_pg_free``).  Then each
+    check gates every set of the block and concludes on the block of the
+    sets that passed.  A check's failed conclusion on a set counts as one
+    evaluation and one violation.
     """
     stats = {name: _CheckStats(_CHECKS[name]) for name in cfg.checks}
     n = cfg.level
-    rows = [
-        (_CHECKS[name].gate, _CHECKS[name].conclude, _conclusion_kernels(name, n, cfg.rank), stats[name])
-        for name in cfg.checks
-    ]
+    rows = [(_CHECKS[name], stats[name]) for name in cfg.checks]
+    free = (1 << cfg.rank) <= SMALL_SET_POINTS and any(check.free for check, _ in rows)
     size = _sweep_block(cfg.rank)
     for first in range(start, stop, size):
         block = [_universe_set(cfg, i) for i in range(first, min(first + size, stop))]
-        for gate, conclude, kernels, st in rows:
-            gated = [e for e in block if gate(e, n)]
+        if free:
+            _block_pg_free(block, n)
+        for check, st in rows:
+            gated = [e for e in block if check.gate(e, n)]
             st.hypothesis_skipped += len(block) - len(gated)
-            for kernel in kernels:
-                kernel(gated)
-            for e in gated:
-                try:
-                    count, value = conclude(e, n)
-                except InternalInconsistencyError as exc:
-                    st.evaluated += 1
-                    st.violation(e, str(exc))
-                    continue
-                st.evaluated += count
-                if value is not None:
-                    st.record(value, e)
+            if gated:
+                st.add(gated, check.conclude(gated, n))
     return stats
 
 

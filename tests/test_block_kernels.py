@@ -1,7 +1,7 @@
-"""The block kernels: spectra, per-hyperplane triangle counts, uniformity
-reports, translation triangle counts and the cone lemma of a block of sets
-at r <= 6, and the stacked spectra and uniformity reports from r = 7,
-formed together and kept in each set's memo; and the row-gather triangle
+"""The block kernels: spectra, per-hyperplane triangle counts, translation
+triangle counts and the cone lemma of a block of sets at r <= 6, and the
+stacked spectra from r = 7, formed together and kept in each set's memo,
+with the uniformity reports read off them; and the row-gather triangle
 count from r = 7."""
 
 import random
@@ -16,15 +16,15 @@ import pgfree.matroid as matroid
 import pgfree.search as search
 import pgfree.spectral as spectral
 import pgfree.verify as verify
+from pgfree.constructions import bose_burton
 from pgfree.errors import InternalInconsistencyError
 from pgfree.matroid import _block_triangle_counts, triangle_count_naive
-from pgfree.pointset import PointSet
+from pgfree.pointset import PointSet, hyperplane_mask
 from pgfree.search import _block_cone_lemma, cone_sizes, find_triangle_free_flat
 from pgfree.spectral import (
     Spectrum,
     _block_hyperplane_counts,
     _block_spectra,
-    _block_uniformity,
     triangle_counts_per_hyperplane,
     uniformity,
     walsh_hadamard,
@@ -38,6 +38,7 @@ from oracles import (
     cone_lemma_tables,
     copying_fwht,
     definition_tables,
+    dfs_least_generators,
     direct_walsh,
     loop_triangle_count,
     python_cube_sum,
@@ -70,8 +71,15 @@ def _same_spectrum(a, b):
     )
 
 
+def _uniformity_reports(sets):
+    """Each set's uniformity report, read off its memoized spectrum where it has one."""
+    for e in sets:
+        if "walsh_hadamard" in e.memo:
+            uniformity(e)
+
+
 def _run_kernels(block):
-    for kernel in (_block_spectra, _block_hyperplane_counts, _block_uniformity, _block_triangle_counts):
+    for kernel in (_block_spectra, _block_hyperplane_counts, _uniformity_reports, _block_triangle_counts):
         kernel(block)
 
 
@@ -223,8 +231,8 @@ def test_a_corrupted_row_is_one_violation_of_the_sweep(monkeypatch):
 
 def _spy_on_kernels(monkeypatch):
     calls = []
-    for module, name in ((verify, "_block_spectra"), (verify, "_block_hyperplane_counts"),
-                         (verify, "_block_uniformity"), (verify, "_block_triangle_counts"),
+    for module, name in ((verify, "_block_pg_free"), (verify, "_block_spectra"), (verify, "_block_hyperplane_counts"),
+                         (verify, "_block_triangle_counts"),
                          (search, "_block_spectra"), (search, "_block_hyperplane_counts"),
                          (verify, "_block_cone_lemma"), (search, "_cone_tables"),
                          (spectral, "_spectrum_rows"), (spectral, "_sylvester_rows"),
@@ -240,7 +248,7 @@ def _spy_on_blocks(monkeypatch):
     """The list that each block kernel a sweep runs appends (its name, the
     number of sets it is given) to."""
     calls = []
-    for name in ("_block_spectra", "_block_uniformity", "_block_triangle_counts",
+    for name in ("_block_spectra", "_block_triangle_counts",
                  "_block_hyperplane_counts", "_block_cone_lemma"):
         real = getattr(verify, name)
         monkeypatch.setattr(
@@ -252,8 +260,9 @@ def _spy_on_blocks(monkeypatch):
 @pytest.mark.parametrize("r, samples", [(7, 300), (12, 40)])
 def test_random_sweeps_from_rank_7_form_spectra_and_uniformity_by_block(monkeypatch, r, samples):
     # blocks of min(256, 2^16 >> r) sets: 256 at r = 7, 16 at r = 12, the
-    # last one shorter; thm-3.1 comes first and gates nothing, so each of
-    # its two kernels gets whole blocks, and no other kernel runs
+    # last one shorter; thm-3.1 comes first and gates nothing, so its
+    # spectra kernel, whose moments pass forms each uniformity peak, gets
+    # whole blocks, and no other kernel runs
     calls = _spy_on_blocks(monkeypatch)
     cfg = SweepConfig(rank=r, level=3, mode="random", sample_count=samples, rng_seed=r,
                       checks=("thm-3.1", "bose-burton", "cor-1.3", "thm-4.1", "lemma-2.4", "lemma-2.5"))
@@ -262,7 +271,7 @@ def test_random_sweeps_from_rank_7_form_spectra_and_uniformity_by_block(monkeypa
     assert verify._sweep_block(r) == size
     blocks = [min(size, samples - i) for i in range(0, samples, size)]
     assert len(blocks) > 1 and blocks[-1] < size
-    assert calls == [(name, b) for b in blocks for name in ("_block_spectra", "_block_uniformity")]
+    assert calls == [("_block_spectra", b) for b in blocks]
 
 
 def test_random_sweeps_from_rank_16_take_one_set_per_block(monkeypatch):
@@ -270,7 +279,7 @@ def test_random_sweeps_from_rank_16_take_one_set_per_block(monkeypatch):
     cfg = SweepConfig(rank=16, level=3, mode="random", sample_count=2, rng_seed=16, checks=("thm-3.1",))
     assert run_sweep(cfg, workers=1).total_violations == 0
     assert verify._sweep_block(16) == 1
-    assert calls == [("_block_spectra", 1), ("_block_uniformity", 1)] * 2
+    assert calls == [("_block_spectra", 1)] * 2
 
 
 def test_one_word_sweeps_form_every_thm_31_value_by_block(monkeypatch):
@@ -279,7 +288,7 @@ def test_one_word_sweeps_form_every_thm_31_value_by_block(monkeypatch):
                       checks=("thm-3.1",))
     run_sweep(cfg, workers=1)
     assert calls == [(name, b) for b in (256, 44)
-                     for name in ("_block_spectra", "_block_uniformity", "_block_triangle_counts")]
+                     for name in ("_block_spectra", "_block_triangle_counts")]
 
 
 def test_a_sweep_runs_no_kernel_its_checks_do_not_read(monkeypatch):
@@ -577,7 +586,7 @@ def test_stacked_rows_are_the_single_tables(r, count):
             assert np.array_equal(row.coeffs, oracle)
             assert (row.nontrivial_min, row.nontrivial_max) == (int(oracle[1:].min()), int(oracle[1:].max()))
             assert row.cube_sum == python_cube_sum(oracle)
-    spectral._block_uniformity(sets)
+    _uniformity_reports(sets)
     for e in sets[:5] + sets[-3:]:
         assert e.memo["uniformity"] == uniformity(PointSet(r, e.bits))
 
@@ -619,7 +628,7 @@ def test_a_corrupted_stacked_row_is_not_kept_and_leaves_its_block_alone(monkeypa
     target = sets[11]
     _corrupt_stacked_row_of(monkeypatch, target)
     spectral._block_spectra(sets)
-    spectral._block_uniformity(sets)
+    _uniformity_reports(sets)
     for e, c in zip(sets, clean):
         if e is target:
             assert not {"walsh_hadamard", "uniformity"} & e.memo.keys()
@@ -646,8 +655,8 @@ def test_one_stacked_block_at_rank_12_stays_within_the_stack_and_its_block_buffe
     # the int32 stack, and while it is built the block's buffers: its eight
     # gathered byte rows (8 bytes per entry), their index, their sum and
     # the int16 copy (3.25), and a radix-4 pass's quarter-block temporaries
-    # (at most 4); then the moments' int64 squares (two stacks) and the
-    # uniformity kernel's |coeff| stack, once the buffers are freed
+    # (at most 4); then the moments' int64 squares (two stacks), once the
+    # buffers are freed, and each uniformity report's |coeff| row
     import tracemalloc
 
     sets = [verify.sample_pointset(12, 12, i) for i in range(verify._sweep_block(12))]
@@ -657,10 +666,260 @@ def test_one_stacked_block_at_rank_12_stays_within_the_stack_and_its_block_buffe
     tracemalloc.start()
     try:
         spectral._block_spectra(sets)
-        spectral._block_uniformity(sets)
+        _uniformity_reports(sets)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert all({"walsh_hadamard", "uniformity"} <= e.memo.keys() for e in sets)
     assert stack == spectral._BLOCK * 4
     assert peak < stack + 20 * spectral._BLOCK
+
+
+# ---------------------------------------------------------------------------
+# the block conclusions of thm-3.1 and lemma-2.4, the records, and the
+# freeness kernel
+# ---------------------------------------------------------------------------
+
+
+def _thm_31_per_set(e):
+    """Theorem 3.1 on one set by the library's own calls, as a sweep row
+    concluded it one set at a time: (count, slack), or the message the
+    set fails with."""
+    try:
+        verify._checked_triangle_count(e)
+        _, lhs, rhs = spectral.counting_bound_check(e, uniformity(e).epsilon_min)
+    except InternalInconsistencyError as exc:
+        return str(exc)
+    return 1, rhs - lhs
+
+
+def _rows_of(done):
+    """Each set's (count, value), or its fault message, from a block conclusion."""
+    rows = []
+    for i, count in enumerate(done.counts.tolist()):
+        if i in done.faults:
+            rows.append(done.faults[i])
+            continue
+        value = None
+        if done.valued[i]:
+            value = int(done.values[i]) if done.den is None else Fraction(int(done.values[i]), done.den)
+        rows.append((count, value))
+    return rows
+
+
+def _concluded_by_blocks(conclude, sets, n, size):
+    return [row for i in range(0, len(sets), size) for row in _rows_of(conclude(sets[i : i + size], n))]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_thm_31_block_conclusion_is_the_per_set_one_on_every_subset(r):
+    want = [_thm_31_per_set(e) for e in _every_subset(r)]
+    for level, size in ((2, 256), (3, 7)):
+        assert _concluded_by_blocks(verify._thm_31, _every_subset(r), level, size) == want
+
+
+# r = 16 tables are transformed alone, and decided on Python integers
+@pytest.mark.parametrize("r, count", [(5, 60), (6, 60), (7, 300), (12, 20), (16, 2)])
+def test_thm_31_block_conclusion_is_the_per_set_one_on_seeded_sets(r, count):
+    sets = _seeded_sets(r, count, 310 + r) if r <= 6 else _stacked_cases(r, count)
+    want = [_thm_31_per_set(PointSet(r, e.bits)) for e in sets]
+    assert _concluded_by_blocks(verify._thm_31, sets, 3, verify._sweep_block(r)) == want
+    assert all(row[0] == 1 and row[1] >= 0 for row in want)
+
+
+@lru_cache(maxsize=None)
+def _holds_pg(r, bits, k):
+    return dfs_least_generators(PointSet(r, bits).points, k) is not None
+
+
+def _lemma_24_loop(e, n):
+    """(count, least slack) of Lemma 2.4's outside bound over the
+    hyperplanes whose intersection holds a PG(n-2,2), by the plain search."""
+    r = e.rank
+    bound = ((1 << (n - 1)) - 1) << (r - n)
+    count, slack = 0, None
+    for g in range(1, 1 << r):
+        inside = PointSet(r, e.bits & hyperplane_mask(r, g))
+        if _holds_pg(r, inside.bits, n - 1):
+            count += 1
+            s = bound - (e.size - inside.size)
+            slack = s if slack is None else min(slack, s)
+    return count, None if slack is None else Fraction(slack)
+
+
+@pytest.mark.parametrize("r, n", [(3, 3), (4, 3), (4, 4)])
+def test_lemma_24_block_conclusion_is_the_hyperplane_loop_on_every_free_subset(r, n):
+    sets = [e for e in _every_subset(r) if not matroid.is_pg_free(e, n).found]
+    got = _concluded_by_blocks(verify._lemma_24, sets, n, 256)
+    assert got == [_lemma_24_loop(e, n) for e in sets]
+    assert any(row[0] == 0 for row in got) and any(row[0] for row in got)
+
+
+@pytest.mark.parametrize("r, n", [(5, 3), (6, 3), (7, 3), (5, 4), (6, 4)])
+def test_lemma_24_block_conclusion_is_the_hyperplane_loop_on_seeded_free_sets(r, n):
+    rng = random.Random(240 + r)
+    bb = bose_burton(r, n)
+    sets = [bb.without_point(w).without_point(v) for w, v in (rng.sample(bb.points, 2) for _ in range(6))]
+    sets += [e for e in _seeded_sets(r, 40, 250 + r) if not matroid.is_pg_free(e, n).found]
+    got = _concluded_by_blocks(verify._lemma_24, sets, n, verify._sweep_block(r))
+    assert got == [_lemma_24_loop(PointSet(r, e.bits), n) for e in sets]
+    assert any(row[0] for row in got)
+
+
+def _miscount(monkeypatch, targets):
+    """Make the block translation counts give each target six more triangles."""
+    real = matroid._translation_counts
+    monkeypatch.setattr(matroid, "_translation_counts",
+                        lambda sets: [t + 6 * (e.bits in targets) for e, t in zip(sets, real(sets))])
+
+
+def test_thm_31_block_faults_are_the_per_set_messages(monkeypatch):
+    sets = _every_subset(4)[1792:2048]
+    # 2 more at gamma = 3 breaks Parseval on 0x0E8A, but keeps it, and
+    # breaks only the cube sum's division, where the coefficient was -1
+    parseval = sets.index(PointSet(4, 0x0E8A))
+    cubes = next(i for i, e in enumerate(sets) if walsh_hadamard(PointSet(4, e.bits))[3] == -1)
+    miscounted, loose = 70, 140
+    for i in (parseval, cubes):
+        _corrupt_rows_of(monkeypatch, sets[i])
+    _miscount(monkeypatch, {sets[miscounted].bits})
+    fresh = [PointSet(4, e.bits) for e in sets]
+    for block in (sets, fresh):
+        _block_spectra(block)
+        _block_triangle_counts(block)
+        # a zero peak makes epsilon_min 0, under which the bound fails
+        block[loose].memo["walsh_hadamard"].__dict__["peak"] = 0
+    done = verify._thm_31(sets, 3)
+    t = triangle_count_naive(PointSet(4, sets[miscounted].bits))
+    assert done.faults == {
+        parseval: "Parseval identity failed",
+        cubes: "cube sum is not divisible by 2^r",
+        miscounted: f"triangle counts disagree: naive {t + 6}, spectral {t}",
+        loose: _thm_31_per_set(fresh[loose]),
+    }
+    assert done.faults[loose].startswith(f"counting bound failed on {sets[loose].to_compact()}: ")
+    assert _rows_of(done) == [_thm_31_per_set(e) for e in fresh]
+    # a failed set is one evaluation and one violation, with no value
+    st = verify._CheckStats(verify._CHECKS["thm-3.1"])
+    st.add(sets, done)
+    assert (st.evaluated, st.violations) == (len(sets), 4)
+    assert st.extremal == min((row[1], e.to_compact()) for row, e in zip(_rows_of(done), sets) if row[0] == 1)
+
+
+def test_lemma_24_block_faults_are_the_bound_messages(monkeypatch):
+    # a triangle in every hyperplane of the target, a largest fano-free
+    # set: its least inside size is then its least |E ∩ H|, and the
+    # outside part of that hyperplane breaks the bound 6
+    sets = [e for e in _every_subset(4) if not matroid.is_pg_free(e, 3).found][-256:]
+    target = max(sets, key=lambda e: e.size)
+    real = spectral._hyperplane_counts
+
+    def counts(c, member, rank, transform):
+        a, convolved, counted = real(c, member, rank, transform)
+        a[(member == target.membership).all(axis=-1)] += 1
+        return a, convolved, counted
+
+    monkeypatch.setattr(spectral, "_hyperplane_counts", counts)
+    done = verify._lemma_24(sets, 3)
+    i = sets.index(target)
+    outside = max(target.size - (target.bits & hyperplane_mask(4, g)).bit_count() for g in range(1, 16))
+    assert outside > 6
+    assert done.faults == {i: f"|E \\ H| = {outside} exceeds the proven bound 6"}
+    rows = [_lemma_24_loop(e, 3) for e in sets if e is not target]
+    assert _rows_of(done)[:i] + _rows_of(done)[i + 1 :] == rows
+    # the failed set is one evaluation and one violation, with no value
+    st = verify._CheckStats(verify._CHECKS["lemma-2.4"])
+    st.add(sets, done)
+    assert (st.evaluated, st.violations) == (sum(count for count, _ in rows) + 1, 1)
+
+
+def _stats(check, blocks):
+    st = verify._CheckStats(verify._CHECKS[check])
+    for sets, values, den in blocks:
+        n = len(sets)
+        st.add(sets, verify._Concluded(np.ones(n, dtype=np.int64), np.array(values, dtype=np.int64),
+                                       np.ones(n, dtype=bool), {}, den))
+    return st
+
+
+def test_records_break_ties_by_compact_string_across_blocks(monkeypatch):
+    # "5:100" < "5:1E" < "5:2" as strings, though 0x2 < 0x1E < 0x100
+    two, e1e, hundred, four = (PointSet(5, b) for b in (0x2, 0x1E, 0x100, 0x4))
+    formatted = []
+    real = PointSet.to_compact
+    monkeypatch.setattr(PointSet, "to_compact", lambda e: formatted.append(e.bits) or real(e))
+    first = ([two, four], [7, 9], None)
+    second = ([e1e, hundred, four], [7, 7, 8], None)
+    st = _stats("thm-4.1", [first, second])  # a "min" record
+    assert st.extremal == (7, "5:100")
+    # only the tied sets of each block are formatted
+    assert formatted == [0x2, 0x1E, 0x100]
+    assert _stats("thm-4.1", [second, first]).extremal == (7, "5:100")
+    # a "max" record, and slacks as numerators over a block's denominator
+    assert _stats("bose-burton", [first, second]).extremal == (9, "5:4")
+    # 3/12 in one block ties 1/4 in the next
+    assert _stats("thm-3.1", [([two, e1e], [3, 5], 12), ([hundred], [1], 4)]).extremal == (
+        Fraction(1, 4), "5:100")
+    assert _stats("thm-3.1", [([two, e1e], [3, 3], 12), ([four], [1], 4)]).extremal == (
+        Fraction(1, 4), "5:1E")
+    # partials merge by the same rule, whichever range holds which block
+    parts = [{"thm-4.1": _stats("thm-4.1", [second])}, {"thm-4.1": _stats("thm-4.1", [first])}]
+    merged = verify._merge_stats(parts, ["thm-4.1"])
+    assert merged["thm-4.1"].extremal == (7, "5:100")
+
+
+def test_a_check_keeps_only_its_five_least_witnesses(monkeypatch):
+    sets = _every_subset(3)
+    st = verify._CheckStats(verify._CHECKS["thm-3.1"])
+    for i in random.Random(5).sample(range(len(sets)), len(sets)):
+        st.violation(sets[i], "x")
+    assert st.violations == 128
+    assert st.witnesses == sorted(f"{e.to_compact()} x" for e in sets)[:5]
+    # a broken kernel faults every set of a sweep but the empty one, whose
+    # spectrum is all zeros; the list stays at five
+    monkeypatch.setattr(spectral, "_sylvester_rows", lambda a: a * 0)
+    stats = verify._sweep_range(SweepConfig(rank=3, level=3, mode="exhaustive", checks=("thm-3.1",)), 0, 128)
+    st = stats["thm-3.1"]
+    assert st.violations == 127 and st.evaluated == 128 and st.extremal == (0, "3:0")
+    assert st.witnesses == sorted(f"{e.to_compact()} coeff at 0 must equal the set size" for e in sets[1:])[:5]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_block_freeness_is_the_per_set_search_on_every_subset(r):
+    for n in range(1, r + 1):
+        sets = _every_subset(r)
+        for i in range(0, len(sets), 300):
+            matroid._block_pg_free(sets[i : i + 300], n)
+        for e in sets:
+            w, own = e.memo[n], matroid.is_pg_free(PointSet(r, e.bits), n)
+            assert (w.found, w.subspace) == (own.found, own.subspace)
+
+
+@pytest.mark.parametrize("r", [5, 6])
+def test_block_freeness_finds_the_least_generating_tuple(r):
+    # and the words from 2^(r-2) up, a fano-free set of (3/4) 2^r points
+    sets = _seeded_sets(r, 40, 60 + r) + [PointSet(r, PointSet.full(r).bits >> (1 << (r - 2)) << (1 << (r - 2)))]
+    for n in range(2, 5):
+        matroid._block_pg_free(sets, n)
+        for e in sets:
+            want = dfs_least_generators(e.points, n)
+            w = e.memo[n]
+            assert w.found == (want is not None)
+            if want is not None:
+                assert tuple(w._span[1]) == want
+
+
+def test_a_sweep_forms_freeness_by_block_only_for_the_rows_that_read_it(monkeypatch):
+    calls = _spy_on_kernels(monkeypatch)
+    run_sweep(SweepConfig(rank=4, level=3, mode="exhaustive", checks=("thm-3.1", "thm-1.1")), workers=1)
+    assert "_block_pg_free" not in calls
+    calls.clear()
+    run_sweep(SweepConfig(rank=4, level=3, mode="exhaustive", checks=("bose-burton",)), workers=1)
+    assert calls.count("_block_pg_free") == 128
+    # a set's own search is the kernel's row on a block of one
+    given = []
+    real = matroid._block_pg_free
+    monkeypatch.setattr(matroid, "_block_pg_free", lambda sets, n: given.append(sets) or real(sets, n))
+    e = PointSet(5, 0xFFFF0000)
+    assert not matroid.is_pg_free(e, 3).found
+    assert given == [[e]]

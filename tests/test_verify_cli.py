@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 from pgfree import cli
 from pgfree.constructions import affine_set, bose_burton, m_k5
 from pgfree.errors import ConfigError, RankCapError, ResourceCapError
-from pgfree.matroid import FreenessWitness, is_pg_free, triangle_count_naive
+from pgfree.matroid import is_pg_free, triangle_count_naive
 from pgfree.pointset import PointSet
 from pgfree.search import StructureResult, hyperplane_intersection
 from pgfree.verify import (
@@ -96,11 +96,12 @@ def test_exhaustive_sweep_r3_json_is_pinned(level, checks, digest, rank):
     assert _sha256(out.to_canonical_json()) == digest
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("workers", [1, 2, 3, 7])
 def test_exhaustive_r4_digest_holds_across_workers(workers):
     # every check at level 3 on every subset of PG(3,2), as the benchmark's
-    # exhaustive workload runs it; one-word sweeps form their values in
-    # blocks of 256 sets, and three workers' ranges start inside a block
+    # exhaustive workload runs it; one-word sweeps conclude in blocks of
+    # 256 sets, and the ranges of three and seven workers start inside a
+    # block, so records meet across blocks and across ranges
     checks = tuple(c for c in ALL_CHECKS if c != "gs")  # gs needs rank >= level + 2
     out = run_sweep(SweepConfig(rank=4, level=3, mode="exhaustive", checks=checks), workers=workers)
     assert _sha256(out.to_canonical_json()) == (
@@ -145,6 +146,22 @@ def _emptied_cones(real, target):
     return tables
 
 
+def _miscounted(real, target):
+    """``_translation_counts`` with six more triangles in the target set."""
+    def counts(sets):
+        return [t + 6 * (e == target) for e, t in zip(sets, real(sets))]
+    return counts
+
+
+def _held_everywhere(real, target):
+    """``_hyperplane_counts`` with a triangle in every hyperplane of the target set."""
+    def counts(c, member, rank, transform):
+        a, convolved, counted = real(c, member, rank, transform)
+        a[(member == target.membership).all(axis=-1)] += 1
+        return a, convolved, counted
+    return counts
+
+
 @pytest.mark.parametrize(
     "check, level, target, patched, wrong",
     [
@@ -152,12 +169,12 @@ def _emptied_cones(real, target):
         ("bose-burton", 3, _PLANE_MINUS_7, "pgfree.verify.critical_number", 4),
         # Govaerts–Storme reads the critical number
         ("gs", 2, _ODD_WORDS, "pgfree.verify.critical_number", 3),
-        # the counting bound reads the spectral triangle count
-        ("thm-3.1", 3, _PLANE_MINUS_7, "pgfree.spectral.triangle_count_spectral", 10**6),
+        # the counting bound reads the naive triangle count off the block's translation counts
+        ("thm-3.1", 3, _PLANE_MINUS_7, "pgfree.matroid._translation_counts", _miscounted),
         # Corollary 1.3 reads the critical number
         ("cor-1.3", 3, _PLANE_MINUS_7, "pgfree.matroid.critical_number", 0),
-        # Lemma 2.4 reads E once the freeness gate passes: the plane itself
-        ("lemma-2.4", 3, _PLANE, "pgfree.verify.is_pg_free", FreenessWitness(False, None)),
+        # Lemma 2.4 reads the held hyperplanes off the block's per-hyperplane counts
+        ("lemma-2.4", 3, _PLANE_MINUS_7, "pgfree.spectral._hyperplane_counts", _held_everywhere),
         # the cone lemma reads each cone off the set's column of the cone tables
         ("lemma-2.5", 3, _PLANE_MINUS_7, "pgfree.search._cone_tables", _emptied_cones),
         # Theorem 4.1 reads the first triangle-free hyperplane
@@ -237,12 +254,19 @@ def _minus(e, rng, k):
 
 
 def test_lemma_24_row_matches_a_hyperplane_loop():
-    seen = []
+    # the row concludes on a block of same-rank sets at a time
+    groups = {}
     for e, n in _lemma_24_cases():
         assert not is_pg_free(e, n).found
-        got = _lemma_24(e, n)
-        assert got == _lemma_24_by_hyperplane_loop(e, n)
-        seen.append((n, got[0]))
+        groups.setdefault((e.rank, n), []).append(e)
+    seen = []
+    for (r, n), sets in groups.items():
+        done = _lemma_24(sets, n)
+        assert done.faults == {}
+        for i, e in enumerate(sets):
+            value = Fraction(int(done.values[i]), done.den) if done.valued[i] else None
+            assert (int(done.counts[i]), value) == _lemma_24_by_hyperplane_loop(e, n)
+            seen.append((n, int(done.counts[i])))
     assert {n for n, count in seen if count} == {3, 4}
     assert any(count == 0 for n, count in seen)
 
