@@ -8,12 +8,12 @@ On tables narrower than a cache-sized block of ``_BLOCK`` (2^16)
 entries, r <= 15, numpy's fixed cost per call, not arithmetic, sets much
 of the time, so the values of a block of same-rank sets are formed
 together on their (B x 2^r) stacks, each by its own kernel, which forms
-it only for the sets whose memo lacks it.  ``_block_spectra`` is, in the
-one-word ambient (r <= 6, 2^r <= ``SMALL_SET_POINTS``), one int64 product
-with the leading 2^r x 2^r block of the Sylvester matrix H_64, and from
-r = 7 the stacked int32 butterfly ``_int32_transform``, each followed by
+it only for the sets whose memo lacks it.  ``_block_spectra`` is the
+stacked int32 butterfly ``_int32_transform`` at every rank, followed by
 row-wise extremes, squares and cubes; ``_block_hyperplane_counts``
-(one-word only) is the same two products, stacked, on them.  A later
+(one-word only: r <= 6, 2^r <= ``SMALL_SET_POINTS``) is two int64
+products with the leading 2^r x 2^r block of the Sylvester matrix H_64,
+stacked, on them.  A later
 kernel reads the stack ``_block_spectra`` formed in place when its rows
 are consecutive rows of it, and else gathers them in one take
 (``_spectrum_stack``).  Every row passes the same checks as a single
@@ -22,11 +22,12 @@ recomputes it and raises.  A single such set's spectrum is the kernel's
 row on a block of one.  A table of ``_BLOCK`` entries or more (from
 r = 16) is transformed and checked alone.
 
-From r = 7 the transform is the size-doubling butterfly, whose stages
-cost O(1) per entry against the product's O(2^r).  Its six narrowest
-stages (widths 1 to 32) are read off the bitset's bytes: each 64-bit
-word's 64 entries after them are the sum of eight int8 rows of
-``_BYTE_ROWS``, one per byte, so no indicator array is built.  The wider
+The transform is the size-doubling butterfly, whose stages cost O(1)
+per entry against a product's O(2^r).  Its six narrowest stages (widths
+1 to 32) are read off the bitset's bytes: each 64-bit word's 64 entries
+after them are the sum of eight int8 rows of ``_BYTE_ROWS``, one per
+byte, so no indicator array is built; a table of fewer than 64 entries
+is the head of its zero-padded word's.  The wider
 stages run in place, two per pass (radix 4): those narrower than both the
 table and a block right after the block's rows are written, while it is
 in cache (all of them on a block of ``_BLOCK >> r`` whole tables, while
@@ -234,9 +235,8 @@ def _row_moments(c: np.ndarray) -> tuple[list[int], ...]:
     """(min, max, sum(c^2), sum(c^3)) of each row of a nonempty (B, k)
     stack, as lists of Python integers: the counterpart of ``_moments`` for
     rows narrower than ``_BLOCK``.  Exact in int64 when k |c|^3 < 2^63: a
-    row of a product has k <= 64 and |c| <= 64, and one of the butterfly,
-    at most 2^15 signed sums of at most 2^15 indicator bits, has
-    k |c|^3 <= 2^60."""
+    row of the butterfly, at most 2^15 signed sums of at most 2^15
+    indicator bits, has k |c|^3 <= 2^60."""
     sq = np.square(c, dtype=np.int64)
     squares = sq.sum(axis=1)
     sq *= c
@@ -286,9 +286,9 @@ class Spectrum:
     (the peak) and the exact sum of cubes, which ``uniformity``,
     ``triangle_count_spectral`` and the thm-3.1 sweep row read instead of
     walking the table again (``_moments``, or ``_row_moments`` on the rows
-    of a stack, ``_spectrum_rows``).  The table is int32 (int64 in the one-word
-    ambient, r <= 6), exact since every |c| <= |E| < 2^24, so squares and
-    cubes of it are formed in int64 or as Python integers.  It is
+    of a stack, ``_spectrum_rows``).  The table is int32, exact since every
+    |c| <= |E| < 2^24, so squares and cubes of it are formed in int64 or as
+    Python integers.  It is
     read-only; below r = 16 it is a row of a stack of a block's sets.
     """
 
@@ -327,8 +327,9 @@ class Spectrum:
 
 def _sylvester_rows(a: np.ndarray) -> np.ndarray:
     """The transform of a 2^r-entry table, or of each row of a (B, 2^r)
-    stack, 2^r <= ``SMALL_SET_POINTS``: one int64 product with the leading
-    2^r x 2^r block of ``_SYLVESTER``, which is symmetric."""
+    stack, 2^r <= ``SMALL_SET_POINTS``, as ``_hyperplane_counts`` runs it
+    on int64 cone sizes: one int64 product with the leading 2^r x 2^r
+    block of ``_SYLVESTER``, which is symmetric."""
     n = a.shape[-1]
     return a @ _SYLVESTER[:n, :n]
 
@@ -343,24 +344,18 @@ def _membership_rows(sets: list[PointSet]) -> np.ndarray:
 
 def _alone(rank: int) -> bool:
     """Whether a table of this rank is transformed and checked alone, not
-    as a row of a stack: past the one-word ambient, a table of ``_BLOCK``
-    entries or more (from r = 16)."""
-    n = 1 << rank
-    return n > SMALL_SET_POINTS and n >= _BLOCK
+    as a row of a stack: a table of ``_BLOCK`` entries or more (from
+    r = 16)."""
+    return (1 << rank) >= _BLOCK
 
 
-def _spectrum_rows(sets: list[PointSet], member: Optional[np.ndarray] = None) -> list[Optional[str]]:
+def _spectrum_rows(sets: list[PointSet]) -> list[Optional[str]]:
     """The spectra of same-rank sets whose tables are not ``_alone``, as
-    one stack: one product with their membership stack (``member``, built
-    here if not given) in the one-word ambient, the stacked transform
-    ``_int32_transform`` from r = 7.  Then each row's moments and checks;
-    a row that passes goes into its set's memo.  Returns each row's fault
-    (None for a kept row)."""
+    the rows of one stacked transform (``_int32_transform``), then each
+    row's moments and checks; a row that passes goes into its set's memo.
+    Returns each row's fault (None for a kept row)."""
     r = sets[0].rank
-    if (1 << r) <= SMALL_SET_POINTS:
-        c = _sylvester_rows(_membership_rows(sets) if member is None else member)
-    else:
-        c = _int32_transform(sets)
+    c = _int32_transform(sets)
     c.flags.writeable = False
     faults = []
     rows = zip(sets, c[:, 0].tolist(), *_row_moments(c[:, 1:]))
@@ -437,8 +432,7 @@ def _block_hyperplane_counts(sets: list[PointSet]) -> None:
     if not todo:
         return
     r = todo[0].rank
-    counts, convolved, counted = _hyperplane_counts(_spectrum_stack(todo), _membership_rows(todo), r,
-                                                    _sylvester_rows)
+    counts, convolved, counted = _hyperplane_counts(_spectrum_stack(todo), _membership_rows(todo), r)
     counts.flags.writeable = False
     for e, row, ors in zip(todo, counts, zip(convolved.tolist(), counted.tolist())):
         if _count_fault(r, *ors) is None:
@@ -450,28 +444,28 @@ def walsh_hadamard(E: PointSet) -> Spectrum:
     """Exact transform of the indicator of E over all 2^r characters.
 
     A table not transformed ``_alone`` is the block kernel
-    ``_spectrum_rows`` on a block of one: in the one-word ambient
-    (2^r <= ``SMALL_SET_POINTS``) the set's ``membership`` row, which its
-    per-hyperplane counts read too, times the leading 2^r x 2^r block of
-    ``_SYLVESTER``, an int64 table, and from r = 7 a row of
-    ``_int32_transform``.  A larger table is that transform's one int32
-    table, checked by ``Spectrum``'s pass a block at a time.
+    ``_spectrum_rows`` on a block of one, a row of ``_int32_transform``.
+    A larger table is that transform's one int32 table, checked by
+    ``Spectrum``'s pass a block at a time.
     """
     if _alone(E.rank):
         return Spectrum(E.rank, _int32_transform([E])[0], E.size)
-    _raise(_spectrum_rows([E], E.membership[None] if (1 << E.rank) <= SMALL_SET_POINTS else None)[0])
+    _raise(_spectrum_rows([E])[0])
     return E.memo["walsh_hadamard"]
 
 
 def _int32_transform(sets: list[PointSet]) -> np.ndarray:
-    """The transforms of the indicators of same-rank sets from r = 7, as a
+    """The transforms of the indicators of same-rank sets, as a contiguous
     (B, 2^r) int32 stack built one cache-sized block at a time.
 
-    A block of ``_BLOCK`` entries holds ``_BLOCK >> r`` whole tables while
-    2^r < ``_BLOCK`` (the last block of a stack may hold fewer), and is one
-    piece of a single table from r = 16.  The first six stages of a 64-bit
-    word w of the sets' bitsets come from its bytes: they are linear, so
-    entry 64j + u after them is the sum over the eight bytes b_k of w_j of
+    A set of the one-word ambient (2^r < 64) is read as one zero-padded
+    64-bit word, whose transform's first 2^r entries are the set's: its
+    row is cut to them once the stack is built.  A block of ``_BLOCK``
+    entries holds ``_BLOCK >> r`` whole tables while 2^r < ``_BLOCK`` (the
+    last block of a stack may hold fewer), and is one piece of a single
+    table from r = 16.  The first six stages of a 64-bit word w of the
+    sets' bitsets come from its bytes: they are linear, so entry 64j + u
+    after them is the sum over the eight bytes b_k of w_j of
     ``_BYTE_ROWS[k, b_k]`` at u, one gather of the block's eight rows per
     word and one int8 sum over them (each partial sum is at most 64),
     copied into one reused int16 block.  The block's in-block stages, from
@@ -489,11 +483,12 @@ def _int32_transform(sets: list[PointSet]) -> np.ndarray:
     return, before the checks make their own.
     """
     n = 1 << sets[0].rank
-    a = np.empty((len(sets), n), dtype=np.int32)
+    width = max(n, 64)
+    a = np.empty((len(sets), width), dtype=np.int32)
     flat = a.reshape(-1)
     block = min(flat.size, max(_BLOCK, 64))
-    top = min(n, block)
-    size = n >> 3
+    top = min(width, block)
+    size = width >> 3
     raw = sets[0].bits.to_bytes(size, "little") if len(sets) == 1 else b"".join(
         e.bits.to_bytes(size, "little") for e in sets)
     by = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 8)
@@ -519,7 +514,7 @@ def _int32_transform(sets: list[PointSet]) -> np.ndarray:
     if n >= _BLOCK:
         for row in a:
             fwht_inplace(row, block)
-    return a
+    return a if n == width else a[:, :n].copy()
 
 
 @memoized
@@ -555,29 +550,32 @@ def triangle_counts_per_hyperplane(E: PointSet) -> np.ndarray:
     self-convolution of the indicator, WHT(c^2) / 2^r, read on E through
     its ``membership`` table.
 
-    The squares are formed in int64, since c^2 reaches 2^48 and int32
-    would wrap, and int64 is exact at every rank: the transform of c^2
-    forms partial sums bounded by 2 sum(c^2) = 2^(r+1) |E|, and that of d
-    ones bounded by 2 sum(d) = 2T <= 2|E|^2, so with |E| < 2^24 every
-    value formed, T + 3A included, stays below 2^51.  In the one-word
-    ambient both transforms are products (``_sylvester_rows``), as
+    The spectrum is int32 at every rank, and its squares are formed in
+    int64, since c^2 reaches 2^48 and int32 would wrap; int64 is exact at
+    every rank: the transform of c^2 forms partial sums bounded by
+    2 sum(c^2) = 2^(r+1) |E|, and that of d ones bounded by
+    2 sum(d) = 2T <= 2|E|^2, so with |E| < 2^24 every value formed, T + 3A
+    included, stays below 2^51.  In the one-word ambient both transforms
+    are products (``_sylvester_rows``), the only products left, as
     ``_block_hyperplane_counts`` runs them on a block's stacked rows.  The
     table is remembered per set, so it is read-only.
     """
-    c = walsh_hadamard(E).coeffs
-    transform = _sylvester_rows if c.size <= SMALL_SET_POINTS else fwht_inplace
-    a, convolved, counted = _hyperplane_counts(c, E.membership, E.rank, transform)
+    a, convolved, counted = _hyperplane_counts(walsh_hadamard(E).coeffs, E.membership, E.rank)
     _raise(_count_fault(E.rank, int(convolved), int(counted)))
     a.flags.writeable = False
     return a
 
 
-def _hyperplane_counts(c: np.ndarray, member: np.ndarray, rank: int, transform):
+def _hyperplane_counts(c: np.ndarray, member: np.ndarray, rank: int):
     """The per-hyperplane triangle counts of ``triangle_counts_per_hyperplane``
     from a spectrum c and the membership table, or row-wise from stacks of
-    them, by ``transform`` along the last axis.  Returns the counts and,
-    per table, the bitwise ORs over the self-convolution and over T + 3A
-    that ``_count_fault`` reads."""
+    one-word tables.  Both transforms of the int64 cone sizes are products
+    (``_sylvester_rows``) on tables of at most ``SMALL_SET_POINTS``
+    entries, where a product costs less than butterfly stages, and
+    ``fwht_inplace`` on one wider table.  Returns the counts and, per
+    table, the bitwise ORs over the self-convolution and over T + 3A that
+    ``_count_fault`` reads."""
+    transform = _sylvester_rows if c.shape[-1] <= SMALL_SET_POINTS else fwht_inplace
     d = transform(np.square(c, dtype=np.int64))
     convolved = np.bitwise_or.reduce(d, axis=-1)
     d >>= rank

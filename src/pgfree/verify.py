@@ -15,11 +15,11 @@ the sweep's level is formed first, every set against the table of flats
 at once (``matroid._block_pg_free``).  Then each check takes the block:
 its gate runs on every set, and its conclusion on the block of the sets
 that passed.  A conclusion first runs the block kernels of the values it
-reads on every set: in the one-word ambient ``spectral._block_spectra``,
+reads on every set: at every rank the spectra, as one stacked int32
+transform (``spectral._block_spectra``), and in the one-word ambient
 ``_block_hyperplane_counts``, ``matroid._block_triangle_counts`` and
 ``search._block_cone_lemma``, whose kernel checks all of Lemma 2.5 on a
-block at once; from r = 7 thm-3.1's spectra, as one stacked int32
-transform.  A kernel forms a value only where the memo lacks it, so
+block at once.  A kernel forms a value only where the memo lacks it, so
 checks share what an earlier one formed, and a value no kernel kept is
 formed by the set's own call.  thm-3.1 and lemma-2.4 then decide the
 whole block on int64 arrays: thm-3.1 on each set's |E|, naive count, cube
@@ -207,10 +207,9 @@ def _lemma_24(sets: list[PointSet], n: int) -> _Concluded:
     intersection at a time (``_hyperplanes_holding_pg``).  The value is the
     least slack under the outside bound."""
     keys = (walsh_hadamard, triangle_counts_per_hyperplane) if n == 3 else (walsh_hadamard,)
-    if _one_word(sets):
-        _block_spectra(sets)
-        if n == 3:
-            _block_hyperplane_counts(sets)
+    _block_spectra(sets)
+    if n == 3 and _one_word(sets):
+        _block_hyperplane_counts(sets)
     faults = _formed(sets, keys)
     counts = np.zeros(len(sets), dtype=np.int64)
     slack = np.zeros(len(sets), dtype=np.int64)
@@ -321,12 +320,6 @@ def _cor_13(e: PointSet, n: int) -> tuple[int, int]:
     return 1, critical_number(e)
 
 
-def _spectrum_kernels(sets: list[PointSet], n: int) -> None:
-    """The spectra that the critical numbers of cor-1.3 read."""
-    if _one_word(sets):
-        _block_spectra(sets)
-
-
 def _reconcile(e: PointSet, n: int) -> tuple[int, None]:
     for gamma in range(1, 1 << e.rank):
         try:
@@ -355,7 +348,8 @@ _CHECKS = {
     "thm-4.1": _Check(lambda e, n: _dense_free(e, 3), _each(_thm_41, _count_kernels), "min_intersection",
                       "min"),
     "thm-1.1": _Check(_dense_free, _each(_thm_11, _count_kernels), "min_intersection", "min"),
-    "cor-1.3": _Check(_dense_free, _each(_cor_13, _spectrum_kernels), "max_chi", "max"),
+    # the critical numbers of cor-1.3 read the spectra
+    "cor-1.3": _Check(_dense_free, _each(_cor_13, lambda sets, n: _block_spectra(sets)), "max_chi", "max"),
     "reconcile": _Check(lambda e, n: _reconcile_condition(e, n) is not None, _each(_reconcile)),
 }
 ALL_CHECKS = tuple(_CHECKS)

@@ -1,6 +1,6 @@
-"""The block kernels: spectra, per-hyperplane triangle counts, translation
-triangle counts and the cone lemma of a block of sets at r <= 6, and the
-stacked spectra from r = 7, formed together and kept in each set's memo,
+"""The block kernels: the stacked spectra of a block of sets at every
+rank, and its per-hyperplane triangle counts, translation triangle counts
+and cone lemma at r <= 6, formed together and kept in each set's memo,
 with the uniformity reports read off them; and the row-gather triangle
 count from r = 7."""
 
@@ -94,7 +94,7 @@ def _assert_block_values_are_the_definitions(sets):
     for e, c, t, p in zip(sets, coeffs, counts, per_hyperplane):
         assert set(KEYS) <= e.memo.keys(), e.to_compact()
         spec = e.memo["walsh_hadamard"]
-        assert spec.coeffs.dtype == np.int64 and not spec.coeffs.flags.writeable
+        assert spec.coeffs.dtype == np.int32 and not spec.coeffs.flags.writeable
         assert np.array_equal(spec.coeffs, c), e.to_compact()
         assert (spec.ambient_rank, spec.set_size) == (r, e.size)
         assert (spec.nontrivial_min, spec.nontrivial_max) == (int(c[1:].min()), int(c[1:].max()))
@@ -164,35 +164,49 @@ def test_kernels_form_only_what_the_memo_lacks(monkeypatch):
     _assert_block_values_are_the_definitions(sets)
 
 
-def _corrupt_rows_of(monkeypatch, target):
-    """Make every product of a membership stack add 2 to the coefficient
-    at gamma = 3 of each row equal to the target set's indicator."""
-    real = spectral._sylvester_rows
-    row = target.indicator().astype(np.int64)
+def _corrupt_row_of(monkeypatch, target):
+    """Make every stacked transform add 2 to the coefficient at gamma = 3 of
+    the target set's row."""
+    real = spectral._int32_transform
 
-    def product(a):
-        out = real(a)
-        out[(a == row).all(axis=1), 3] += 2
+    def transform(sets):
+        out = real(sets)
+        for i, e in enumerate(sets):
+            if e.bits == target.bits:
+                out[i, 3] += 2
         return out
 
-    monkeypatch.setattr(spectral, "_sylvester_rows", product)
+    monkeypatch.setattr(spectral, "_int32_transform", transform)
 
 
-def test_a_corrupted_row_is_not_kept_and_leaves_its_block_alone(monkeypatch):
-    sets = _every_subset(4)[:256]
-    clean = [PointSet(4, e.bits) for e in sets]
-    _run_kernels(clean)
-    target = sets[77]
-    _corrupt_rows_of(monkeypatch, target)
-    _run_kernels(sets)
+def _row_kernels(block):
+    """The spectra of a block, the uniformity reports read off them and, in
+    the one-word ambient, the per-hyperplane counts."""
+    _block_spectra(block)
+    if block[0].rank <= 6:
+        _block_hyperplane_counts(block)
+    _uniformity_reports(block)
+
+
+# a block of one-word sets, whose rows are cut from their padded words',
+# and one of wider tables
+@pytest.mark.parametrize("r", [4, 8])
+def test_a_corrupted_row_is_not_kept_and_leaves_its_block_alone(monkeypatch, r):
+    sets = _every_subset(4)[:256] if r == 4 else _stacked_cases(8, 40)
+    clean = [PointSet(r, e.bits) for e in sets]
+    _row_kernels(clean)
+    target = sets[77 if r == 4 else 11]
+    _corrupt_row_of(monkeypatch, target)
+    _row_kernels(sets)
     for e, c in zip(sets, clean):
         if e is target:
             assert not {"walsh_hadamard", "triangle_counts_per_hyperplane", "uniformity"} & e.memo.keys()
             continue
         assert _same_spectrum(e.memo["walsh_hadamard"], c.memo["walsh_hadamard"])
-        assert np.array_equal(e.memo["triangle_counts_per_hyperplane"],
-                              c.memo["triangle_counts_per_hyperplane"])
         assert e.memo["uniformity"] == c.memo["uniformity"]
+        if r == 4:
+            assert np.array_equal(e.memo["triangle_counts_per_hyperplane"],
+                                  c.memo["triangle_counts_per_hyperplane"])
     # the set's own call recomputes its row, and raises inside its check
     with pytest.raises(InternalInconsistencyError, match="Parseval"):
         walsh_hadamard(target)
@@ -203,9 +217,9 @@ def test_a_count_row_that_fails_its_division_is_not_kept(monkeypatch):
     target = sets[200]
     real = spectral._hyperplane_counts
 
-    def counts(c, member, rank, transform):
+    def counts(c, member, rank):
         # set the low bit of T + 3A's OR on the target's row
-        a, convolved, counted = real(c, member, rank, transform)
+        a, convolved, counted = real(c, member, rank)
         return a, convolved, counted | (member == target.membership).all(axis=-1)
 
     monkeypatch.setattr(spectral, "_hyperplane_counts", counts)
@@ -216,11 +230,14 @@ def test_a_count_row_that_fails_its_division_is_not_kept(monkeypatch):
         triangle_counts_per_hyperplane(target)
 
 
-def test_a_corrupted_row_is_one_violation_of_the_sweep(monkeypatch):
-    cfg = SweepConfig(rank=4, level=3, mode="exhaustive", checks=("thm-3.1",))
+@pytest.mark.parametrize("cfg, target", [
+    pytest.param(SweepConfig(rank=4, level=3, mode="exhaustive", checks=("thm-3.1",)), PointSet(4, 0x0E8A), id="4"),
+    pytest.param(SweepConfig(rank=8, level=3, mode="random", sample_count=40, rng_seed=8, checks=("thm-3.1",)),
+                 verify.sample_pointset(8, 8, 17), id="8"),
+])
+def test_a_corrupted_row_is_one_violation_of_the_sweep(monkeypatch, cfg, target):
     clean = run_sweep(cfg, workers=1).to_json_obj()
-    target = PointSet(4, 0x0E8A)
-    _corrupt_rows_of(monkeypatch, target)
+    _corrupt_row_of(monkeypatch, target)
     out = run_sweep(cfg, workers=1).to_json_obj()
     st = out["checks"]["thm-3.1"]
     assert st["violations"] == 1
@@ -570,11 +587,17 @@ def _stacked_cases(r, count):
 
 
 # B not a multiple of the tables per block (2^16 >> r): 513 > 512 at r = 7,
-# 21 > 16 at r = 12, 3 > 2 at r = 15; from r = 16 each table is alone
-@pytest.mark.parametrize("r, count", [(7, 513), (12, 21), (15, 3), (16, 3)])
+# 21 > 16 at r = 12, 3 > 2 at r = 15; from r = 16 each table is alone.  A
+# one-word set is one padded 64-entry word, 1024 to a block: 1025 > 1024
+# at r = 5
+@pytest.mark.parametrize("r, count", [(4, 300), (5, 1025), (6, 257), (7, 513), (12, 21), (15, 3), (16, 3)])
 def test_stacked_rows_are_the_single_tables(r, count):
     sets = _stacked_cases(r, count)
     spectral._block_spectra(sets)
+    if r <= 6:
+        # the rows cut from the padded words are one contiguous stack
+        stack = spectral._spectrum_stack(sets[3:9])
+        assert stack.shape == (6, 1 << r) and np.shares_memory(stack, sets[3].memo["walsh_hadamard"].coeffs)
     for i, e in enumerate(sets):
         row = e.memo["walsh_hadamard"]
         single = walsh_hadamard(PointSet(r, e.bits))
@@ -604,51 +627,6 @@ def test_later_kernels_read_the_formed_stack_in_place():
         stack = spectral._spectrum_stack(mixed)
         assert not np.shares_memory(stack, sets[0].memo["walsh_hadamard"].coeffs)
         assert np.array_equal(stack, np.stack([e.memo["walsh_hadamard"].coeffs for e in mixed]))
-
-
-def _corrupt_stacked_row_of(monkeypatch, target):
-    """Make every stacked transform add 2 to the coefficient at gamma = 3 of
-    the target set's row."""
-    real = spectral._int32_transform
-
-    def transform(sets):
-        out = real(sets)
-        for i, e in enumerate(sets):
-            if e.bits == target.bits:
-                out[i, 3] += 2
-        return out
-
-    monkeypatch.setattr(spectral, "_int32_transform", transform)
-
-
-def test_a_corrupted_stacked_row_is_not_kept_and_leaves_its_block_alone(monkeypatch):
-    sets = _stacked_cases(8, 40)
-    clean = [PointSet(8, e.bits) for e in sets]
-    spectral._block_spectra(clean)
-    target = sets[11]
-    _corrupt_stacked_row_of(monkeypatch, target)
-    spectral._block_spectra(sets)
-    _uniformity_reports(sets)
-    for e, c in zip(sets, clean):
-        if e is target:
-            assert not {"walsh_hadamard", "uniformity"} & e.memo.keys()
-            continue
-        assert _same_spectrum(e.memo["walsh_hadamard"], c.memo["walsh_hadamard"])
-    with pytest.raises(InternalInconsistencyError, match="Parseval"):
-        walsh_hadamard(target)
-
-
-def test_a_corrupted_stacked_row_is_one_violation_of_the_sweep(monkeypatch):
-    cfg = SweepConfig(rank=8, level=3, mode="random", sample_count=40, rng_seed=8, checks=("thm-3.1",))
-    clean = run_sweep(cfg, workers=1).to_json_obj()
-    target = verify.sample_pointset(8, 8, 17)
-    _corrupt_stacked_row_of(monkeypatch, target)
-    out = run_sweep(cfg, workers=1).to_json_obj()
-    st = out["checks"]["thm-3.1"]
-    assert st["violations"] == 1
-    assert st["witnesses"] == [f"{target.to_compact()} Parseval identity failed"]
-    st["violations"], st["witnesses"] = 0, []
-    assert out == clean
 
 
 def test_one_stacked_block_at_rank_12_stays_within_the_stack_and_its_block_buffers():
@@ -781,7 +759,7 @@ def test_thm_31_block_faults_are_the_per_set_messages(monkeypatch):
     cubes = next(i for i, e in enumerate(sets) if walsh_hadamard(PointSet(4, e.bits))[3] == -1)
     miscounted, loose = 70, 140
     for i in (parseval, cubes):
-        _corrupt_rows_of(monkeypatch, sets[i])
+        _corrupt_row_of(monkeypatch, sets[i])
     _miscount(monkeypatch, {sets[miscounted].bits})
     fresh = [PointSet(4, e.bits) for e in sets]
     for block in (sets, fresh):
@@ -814,8 +792,8 @@ def test_lemma_24_block_faults_are_the_bound_messages(monkeypatch):
     target = max(sets, key=lambda e: e.size)
     real = spectral._hyperplane_counts
 
-    def counts(c, member, rank, transform):
-        a, convolved, counted = real(c, member, rank, transform)
+    def counts(c, member, rank):
+        a, convolved, counted = real(c, member, rank)
         a[(member == target.membership).all(axis=-1)] += 1
         return a, convolved, counted
 
@@ -877,7 +855,7 @@ def test_a_check_keeps_only_its_five_least_witnesses(monkeypatch):
     assert st.witnesses == sorted(f"{e.to_compact()} x" for e in sets)[:5]
     # a broken kernel faults every set of a sweep but the empty one, whose
     # spectrum is all zeros; the list stays at five
-    monkeypatch.setattr(spectral, "_sylvester_rows", lambda a: a * 0)
+    monkeypatch.setattr(spectral, "_int32_transform", lambda sets: np.zeros((len(sets), 8), dtype=np.int32))
     stats = verify._sweep_range(SweepConfig(rank=3, level=3, mode="exhaustive", checks=("thm-3.1",)), 0, 128)
     st = stats["thm-3.1"]
     assert st.violations == 127 and st.evaluated == 128 and st.extremal == (0, "3:0")

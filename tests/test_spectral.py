@@ -115,8 +115,8 @@ def _assert_transforms_match_copying_butterfly(r, rng):
         mask[0] = False
         e = pointset_from_mask(r, mask)
         coeffs = walsh_hadamard(e).coeffs
-        # the one-word product stays int64; the butterfly's table is int32
-        assert coeffs.dtype == (np.int64 if r <= 6 else np.int32)
+        # the butterfly's table is int32 at every rank
+        assert coeffs.dtype == np.int32
         assert np.array_equal(coeffs, copying_fwht(mask.astype(np.int64)))
     # the in-place butterfly on arbitrary int64 input, as the per-hyperplane
     # counts use it
@@ -275,8 +275,8 @@ def _checked_kernel_calls(r, monkeypatch):
     # the start; a table of a block or more then runs its wider stages in
     # one fwht_inplace call, which joins that entry, and a narrower one is
     # done in its block, with no fwht_inplace call.  In the one-word
-    # ambient the spectrum and both cone-size transforms are products,
-    # with no fwht_inplace call
+    # ambient the spectrum is one padded word's byte rows, with no stage,
+    # and both cone-size transforms are products, with no fwht_inplace call
     transforms = [(1 << r, 64, [])] if r > 6 else []
     alone = (1 << r) >= spectral._BLOCK
     fwht_calls = []

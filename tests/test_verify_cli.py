@@ -155,8 +155,8 @@ def _miscounted(real, target):
 
 def _held_everywhere(real, target):
     """``_hyperplane_counts`` with a triangle in every hyperplane of the target set."""
-    def counts(c, member, rank, transform):
-        a, convolved, counted = real(c, member, rank, transform)
+    def counts(c, member, rank):
+        a, convolved, counted = real(c, member, rank)
         a[(member == target.membership).all(axis=-1)] += 1
         return a, convolved, counted
     return counts
@@ -700,6 +700,11 @@ def test_cli_spectrum(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "r, digest",
     [
+        # one zero-padded word, cut to 2^r entries, with no in-block stage
+        (1, "71f5a87f1c87a3077d511d848d9cd7d6b031a65fd993bc9d21cfc023c9fede7e"),
+        (2, "d4defa437cb912a8bb90d02e7b77437892217eb90aaf60908a3f208976a59cbd"),
+        (4, "9f2cf72b1e54254377a5e21686867869a87c76c204c31cb549dc4fa03897022a"),
+        (6, "bb09df49bce7b81a285d2b3cb97ad084e824ca981b1c191628be0f6f2e93b966"),
         # one block of in-block stages, all in int16
         (7, "046c8477b3ebf1a5f9b80629c7d1669adc1fffbcd9f11d5aab71eb8bd65dcb76"),
         (12, "3b1118227ccba1d116f4981cfa868f780523ed93829088549dda6ec61b58d9d0"),
@@ -816,6 +821,24 @@ def test_cli_verify_default_checks_stdout_is_pinned(capsys):
     assert code == 0
     assert json.loads(out)["config"]["checks"] == list(ALL_CHECKS)
     assert _sha256(out) == "ebfb3e685b9aa105fde63363bf320a051a811472815baa0b47a95d18b14414a8"
+
+
+@pytest.mark.parametrize(
+    "r, digest",
+    [
+        (5, "4ead7fd1b72fbac886d487b27fa493f353fc81658d0f498f80aa7d5294037b0e"),
+        (6, "f848ec5620ec86d07f0473bb14aa4f426e0ac2a9f8a32f0c66c34b31ca48ecc5"),
+    ],
+)
+def test_one_word_random_sweep_json_is_pinned(r, digest, tmp_path, capsys):
+    # every check at level 3 on 300 random one-word sets, in blocks of 256
+    # and 44, as the CI step at rank 6 runs it; the file adds a newline
+    out_path = tmp_path / "v.json"
+    code, _, _ = run_cli(["verify", "--rank", str(r), "--level", "3", "--mode", "random", "--samples", "300",
+                          "--seed", str(r), "--out", str(out_path)], capsys=capsys)
+    assert code == 0
+    text = out_path.read_text()
+    assert text.endswith("\n") and _sha256(text[:-1]) == digest
 
 
 @pytest.mark.parametrize(
